@@ -51,10 +51,7 @@ from .moves import (
 from .pairs import (
     CollapsingPair,
     TimePermutation,
-    compose_permutations,
     enumerate_pairs,
-    extended_mu,
-    invert_permutation,
     validate_pair,
 )
 from .trees import (

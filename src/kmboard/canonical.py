@@ -3,15 +3,20 @@
 Tier t(2j) is the number of mu-iterations from 2j down to 1 (equal to
 the count of M/R edges on the tree path to node 1, the root edge
 included).  A tamed pair is the unique member of its signed-KM class
-satisfying the four ordering clauses below; a reference pair is a tamed
-pair whose left branches list all + nodes before all - nodes.
+satisfying the four ordering clauses of :class:`_MapProfile`; a reference
+pair is a tamed pair whose left branches list all + nodes before all -
+nodes.  Both tests read one profile per map, shared by its 2^k sign
+arrays.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 from .errors import NotReference, NotTamed, OutOfRange
 from .moves import MoveState, apply_signed_km, groups_of, is_allowable
-from .pairs import CollapsingPair, TimePermutation
+from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
 from .trees import (
     SignedTree,
     echelon_labeling,
@@ -22,82 +27,131 @@ from .trees import (
 )
 
 
+def _tiers(mu) -> list[int]:
+    """t(2j) for j = 1..k, in label order.
+
+    mu(2j) < 2j, so the tier of mu(2j) (that of its even mate when odd)
+    is already known when 2j is reached.
+    """
+    tiers: list[int] = []
+    for v in mu:
+        tiers.append(1 if v == 1 else tiers[(v - 2) // 2] + 1)
+    return tiers
+
+
 def tier(pair: CollapsingPair, label: int) -> int:
     """Minimal q with mu^q(label) = 1, the extension applied per step."""
     if label % 2 or not 2 <= label <= 2 * pair.k:
         raise OutOfRange(f"tier is defined on even labels 2..{2 * pair.k}")
-    q = 0
-    while label != 1:
-        label = pair.mu_of(label)
-        q += 1
-    return q
+    return _tiers(pair.mu)[label // 2 - 1]
 
 
 def tier_table(pair: CollapsingPair) -> dict[int, int]:
     """t(2j) for every even label (t(2) = 1 by convention)."""
-    table: dict[int, int] = {}
-    for x in pair.even_labels:
-        chain = []
-        y = x
-        while y != 1 and y not in table:
-            chain.append(y)
-            y = pair.mu_of(y)
-        base = 0 if y == 1 else table[y]
-        for i, z in enumerate(reversed(chain)):
-            table[z] = base + i + 1
-    return {x: table[x] for x in pair.even_labels}
+    return dict(zip(pair.even_labels, _tiers(pair.mu)))
 
 
 def is_upper_echelon(pair: CollapsingPair) -> bool:
     return all(pair.mu[j - 1] <= pair.mu[j] for j in range(1, pair.k))
 
 
-def _tamed_keys(pair: CollapsingPair):
-    """(tier, mu^2, sgn(mu), mu) per even label; mu=1 parents get sentinels."""
-    tiers = tier_table(pair)
-    keys = {}
-    for x in pair.even_labels:
-        v = pair.mu_of(x)
-        if v == 1:
-            keys[x] = (tiers[x], 0, None, v)
-        else:
-            keys[x] = (tiers[x], pair.mu_of(v), pair.sgn_of(v), v)
-    return keys
+class _MapProfile:
+    """What the tamed and reference tests reuse across a map's sign arrays.
 
+    Label a must be smaller than label b when, with t the tier and
+    m = mu(.), m2 = mu(m), s = sgn(m):
+      1. t(a) < t(b);
+      2. equal tiers, m2 differs, and m(a) < m(b);
+      3. equal tiers and m2, s(a) = s(b), and m(a) < m(b);
+      4. equal tiers and m2, s(a) = + and s(b) = -.
+    Nodes hanging off 1 carry no m2 or s, so clauses 3 and 4 skip them.
+    A pair is tamed when no two labels break a clause.
 
-def _required_before(ka, kb) -> bool:
-    """Must a node with key ``ka`` carry a smaller label than one with ``kb``?"""
-    ta, m2a, sa, ma = ka
-    tb, m2b, sb, mb = kb
-    if ta != tb:
-        return ta < tb
-    if m2a == m2b:
-        if sa == sb and ma < mb:
-            return True
-        return sa == "+" and sb == "-"
-    return ma < mb
+    ``static_ok`` is False when a sign-independent clause already fails,
+    ``sign_checks`` lists (ia, ib, need_equal) sign-array index pairs
+    that must not break clauses 3 and 4, and ``groups`` lists the sign
+    indices of each left branch in label order.
+    """
+
+    __slots__ = ("static_ok", "sign_checks", "groups")
+
+    def __init__(self, mu: tuple):
+        self.static_ok = False
+        self.sign_checks: list[tuple[int, int, bool]] = []
+        self.groups: tuple = ()
+        tiers = _tiers(mu)
+        keys = [(t, 0 if v == 1 else mu[(v - 2) // 2], v) for t, v in zip(tiers, mu)]
+        for jb in range(1, len(mu)):  # b = 2(jb+1), a ranges below it
+            tb, m2b, vb = keys[jb]
+            for ja in range(jb):
+                ta, m2a, va = keys[ja]
+                if tb < ta:
+                    return
+                if tb != ta:
+                    continue
+                if m2a != m2b:
+                    if vb < va:
+                        return
+                    continue
+                if va == 1:  # whole tier-1 branch: no sign clause applies
+                    continue
+                ia, ib = (va - 2) // 2, (vb - 2) // 2
+                if vb < va:
+                    self.sign_checks.append((ia, ib, True))  # equal signs would violate
+                self.sign_checks.append((ia, ib, False))  # (+ at b, - at a) would violate
+        groups: dict[int, list[int]] = {}
+        for i, v in enumerate(mu):
+            groups.setdefault(v, []).append(i)
+        self.groups = tuple(tuple(g) for g in groups.values())
+        self.static_ok = True
+
+    def tamed(self, sgn) -> bool:
+        if not self.static_ok:
+            return False
+        for ia, ib, need_equal in self.sign_checks:
+            sa, sb = sgn[ia], sgn[ib]
+            if need_equal:
+                if sa == sb:
+                    return False
+            elif sb == "+" and sa == "-":
+                return False
+        return True
+
+    def blocks_ordered(self, sgn) -> bool:
+        """Every left branch lists its + members before its - members."""
+        for g in self.groups:
+            seen_minus = False
+            for i in g:
+                if sgn[i] == "-":
+                    seen_minus = True
+                elif seen_minus:
+                    return False
+        return True
 
 
 def is_tamed(pair: CollapsingPair) -> bool:
-    """The four Definition clauses, checked pairwise over labels."""
-    keys = _tamed_keys(pair)
-    labels = list(pair.even_labels)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if _required_before(keys[b], keys[a]):
-                return False
-    return True
+    """No two labels break a clause of :class:`_MapProfile`."""
+    return _MapProfile(pair.mu).tamed(pair.sgn)
 
 
 def is_reference(pair: CollapsingPair) -> bool:
     """Tamed, and every left branch is a + block followed by a - block."""
-    if not is_tamed(pair):
-        return False
-    for members in groups_of(pair).values():
-        signs = [pair.sgn_of(x) for x in members]
-        if "-" in signs and "+" in signs[signs.index("-") :]:
-            return False
-    return True
+    profile = _MapProfile(pair.mu)
+    return profile.tamed(pair.sgn) and profile.blocks_ordered(pair.sgn)
+
+
+def tamed_pairs(k: int, cap: int = ENUMERATION_CAP) -> Iterator[CollapsingPair]:
+    """Every tamed pair of order k, in :func:`enumerate_pairs` order.
+
+    One profile per map serves all 2^k sign arrays; maps failing a
+    sign-independent clause are skipped whole.
+    """
+    for mu in enumerate_mus(k, cap=cap):
+        profile = _MapProfile(mu)
+        if profile.static_ok:
+            for sgn in itertools.product(SIGNS, repeat=k):
+                if profile.tamed(sgn):
+                    yield CollapsingPair(k, mu, sgn)
 
 
 def reduce_to_labeling(
@@ -178,6 +232,7 @@ __all__ = [
     "is_upper_echelon",
     "is_tamed",
     "is_reference",
+    "tamed_pairs",
     "to_tamed",
     "to_echelon",
     "echelon_pair",

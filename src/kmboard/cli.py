@@ -1,8 +1,8 @@
 """Command-line interface.
 
 One executable, deterministic output: identical invocations produce
-byte-identical stdout (timings go to stderr).  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+byte-identical stdout (timings, if any, go to stderr).  Exit codes:
+0 success, 1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import canonical, counting, domains, duhamel, moves
-from .errors import BoardError
+from .errors import BoardError, OutOfRange
 from .pairs import (
     CollapsingPair,
     double_factorial_odd,
@@ -45,16 +45,25 @@ def _pair_from_args(args) -> CollapsingPair:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BoardError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _at_least(flag: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise OutOfRange(f"{flag} must be >= {low}, got {value}")
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_enumerate(args) -> int:
+    _at_least("--limit", args.limit, 0)
     lines = []
     for i, pair in enumerate(enumerate_pairs(args.k, signed=args.signed, cap=args.cap)):
         if args.limit is not None and i >= args.limit:
@@ -146,9 +155,7 @@ def cmd_classify(args) -> int:
             lines.append(_dumps(record))
     else:  # wild classes partition the tamed pairs
         wbuckets: dict[str, dict] = {}
-        for pair in enumerate_pairs(args.k, signed=True, cap=args.cap):
-            if not canonical.is_tamed(pair):
-                continue
+        for pair in canonical.tamed_pairs(args.k, cap=args.cap):
             reference, _ = canonical.to_reference(pair)
             key = _dumps(reference.to_json())
             entry = wbuckets.setdefault(key, {"reference": reference, "members": []})
@@ -259,9 +266,7 @@ def _check_reference_unique(k, args, lines) -> bool:
     for kk in range(1, k + 1):
         classes: dict[str, int] = {}
         n_tamed = 0
-        for pair in enumerate_pairs(kk, signed=True):
-            if not canonical.is_tamed(pair):
-                continue
+        for pair in canonical.tamed_pairs(kk):
             n_tamed += 1
             reference, rho = canonical.to_reference(pair)
             back = moves.apply_wild(moves.MoveState.start(reference), rho).pair
@@ -305,7 +310,7 @@ def _check_domain_bijection(k, args, lines) -> bool:
 def _check_compat(k, args, lines) -> bool:
     for kk in range(1, k + 1):
         n = 0
-        for pair in enumerate_pairs(kk, signed=True):
+        for pair in canonical.tamed_pairs(kk):
             if not canonical.is_reference(pair):
                 continue
             n += 1
@@ -319,7 +324,7 @@ def _check_compat(k, args, lines) -> bool:
 def _check_mass(k, args, lines) -> bool:
     for kk in range(1, k + 1):
         total = 0
-        for pair in enumerate_pairs(kk, signed=True):
+        for pair in canonical.tamed_pairs(kk):
             if not canonical.is_reference(pair):
                 continue
             extensions = domains.linear_extensions(domains.tr_domain(pair))
@@ -378,6 +383,8 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    _at_least("--k", args.k, 1)
+    _at_least("--threads", args.threads, 1)
     names = list(CHECKS) if args.check == "all" else [args.check]
     lines: list[str] = []
     ok = True

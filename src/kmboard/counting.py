@@ -12,6 +12,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from .canonical import _MapProfile
+from .domains import _count_orders
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
 from .trees import preorder_positions, skeleton_key
@@ -61,116 +63,23 @@ class CensusReport:
         return out
 
 
-def _sign_index(v: int) -> int:
-    """0-based sgn array index of the extended sign of value v >= 2."""
-    return (v - 2) // 2 if v % 2 == 0 else (v - 3) // 2
-
-
-def _mu_profile(mu: tuple):
-    """Everything about a map that censuses reuse across sign arrays.
-
-    Returns (static_ok, sign_checks, groups) where ``static_ok`` is
-    False when a sign-independent tamedness clause already fails,
-    ``sign_checks`` lists (ia, ib, need_equal) sign-array index pairs
-    that must not violate the same-branch clauses, and ``groups`` lists
-    the sign indices of each left branch in label order.
-    """
-    k = len(mu)
-
-    def mu_of(v):
-        return mu[_sign_index(v)]
-
-    tiers = {}
-    for x in range(2, 2 * k + 1, 2):
-        q, y = 0, x
-        while y != 1:
-            y = mu_of(y)
-            q += 1
-        tiers[x] = q
-    keys = []
-    for j in range(1, k + 1):
-        v = mu[j - 1]
-        m2 = 0 if v == 1 else mu_of(v)
-        keys.append((tiers[2 * j], m2, v))
-    sign_checks = []
-    for jb in range(1, k):  # b = 2(jb+1), a ranges below it
-        tb, m2b, vb = keys[jb]
-        for ja in range(jb):
-            ta, m2a, va = keys[ja]
-            if tb < ta:
-                return False, (), ()
-            if tb != ta:
-                continue
-            if m2a != m2b:
-                if vb < va:
-                    return False, (), ()
-                continue
-            if va == 1:  # whole tier-1 branch: no sign clause applies
-                continue
-            ia, ib = _sign_index(va), _sign_index(vb)
-            if vb < va:
-                sign_checks.append((ia, ib, True))  # equal signs would violate
-            sign_checks.append((ia, ib, False))  # (+ at b, - at a) would violate
-    groups: dict[int, list[int]] = {}
-    for j in range(1, k + 1):
-        groups.setdefault(mu[j - 1], []).append(j - 1)
-    return True, tuple(sign_checks), tuple(tuple(g) for g in groups.values())
-
-
-def _is_tamed_fast(sgn, sign_checks) -> bool:
-    for ia, ib, need_equal in sign_checks:
-        sa, sb = sgn[ia], sgn[ib]
-        if need_equal:
-            if sa == sb:
-                return False
-        elif sb == "+" and sa == "-":
-            return False
-    return True
-
-
-def _is_reference_signs(sgn, groups) -> bool:
-    for g in groups:
-        seen_minus = False
-        for i in g:
-            if sgn[i] == "-":
-                seen_minus = True
-            elif seen_minus:
-                return False
-    return True
-
-
 def _tc_extension_count(mu, sgn) -> int:
     """Linear extensions of the compatible domain, straight off the arrays."""
     k = len(mu)
-    parent = {}
+    above = {1: ()}  # t_{2j+1} waits for its Duhamel parent; the root's is t_1
     seen = {}
     for j in range(1, k + 1):
         key = (mu[j - 1], sgn[j - 1])
         if key in seen:
-            parent[2 * j] = seen[key]
+            parent = seen[key]
         elif mu[j - 1] == 1:
-            parent[2 * j] = 0
+            parent = 0
         else:
             v = mu[j - 1]
-            parent[2 * j] = v if v % 2 == 0 else v - 1
+            parent = v if v % 2 == 0 else v - 1
+        above[2 * j + 1] = (parent + 1,)
         seen[key] = 2 * j
-    # DP over downsets of the (k+1)-element forest rooted at t_1
-    above_mask = {}
-    for x in range(2, 2 * k + 1, 2):
-        p = parent[x]
-        above_mask[x] = (above_mask[p] | (1 << (p // 2))) if p else 1
-    n = k + 1
-    ways = [0] * (1 << n)
-    ways[1] = 1  # t_1 placed first
-    for mask in range(1, 1 << n):
-        w = ways[mask]
-        if not w:
-            continue
-        for x in range(2, 2 * k + 1, 2):
-            bit = 1 << (x // 2)
-            if not mask & bit and above_mask[x] & mask == above_mask[x]:
-                ways[mask | bit] += w
-    return ways[(1 << n) - 1]
+    return _count_orders(tuple(above), above)
 
 
 def _census_signed_chunk(k: int, mus) -> dict:
@@ -187,16 +96,16 @@ def _census_signed_chunk(k: int, mus) -> dict:
         ukey = skeleton_key(mu)
         unsigned.add(ukey)
         order = [(x - 2) // 2 for x in preorder_positions(mu)]
-        static_ok, sign_checks, groups = _mu_profile(mu)
+        profile = _MapProfile(mu)
         for sgn in sign_arrays:
             skey = (ukey, tuple(sgn[i] for i in order))
             signed_sizes[skey] = signed_sizes.get(skey, 0) + 1
             if skey not in signed_first:
                 signed_first[skey] = (mu, sgn)
-            if static_ok and _is_tamed_fast(sgn, sign_checks):
+            if profile.tamed(sgn):
                 tamed += 1
                 tamed_per_class[skey] = tamed_per_class.get(skey, 0) + 1
-                if _is_reference_signs(sgn, groups):
+                if profile.blocks_ordered(sgn):
                     ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
                     masses[ref_key] = _tc_extension_count(mu, sgn)
     return {

@@ -76,23 +76,25 @@ class TimePoset:
 
 
 def _count_orders(elements: tuple, above: dict) -> int:
-    """Downset DP: arrangements of all elements, larger-first."""
+    """Downset DP: arrangements of all elements, larger-first.
+
+    ``above[x]`` holds elements that must precede ``x``; covers suffice.
+    """
     index = {x: i for i, x in enumerate(elements)}
-    above_mask = {
-        x: sum(1 << index[y] for y in above[x]) for x in elements
-    }
-    n = len(elements)
-    ways = [0] * (1 << n)
+    rules = []
+    for i, x in enumerate(elements):
+        need = 0
+        for y in above[x]:
+            need |= 1 << index[y]
+        rules.append((1 << i, need))
+    ways = [0] * (1 << len(elements))
     ways[0] = 1
-    for mask in range(1 << n):
-        w = ways[mask]
-        if not w:
-            continue
-        for x in elements:
-            bit = 1 << index[x]
-            if not mask & bit and above_mask[x] & mask == above_mask[x]:
-                ways[mask | bit] += w
-    return ways[(1 << n) - 1]
+    for mask, w in enumerate(ways):
+        if w:
+            for bit, need in rules:
+                if not mask & bit and need & mask == need:
+                    ways[mask | bit] += w
+    return ways[-1]
 
 
 def _enumerate_orders(elements: tuple, above: dict) -> Iterator[tuple]:

@@ -62,6 +62,19 @@ def conj(e: SymExpr) -> SymExpr:
     return Conj(e)
 
 
+def _merge_evolve(a: Optional[int], b: Optional[int], body: SymExpr) -> SymExpr:
+    """Endpoint merging only; never moves conjugations."""
+    while isinstance(body, Evolve) and (body.a == b or body.b == a):
+        if body.a == b:
+            b = body.b
+        else:
+            a = body.a
+        body = body.body
+    if a == b:
+        return body
+    return Evolve(a, b, body)
+
+
 def evolve(a: Optional[int], b: Optional[int], e: SymExpr) -> SymExpr:
     """Propagator application with eager endpoint merging.
 
@@ -71,15 +84,7 @@ def evolve(a: Optional[int], b: Optional[int], e: SymExpr) -> SymExpr:
     """
     if isinstance(e, Conj):
         return conj(evolve(b, a, e.body))
-    while isinstance(e, Evolve) and (e.a == b or e.b == a):
-        if e.a == b:
-            b = e.b
-        else:
-            a = e.a
-        e = e.body
-    if a == b:
-        return e
-    return Evolve(a, b, e)
+    return _merge_evolve(a, b, e)
 
 
 def prod(factors) -> SymExpr:
@@ -105,19 +110,6 @@ def expr_key(e: SymExpr) -> str:
         b = "_" if e.b is None else e.b
         return f"e[{a},{b}]({expr_key(e.body)})"
     return "p(" + ",".join(expr_key(f) for f in e.factors) + ")"
-
-
-def _merge_evolve(a: Optional[int], b: Optional[int], body: SymExpr) -> SymExpr:
-    """Endpoint merging only; never moves conjugations."""
-    while isinstance(body, Evolve) and (body.a == b or body.b == a):
-        if body.a == b:
-            b = body.b
-        else:
-            a = body.a
-        body = body.body
-    if a == b:
-        return body
-    return Evolve(a, b, body)
 
 
 def normalize(e: SymExpr) -> SymExpr:

@@ -72,11 +72,6 @@ def apply_signed_km(state: MoveState, j: int) -> MoveState:
     return MoveState(_act(pair, rho, conjugate=True), rho.compose(state.sigma))
 
 
-def apply_km(pair: CollapsingPair, j: int) -> CollapsingPair:
-    """Pair part of the signed move (enough for unsigned work)."""
-    return apply_signed_km(MoveState.start(pair), j).pair
-
-
 def km_class(
     pair: CollapsingPair,
     signed: bool = True,
@@ -95,7 +90,7 @@ def km_class(
     while frontier:
         current = frontier.popleft()
         for j in km_admissible_indices(current):
-            nxt = apply_km(current, j)
+            nxt = apply_signed_km(MoveState.start(current), j).pair
             if nxt not in seen:
                 if cap is not None and len(seen) >= cap:
                     raise CapExceeded(f"class size exceeds cap {cap}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
+    BoardError,
     CapExceeded,
     ConstraintViolation,
     KMismatch,
@@ -103,13 +104,10 @@ def validate_pair(k: int, mu, sgn=None) -> CollapsingPair:
     return CollapsingPair(k, tuple(mu), tuple(sgn))
 
 
-def extended_mu(pair: CollapsingPair, label: int) -> int:
-    """mu on labels 2..2k+1, odd labels falling back to their even mate."""
-    return pair.mu_of(label)
-
-
 def enumerate_mus(k: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
     """All legal collapsing maps for order ``k`` in lexicographic order."""
+    if k < 1:
+        raise LengthMismatch(f"k must be >= 1, got {k}")
     if k > cap:
         raise CapExceeded(f"k={k} exceeds enumeration cap {cap}")
     yield from itertools.product(*(range(1, 2 * j) for j in range(1, k + 1)))
@@ -208,14 +206,6 @@ class TimePermutation:
         return {"k": self.k, "image": list(self.image)}
 
 
-def compose_permutations(a: TimePermutation, b: TimePermutation) -> TimePermutation:
-    return a.compose(b)
-
-
-def invert_permutation(a: TimePermutation) -> TimePermutation:
-    return a.inverse()
-
-
 def all_permutations(k: int, cap: int = ENUMERATION_CAP) -> Iterator[TimePermutation]:
     """Every permutation of the even labels (k! of them)."""
     if k > cap:
@@ -226,7 +216,10 @@ def all_permutations(k: int, cap: int = ENUMERATION_CAP) -> Iterator[TimePermuta
 
 def parse_mu(text: str) -> tuple[int, ...]:
     """Parse a CLI-style ``1,1,1,2,3`` list."""
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise BoardError(f"mu must be a comma list of integers, got {text!r}") from None
 
 
 def parse_sgn(text: str) -> tuple[str, ...]:

@@ -7,6 +7,7 @@ from kmboard.canonical import (
     is_reference,
     is_tamed,
     is_upper_echelon,
+    tamed_pairs,
     tier,
     tier_table,
     to_echelon,
@@ -23,6 +24,7 @@ from kmboard.moves import (
 )
 from kmboard.pairs import enumerate_pairs, random_pair, validate_pair
 from kmboard.trees import skeleton_key
+from oracles import literal_is_reference, literal_is_tamed, literal_tiers
 
 TAMED13 = validate_pair(
     13,
@@ -79,6 +81,21 @@ def test_predicates_on_worked_examples():
     assert is_reference(validate_pair(7, (1, 1, 1, 2, 3, 7, 7), "++--++-"))
     assert is_upper_echelon(validate_pair(5, (1, 1, 1, 2, 3), "+++++"))
     assert not is_upper_echelon(validate_pair(5, (1, 1, 3, 1, 2), "+++++"))
+
+
+def test_predicates_match_literal_definitions_exhaustively():
+    # every signed pair with k <= 5 (30,240 at k = 5)
+    for k in range(1, 6):
+        tamed = []
+        for p in enumerate_pairs(k, signed=True):
+            literal = literal_is_tamed(p)
+            assert is_tamed(p) == literal, p
+            assert is_reference(p) == literal_is_reference(p), p
+            if literal:
+                tamed.append(p)
+        assert list(tamed_pairs(k)) == tamed
+        for p in enumerate_pairs(k, signed=False):
+            assert tier_table(p) == literal_tiers(p)
 
 
 def test_reference_equals_tamed_when_sign_blocks_are_trivial():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from kmboard.cli import main
 from kmboard.pairs import CollapsingPair
@@ -173,3 +176,96 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code = main(["enumerate", "--k", "2", "--out", str(target)])
     assert code == 0
     assert len(target.read_text().splitlines()) == 3
+
+
+def input_error(capsys, *argv):
+    """Run a command that must fail on its input; return its one stderr line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("mu_flag", [("--mu", "1,a"), ("--mu=",)])
+def test_malformed_mu_exits_2(capsys, mu_flag):
+    assert "mu" in input_error(capsys, "tree", *mu_flag)
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "pairs.jsonl"
+    assert str(target) in input_error(capsys, "enumerate", "--k", "2", "--out", str(target))
+
+
+def test_enumerate_negative_k_exits_2(capsys):
+    input_error(capsys, "enumerate", "--k", "-1", "--signed")
+
+
+@pytest.mark.parametrize("argv", [("--k", "0"), ("--k", "-2", "--check", "catalan")])
+def test_verify_k_below_one_exits_2(capsys, argv):
+    assert "--k" in input_error(capsys, "verify", *argv)
+
+
+def test_verify_threads_below_one_exits_2(capsys):
+    assert "--threads" in input_error(capsys, "verify", "--k", "2", "--threads", "0")
+
+
+def test_enumerate_negative_limit_exits_2(capsys):
+    assert "--limit" in input_error(capsys, "enumerate", "--k", "2", "--limit", "-1")
+
+
+VERIFY_K4_ALL = """\
+unsigned classes: 1 == catalan(1): 1 OK
+unsigned classes: 3 == catalan(2): 3 OK
+unsigned classes: 12 == catalan(3): 12 OK
+unsigned classes: 55 == catalan(4): 55 OK
+k=1: 2 signed classes, 2 tamed pairs, one per class OK
+k=2: 12 signed classes, 12 tamed pairs, one per class OK
+k=3: 96 signed classes, 96 tamed pairs, one per class OK
+k=4: 880 signed classes, 880 tamed pairs, one per class OK
+k=1: 2 tamed pairs in 2 wild classes, each with a verified reference witness OK
+k=2: 12 tamed pairs in 11 wild classes, each with a verified reference witness OK
+k=3: 96 tamed pairs in 80 wild classes, each with a verified reference witness OK
+k=4: 880 tamed pairs in 665 wild classes, each with a verified reference witness OK
+k=1: relabelings <-> linear extensions, exhaustively OK
+k=2: relabelings <-> linear extensions, exhaustively OK
+k=3: relabelings <-> linear extensions, exhaustively OK
+k=4: relabelings <-> linear extensions, exhaustively OK
+random k=7 (200 maps): relabeling count == extension count OK
+k=1: T_R == T_C for all 2 reference pairs OK
+k=2: T_R == T_C for all 11 reference pairs OK
+k=3: T_R == T_C for all 80 reference pairs OK
+k=4: T_R == T_C for all 665 reference pairs OK
+k=1: disjoint partition, mass 2 == (2k-1)!!2^k OK
+k=2: disjoint partition, mass 12 == (2k-1)!!2^k OK
+k=3: disjoint partition, mass 120 == (2k-1)!!2^k OK
+k=4: disjoint partition, mass 1680 == (2k-1)!!2^k OK
+k=1: tree expansion == operator oracle, exhaustively OK
+k=2: tree expansion == operator oracle, exhaustively OK
+k=3: tree expansion == operator oracle, exhaustively OK
+random k=5 (50 pairs): tree expansion == operator oracle OK
+{"catalan": "ok","compat": "ok","domain-bijection": "ok","duhamel": "ok","mass": "ok","reference-unique": "ok","tamed-unique": "ok"}
+"""
+
+
+def test_verify_k4_all_stdout_is_pinned(capsys):
+    assert run(capsys, "verify", "--k", "4", "--check", "all") == (0, VERIFY_K4_ALL)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--moves", "km"), "dee7169f860e36ba0fd4b0d624af6f9ce3356f744ce6e526826ebdd7a9840684"),
+        (("--moves", "signed-km"), "04cfe8a6dfb8fca654634960c89dbe6c0df0d53594a59f1f1b49f0cdc31f2c84"),
+        (
+            ("--moves", "wild", "--members"),
+            "959759b6b8436f1131167e371d7d89beca792f56cf07ba92c57487fea470b1a7",
+        ),
+    ],
+    ids=["km", "signed-km", "wild-members"],
+)
+def test_classify_k4_stdout_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, "classify", "--k", "4", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

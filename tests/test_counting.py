@@ -60,19 +60,19 @@ def test_census_threads_match_sequential():
 
 
 def test_census_tamedness_agrees_with_literal_predicate():
-    # the census precomputes the sign-independent clauses per map; the
-    # shortcut must agree with the pairwise definition everywhere
+    # the census reads tamedness off one profile per map; it must agree
+    # with the pairwise definition everywhere
     from itertools import product
 
-    from kmboard.counting import _is_tamed_fast, _mu_profile
+    from kmboard.canonical import _MapProfile
     from kmboard.pairs import enumerate_mus, validate_pair
+    from oracles import literal_is_tamed
 
     for k in range(1, 5):
         for mu in enumerate_mus(k):
-            static_ok, sign_checks, _ = _mu_profile(mu)
+            profile = _MapProfile(mu)
             for sgn in product("+-", repeat=k):
-                fast = static_ok and _is_tamed_fast(sgn, sign_checks)
-                assert fast == is_tamed(validate_pair(k, mu, sgn))
+                assert profile.tamed(sgn) == literal_is_tamed(validate_pair(k, mu, sgn))
 
 
 def test_census_extension_counter_agrees_with_domain_module():
