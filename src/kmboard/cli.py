@@ -15,6 +15,7 @@ import sys
 from . import canonical, counting, domains, duhamel, moves
 from .errors import BoardError, OutOfRange
 from .pairs import (
+    ENUMERATION_CAP,
     CollapsingPair,
     double_factorial_odd,
     enumerate_pairs,
@@ -54,16 +55,20 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _at_least(flag: str, value, low: int) -> None:
-    if value is not None and value < low:
-        raise OutOfRange(f"{flag} must be >= {low}, got {value}")
+def _in_range(flag: str, value, low: int, high: int | None = None) -> None:
+    if value is None:
+        return
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise OutOfRange(f"{flag} must be {bound}, got {value}")
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_enumerate(args) -> int:
-    _at_least("--limit", args.limit, 0)
+    _in_range("--limit", args.limit, 0)
+    _in_range("--cap", args.cap, 1, ENUMERATION_CAP)
     lines = []
     for i, pair in enumerate(enumerate_pairs(args.k, signed=args.signed, cap=args.cap)):
         if args.limit is not None and i >= args.limit:
@@ -115,6 +120,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _in_range("--cap", args.cap, 1, ENUMERATION_CAP)
     lines = []
     if args.moves == "km":
         buckets: dict[str, list] = {}
@@ -383,8 +389,8 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    _at_least("--k", args.k, 1)
-    _at_least("--threads", args.threads, 1)
+    _in_range("--k", args.k, 1)
+    _in_range("--threads", args.threads, 1)
     names = list(CHECKS) if args.check == "all" else [args.check]
     lines: list[str] = []
     ok = True
@@ -418,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--cap", type=int, default=10)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)
 
@@ -442,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--moves", choices=("km", "signed-km", "wild"), required=True)
     p.add_argument("--members", action="store_true")
-    p.add_argument("--cap", type=int, default=10)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canonical import _MapProfile
-from .domains import _count_orders
+from .domains import _hook_count
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
 from .trees import preorder_positions, skeleton_key
@@ -66,7 +66,7 @@ class CensusReport:
 def _tc_extension_count(mu, sgn) -> int:
     """Linear extensions of the compatible domain, straight off the arrays."""
     k = len(mu)
-    above = {1: ()}  # t_{2j+1} waits for its Duhamel parent; the root's is t_1
+    tc_parent = {1: None}  # t_{2j+1} hangs under its Duhamel parent; the root's is t_1
     seen = {}
     for j in range(1, k + 1):
         key = (mu[j - 1], sgn[j - 1])
@@ -77,9 +77,9 @@ def _tc_extension_count(mu, sgn) -> int:
         else:
             v = mu[j - 1]
             parent = v if v % 2 == 0 else v - 1
-        above[2 * j + 1] = (parent + 1,)
+        tc_parent[2 * j + 1] = parent + 1
         seen[key] = 2 * j
-    return _count_orders(tuple(above), above)
+    return _hook_count(tc_parent)
 
 
 def _census_signed_chunk(k: int, mus) -> dict:

@@ -10,6 +10,7 @@ statements about sets of total orders.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -24,17 +25,32 @@ EXTENSION_CAP = 10**6
 
 
 def _transitive_closure(pairs: frozenset) -> frozenset:
-    closure = set(pairs)
-    while True:
-        extra = {
-            (a, d)
-            for a, b in closure
-            for c, d in closure
-            if b == c and (a, d) not in closure
-        }
-        if not extra:
-            return frozenset(closure)
-        closure |= extra
+    """Warshall's algorithm on one bitmask of lower labels per label.
+
+    Raises :class:`CyclicRelations` if some label lies below itself.
+    """
+    labels = sorted({x for pair in pairs for x in pair})
+    index = {x: i for i, x in enumerate(labels)}
+    below = [0] * len(labels)
+    for a, b in pairs:
+        below[index[a]] |= 1 << index[b]
+    for m in range(len(labels)):
+        bit, via = 1 << m, below[m]
+        for i, row in enumerate(below):
+            if row & bit:
+                below[i] = row | via
+    closure = []
+    for i, row in enumerate(below):
+        if row >> i & 1:
+            j = next(
+                j for j, other in enumerate(below) if j != i and row >> j & 1 and other >> i & 1
+            )
+            raise CyclicRelations(f"t_{labels[i]} and t_{labels[j]} are mutually ordered")
+        while row:
+            low = row & -row
+            closure.append((labels[i], labels[low.bit_length() - 1]))
+            row ^= low
+    return frozenset(closure)
 
 
 @dataclass(frozen=True)
@@ -47,11 +63,7 @@ class TimePoset:
     @classmethod
     def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "TimePoset":
         base = frozenset((a, b) for a, b in relations if a != b)
-        closure = _transitive_closure(base)
-        for a, b in closure:
-            if (b, a) in closure:
-                raise CyclicRelations(f"t_{a} and t_{b} are mutually ordered")
-        return cls(k, closure)
+        return cls(k, _transitive_closure(base))
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -75,10 +87,26 @@ class TimePoset:
         return ", ".join(f"t_{a}>=t_{b}" for a, b in self.relations_sorted())
 
 
+def _hook_count(parent: dict) -> int:
+    """Linear extensions of a forest: n! / prod of subtree sizes, exactly.
+
+    ``parent[x]`` is the upper cover of ``x``, or ``None`` for a root;
+    every parent comes before its children in the map's order.  This is
+    the hook-length formula for forests (Knuth, TAOCP Vol. 3, 5.1.4
+    ex. 20).
+    """
+    size = dict.fromkeys(parent, 1)
+    for x in reversed(parent):
+        if parent[x] is not None:
+            size[parent[x]] += size[x]
+    return math.factorial(len(size)) // math.prod(size.values())
+
+
 def _count_orders(elements: tuple, above: dict) -> int:
     """Downset DP: arrangements of all elements, larger-first.
 
     ``above[x]`` holds elements that must precede ``x``; covers suffice.
+    Exponential in the number of elements; only non-forest posets use it.
     """
     index = {x: i for i, x in enumerate(elements)}
     rules = []
@@ -121,7 +149,19 @@ def _above_map(poset: TimePoset) -> dict:
 
 
 def count_linear_extensions(poset: TimePoset) -> int:
-    return _count_orders(poset.elements, _above_map(poset))
+    """Exact count: the hook formula on forests, the downset DP otherwise.
+
+    The poset is a forest when every non-maximal element's up-set is its
+    lowest ancestor's up-set plus that ancestor.
+    """
+    above = _above_map(poset)
+    parent = {}
+    for x in sorted(poset.elements, key=lambda x: len(above[x])):
+        low = max(above[x], key=lambda a: len(above[a]), default=None)
+        if low is not None and above[x] != above[low] | {low}:
+            return _count_orders(poset.elements, above)
+        parent[x] = low
+    return _hook_count(parent)
 
 
 def linear_extensions(poset: TimePoset, cap: int = EXTENSION_CAP) -> frozenset:
@@ -207,14 +247,11 @@ def sigma_set(pair: CollapsingPair, cap: int = EXTENSION_CAP) -> list[TimePermut
     """
     tree = tree_from_pair(pair)
     evens = tuple(tree.labels)
-    above = {x: set() for x in evens}
-    for x in evens:
-        p = tree.parent_of(x)
-        if p != 1:
-            above[x].add(p)
-    if _count_orders(evens, above) > cap:
+    parent = {x: None if tree.parent_of(x) == 1 else tree.parent_of(x) for x in evens}
+    if _hook_count(parent) > cap:
         raise CapExceeded(f"more than {cap} order-preserving relabelings")
     perms = []
+    above = {x: () if parent[x] is None else (parent[x],) for x in evens}
     for topo in _enumerate_orders(evens, above):
         image = {x: 2 * (i + 1) for i, x in enumerate(topo)}
         perms.append(

@@ -1,5 +1,7 @@
 """Slow literal definitions that the fast predicates in ``kmboard`` are checked against."""
 
+import itertools
+
 from kmboard.moves import groups_of
 
 
@@ -61,3 +63,27 @@ def literal_is_reference(pair) -> bool:
         if "-" in signs and "+" in signs[signs.index("-") :]:
             return False
     return True
+
+
+def fixpoint_closure(pairs) -> frozenset:
+    """Transitive closure by adding composed pairs until nothing changes."""
+    closure = set(pairs)
+    while True:
+        extra = {
+            (a, d)
+            for a, b in closure
+            for c, d in closure
+            if b == c and (a, d) not in closure
+        }
+        if not extra:
+            return frozenset(closure)
+        closure |= extra
+
+
+def brute_force_extension_count(poset) -> int:
+    """Orderings of the elements, larger first, that respect every relation."""
+    count = 0
+    for order in itertools.permutations(poset.elements):
+        place = {x: i for i, x in enumerate(order)}
+        count += all(place[a] < place[b] for a, b in poset.closure)
+    return count

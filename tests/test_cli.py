@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
 from kmboard.cli import main
-from kmboard.pairs import CollapsingPair
+from kmboard.pairs import CollapsingPair, random_pair
+from kmboard.trees import tree_from_pair
 
 
 def run(capsys, *argv):
@@ -53,6 +56,22 @@ def test_domain_tc_json(capsys):
         [1, 3], [1, 7], [3, 5], [3, 9], [3, 11], [7, 13], [7, 15],
     ]
     assert payload["extensions"] > 0
+
+
+def test_domain_json_counts_extensions_exactly_at_k40(capsys):
+    pair = random_pair(40, random.Random(40), signed=False)
+    tree = tree_from_pair(pair)
+    size = dict.fromkeys([1, *tree.labels], 1)
+    for x in tree.labels:
+        while x != 1:
+            x = tree.parent_of(x)
+            size[x] += 1
+    expected = math.factorial(41) // math.prod(size.values())
+    code, out = run(
+        capsys, "domain", "--mu", ",".join(map(str, pair.mu)), "--kind", "td", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["extensions"] == expected
 
 
 def test_tree_dot_and_json(capsys):
@@ -213,6 +232,26 @@ def test_verify_threads_below_one_exits_2(capsys):
 
 def test_enumerate_negative_limit_exits_2(capsys):
     assert "--limit" in input_error(capsys, "enumerate", "--k", "2", "--limit", "-1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--k", "2", "--cap", "0"),
+        ("enumerate", "--k", "2", "--cap", "-1"),
+        ("enumerate", "--k", "11", "--cap", "11"),
+        ("classify", "--k", "2", "--moves", "km", "--cap", "0"),
+        ("classify", "--k", "11", "--moves", "km", "--cap", "20"),
+        ("classify", "--k", "11", "--moves", "wild", "--cap", "11"),
+    ],
+)
+def test_cap_outside_enumeration_bound_exits_2(capsys, argv):
+    assert "--cap" in input_error(capsys, *argv)
+
+
+def test_cap_at_its_bounds_is_accepted(capsys):
+    assert run(capsys, "enumerate", "--k", "1", "--cap", "1")[0] == 0
+    assert run(capsys, "classify", "--k", "1", "--moves", "km", "--cap", "10")[0] == 0
 
 
 VERIFY_K4_ALL = """\

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from kmboard import domains
 from kmboard.domains import (
     TimePoset,
     count_linear_extensions,
@@ -18,6 +20,7 @@ from kmboard.errors import CapExceeded, CyclicRelations, NotReference
 from kmboard.moves import MoveState, allowable_permutations, apply_wild
 from kmboard.canonical import is_reference
 from kmboard.pairs import TimePermutation, enumerate_pairs, random_pair, validate_pair
+from oracles import brute_force_extension_count, fixpoint_closure
 
 MU1 = validate_pair(5, (1, 1, 1, 2, 3), "+++++")
 
@@ -47,8 +50,97 @@ def test_poset_equality_is_by_closure():
 
 
 def test_poset_rejects_cycles():
-    with pytest.raises(CyclicRelations):
+    with pytest.raises(CyclicRelations, match="t_3 and t_5 are mutually ordered"):
         TimePoset.from_relations(2, [(3, 5), (5, 3)])
+    with pytest.raises(CyclicRelations, match="t_3 and t_5 are mutually ordered"):
+        TimePoset.from_relations(3, [(1, 3), (3, 5), (5, 7), (7, 3)])
+
+
+def _every_domain(max_k):
+    for k in range(1, max_k + 1):
+        for p in enumerate_pairs(k, signed=True):
+            yield td_domain(p)
+            yield tc_domain(p)
+            if is_reference(p):
+                yield tr_domain(p)
+
+
+def _random_relations(rng, k, density):
+    labels = range(1, 2 * k + 2, 2)
+    return frozenset(
+        (a, b) for a in labels for b in labels if a < b and rng.random() < density
+    )
+
+
+def _is_forest(poset):
+    """Every element's strict up-set is a chain."""
+    above = {x: {a for a, b in poset.closure if b == x} for x in poset.elements}
+    return all(
+        (a, c) in poset.closure or (c, a) in poset.closure
+        for ups in above.values()
+        for a, c in itertools.combinations(ups, 2)
+    )
+
+
+def test_closure_matches_fixpoint_oracle():
+    for poset in _every_domain(3):
+        assert poset.closure == fixpoint_closure(poset.reduction())
+    rng = random.Random(31)
+    for _ in range(300):
+        relations = _random_relations(rng, rng.randint(1, 7), 0.3)
+        poset = TimePoset.from_relations(7, relations)
+        assert poset.closure == fixpoint_closure(relations)
+
+
+def test_closure_rejects_every_random_cycle():
+    rng = random.Random(32)
+    for _ in range(200):
+        relations = {
+            (b, a) if rng.random() < 0.2 else (a, b) for a, b in _random_relations(rng, 5, 0.4)
+        }
+        closure = fixpoint_closure(relations)
+        cyclic = any((b, a) in closure for a, b in closure)
+        if cyclic:
+            with pytest.raises(CyclicRelations, match=r"t_\d+ and t_\d+ are mutually ordered"):
+                TimePoset.from_relations(5, relations)
+        else:
+            assert TimePoset.from_relations(5, relations).closure == closure
+
+
+def test_count_matches_brute_force_on_every_small_domain():
+    for poset in _every_domain(4):
+        assert count_linear_extensions(poset) == brute_force_extension_count(poset)
+
+
+def test_count_of_non_forest_diamond():
+    diamond = TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)])
+    assert not _is_forest(diamond)
+    assert count_linear_extensions(diamond) == 2 == brute_force_extension_count(diamond)
+
+
+def test_count_of_random_non_forests_matches_brute_force():
+    rng = random.Random(33)
+    seen = 0
+    while seen < 30:
+        k = rng.randint(3, 5)
+        poset = TimePoset.from_relations(k, _random_relations(rng, k, 0.4))
+        if _is_forest(poset):
+            continue
+        seen += 1
+        assert count_linear_extensions(poset) == brute_force_extension_count(poset)
+
+
+def test_only_non_forests_reach_the_downset_dp(monkeypatch):
+    calls = []
+    dp = domains._count_orders
+    monkeypatch.setattr(
+        domains, "_count_orders", lambda *args: calls.append(args) or dp(*args)
+    )
+    for poset in _every_domain(3):
+        count_linear_extensions(poset)
+    assert calls == []
+    count_linear_extensions(TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)]))
+    assert len(calls) == 1
 
 
 def test_td_of_worked_example():
