@@ -11,6 +11,7 @@ arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -129,14 +130,24 @@ class _MapProfile:
         return True
 
 
+#: Profiles kept by :func:`_profile`; sweeps visit a map's sign arrays
+#: together, so a few dozen recent maps serve nearly every call.
+_PROFILE_MEMO = 64
+
+
+@functools.lru_cache(maxsize=_PROFILE_MEMO)
+def _profile(mu: tuple) -> _MapProfile:
+    return _MapProfile(mu)
+
+
 def is_tamed(pair: CollapsingPair) -> bool:
     """No two labels break a clause of :class:`_MapProfile`."""
-    return _MapProfile(pair.mu).tamed(pair.sgn)
+    return _profile(tuple(pair.mu)).tamed(pair.sgn)
 
 
 def is_reference(pair: CollapsingPair) -> bool:
     """Tamed, and every left branch is a + block followed by a - block."""
-    profile = _MapProfile(pair.mu)
+    profile = _profile(tuple(pair.mu))
     return profile.tamed(pair.sgn) and profile.blocks_ordered(pair.sgn)
 
 
@@ -147,7 +158,7 @@ def tamed_pairs(k: int, cap: int = ENUMERATION_CAP) -> Iterator[CollapsingPair]:
     sign-independent clause are skipped whole.
     """
     for mu in enumerate_mus(k, cap=cap):
-        profile = _MapProfile(mu)
+        profile = _profile(mu)
         if profile.static_ok:
             for sgn in itertools.product(SIGNS, repeat=k):
                 if profile.tamed(sgn):

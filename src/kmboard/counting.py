@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canonical import _MapProfile
-from .domains import _hook_count
+from .domains import _hook_count, _reference_parents
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
 from .trees import preorder_positions, skeleton_key
@@ -63,25 +63,6 @@ class CensusReport:
         return out
 
 
-def _tc_extension_count(mu, sgn) -> int:
-    """Linear extensions of the compatible domain, straight off the arrays."""
-    k = len(mu)
-    tc_parent = {1: None}  # t_{2j+1} hangs under its Duhamel parent; the root's is t_1
-    seen = {}
-    for j in range(1, k + 1):
-        key = (mu[j - 1], sgn[j - 1])
-        if key in seen:
-            parent = seen[key]
-        elif mu[j - 1] == 1:
-            parent = 0
-        else:
-            v = mu[j - 1]
-            parent = v if v % 2 == 0 else v - 1
-        tc_parent[2 * j + 1] = parent + 1
-        seen[key] = 2 * j
-    return _hook_count(tc_parent)
-
-
 def _census_signed_chunk(k: int, mus) -> dict:
     from itertools import product
 
@@ -107,7 +88,7 @@ def _census_signed_chunk(k: int, mus) -> dict:
                 tamed_per_class[skey] = tamed_per_class.get(skey, 0) + 1
                 if profile.blocks_ordered(sgn):
                     ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
-                    masses[ref_key] = _tc_extension_count(mu, sgn)
+                    masses[ref_key] = _hook_count(_reference_parents(mu, sgn))
     return {
         "unsigned": unsigned,
         "signed_first": signed_first,

@@ -9,7 +9,6 @@ statements about sets of total orders.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -64,6 +63,32 @@ class TimePoset:
     def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "TimePoset":
         base = frozenset((a, b) for a, b in relations if a != b)
         return cls(k, _transitive_closure(base))
+
+    @classmethod
+    def from_parents(cls, k: int, parent: dict) -> "TimePoset":
+        """Forest order: ``parent[x]`` is the upper cover of ``x``.
+
+        A root maps to ``None`` (a label missing from the map is a root
+        too).  The up-set of x is its parent's up-set plus the parent, so
+        the closure comes out of one pass with no Warshall step.  Raises
+        :class:`CyclicRelations` if a parent chain returns to itself.
+        """
+        up: dict = {}
+        limit = len(parent) + 1  # longer walks have entered a cycle
+        for x in parent:
+            chain = []
+            while x is not None and x not in up:
+                chain.append(x)
+                if len(chain) > limit:
+                    cycle = sorted(set(chain[chain.index(x) :]))
+                    a, b = cycle[0], cycle[min(1, len(cycle) - 1)]
+                    raise CyclicRelations(f"t_{a} and t_{b} are mutually ordered")
+                x = parent.get(x)
+            ups = () if x is None else up[x] + (x,)
+            for y in reversed(chain):
+                up[y] = ups
+                ups += (y,)
+        return cls(k, frozenset([(a, x) for x, ups in up.items() for a in ups]))
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -126,6 +151,8 @@ def _count_orders(elements: tuple, above: dict) -> int:
 
 
 def _enumerate_orders(elements: tuple, above: dict) -> Iterator[tuple]:
+    """Backtracking over arrangements; only non-forest posets use it."""
+
     def backtrack(prefix, left):
         if not left:
             yield tuple(prefix)
@@ -141,6 +168,33 @@ def _enumerate_orders(elements: tuple, above: dict) -> Iterator[tuple]:
     yield from backtrack([], set(elements))
 
 
+def _forest_orders(parent: dict) -> Iterator[tuple]:
+    """Every linear extension of a forest, each exactly once.
+
+    ``parent`` is as for :func:`_hook_count`.  Starting from the roots,
+    pick any available node and make its children available; each
+    choice sequence is one extension.  O(n) tuple work per prefix, not
+    loopless (Varol-Rotem 1981, Pruesse-Ruskey 1994); an explicit stack
+    keeps deep chains off the recursion limit.
+    """
+    children: dict = {x: () for x in parent}
+    roots = []
+    for x, p in parent.items():
+        if p is None:
+            roots.append(x)
+        else:
+            children[p] += (x,)
+    n = len(parent)
+    stack = [((), tuple(roots))]
+    while stack:
+        prefix, free = stack.pop()
+        if len(prefix) == n:
+            yield prefix
+            continue
+        for i, x in enumerate(free):
+            stack.append((prefix + (x,), free[:i] + free[i + 1 :] + children[x]))
+
+
 def _above_map(poset: TimePoset) -> dict:
     above = {x: set() for x in poset.elements}
     for a, b in poset.closure:
@@ -148,52 +202,83 @@ def _above_map(poset: TimePoset) -> dict:
     return above
 
 
-def count_linear_extensions(poset: TimePoset) -> int:
-    """Exact count: the hook formula on forests, the downset DP otherwise.
+def _forest_parent(above: dict) -> dict | None:
+    """Upper covers of a forest, parents listed first; ``None`` otherwise.
 
     The poset is a forest when every non-maximal element's up-set is its
     lowest ancestor's up-set plus that ancestor.
     """
-    above = _above_map(poset)
+    depth = {x: len(ups) for x, ups in above.items()}
     parent = {}
-    for x in sorted(poset.elements, key=lambda x: len(above[x])):
-        low = max(above[x], key=lambda a: len(above[a]), default=None)
+    for x in sorted(above, key=depth.__getitem__):
+        low = max(above[x], key=depth.__getitem__, default=None)
         if low is not None and above[x] != above[low] | {low}:
-            return _count_orders(poset.elements, above)
+            return None
         parent[x] = low
+    return parent
+
+
+def count_linear_extensions(poset: TimePoset) -> int:
+    """Exact count: the hook formula on forests, the downset DP otherwise."""
+    above = _above_map(poset)
+    parent = _forest_parent(above)
+    if parent is None:
+        return _count_orders(poset.elements, above)
     return _hook_count(parent)
 
 
 def linear_extensions(poset: TimePoset, cap: int = EXTENSION_CAP) -> frozenset:
     """All total orders refining the poset (largest time first)."""
-    if count_linear_extensions(poset) > cap:
+    above = _above_map(poset)
+    parent = _forest_parent(above)
+    if parent is None:
+        count = _count_orders(poset.elements, above)
+        orders = _enumerate_orders(poset.elements, above)
+    else:
+        count, orders = _hook_count(parent), _forest_orders(parent)
+    if count > cap:
         raise CapExceeded(f"more than {cap} linear extensions")
-    return frozenset(_enumerate_orders(poset.elements, _above_map(poset)))
+    return frozenset(orders)
 
 
 # -- the three domains -------------------------------------------------------
 
 
 def td_domain(pair: CollapsingPair) -> TimePoset:
-    """One relation per admissible-tree edge, plus t_1 >= t_3."""
+    """One cover per admissible-tree edge; node 2 hangs under t_1."""
     tree = tree_from_pair(pair)
-    relations = [(1, 3)]
+    parent = {1: None}
     for x in tree.labels:
         p = tree.parent_of(x)
-        if p != 1:
-            relations.append((p + 1, x + 1))
-    return TimePoset.from_relations(pair.k, relations)
+        parent[x + 1] = 1 if p == 1 else p + 1
+    return TimePoset.from_parents(pair.k, parent)
 
 
 def tc_domain(pair: CollapsingPair) -> TimePoset:
-    """One relation per Duhamel-tree edge; the root contributes t_1."""
+    """One cover per Duhamel-tree edge; the root contributes t_1."""
     from .duhamel import build_dtree  # one-way: duhamel never imports domains
 
     dtree = build_dtree(pair)
-    relations = [
-        (1 if p == 0 else p + 1, x + 1) for x, p in sorted(dtree.parent.items())
-    ]
-    return TimePoset.from_relations(pair.k, relations)
+    parent = {1: None}
+    for x, p in sorted(dtree.parent.items()):
+        parent[x + 1] = 1 if p == 0 else p + 1
+    return TimePoset.from_parents(pair.k, parent)
+
+
+def _reference_parents(mu, sgn) -> dict:
+    """Upper covers of the reference-formula domain, parents listed first.
+
+    t_{2j+1} hangs under the previous label with the same (mu, sgn),
+    else under its M/R attachment point t_{a+1}, where a = mu(2j)
+    rounded down to even (t_1 for the branch at value 1).
+    """
+    parent = {1: None}
+    last = {}
+    for j, key in enumerate(zip(mu, sgn), start=1):
+        v = key[0]
+        parent[2 * j + 1] = last.get(key, v - v % 2 + 1)
+        last[key] = 2 * j + 1
+    return parent
 
 
 def tr_domain(reference: CollapsingPair) -> TimePoset:
@@ -207,33 +292,17 @@ def tr_domain(reference: CollapsingPair) -> TimePoset:
 
     if not is_reference(reference):
         raise NotReference(f"not a reference pair: {reference}")
-    relations = []
-    evens = list(reference.even_labels)
-    for x in evens:
-        if reference.mu_of(x) == 1:
-            relations.append((1, x + 1))
-    for a, b in itertools.combinations(evens, 2):
-        if reference.mu_of(a) == reference.mu_of(b) and reference.sgn_of(
-            a
-        ) == reference.sgn_of(b):
-            relations.append((a + 1, b + 1))
-    for b in evens:
-        v = reference.mu_of(b)
-        if v > 1:
-            a = v if v % 2 == 0 else v - 1
-            relations.append((a + 1, b + 1))
-    return TimePoset.from_relations(reference.k, relations)
+    return TimePoset.from_parents(reference.k, _reference_parents(reference.mu, reference.sgn))
 
 
 def relabel_domain(poset: TimePoset, sigma: TimePermutation) -> TimePoset:
-    """sigma[poset]: t_a -> t_{sigma(a-1)+1} on every relation, t_1 fixed."""
+    """sigma[poset]: t_a -> t_{sigma(a-1)+1} on every relation, t_1 fixed.
 
-    def rename(a: int) -> int:
-        return 1 if a == 1 else sigma.of(a - 1) + 1
-
-    return TimePoset.from_relations(
-        poset.k, [(rename(a), rename(b)) for a, b in poset.reduction()]
-    )
+    The renaming is a bijection of the labels fixing t_1, hence an order
+    isomorphism: renaming the closure pairs gives the closure.
+    """
+    rename = {a: sigma.of(a) for a in poset.elements}
+    return TimePoset(poset.k, frozenset((rename[a], rename[b]) for a, b in poset.closure))
 
 
 # -- order-preserving relabelings (Sigma sets) -------------------------------
@@ -251,8 +320,7 @@ def sigma_set(pair: CollapsingPair, cap: int = EXTENSION_CAP) -> list[TimePermut
     if _hook_count(parent) > cap:
         raise CapExceeded(f"more than {cap} order-preserving relabelings")
     perms = []
-    above = {x: () if parent[x] is None else (parent[x],) for x in evens}
-    for topo in _enumerate_orders(evens, above):
+    for topo in _forest_orders(parent):
         image = {x: 2 * (i + 1) for i, x in enumerate(topo)}
         perms.append(
             TimePermutation(pair.k, tuple(image[2 * j] for j in range(1, pair.k + 1)))

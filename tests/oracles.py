@@ -2,7 +2,10 @@
 
 import itertools
 
+from kmboard.domains import TimePoset
+from kmboard.duhamel import build_dtree
 from kmboard.moves import groups_of
+from kmboard.trees import tree_from_pair
 
 
 def literal_tiers(pair):
@@ -80,10 +83,64 @@ def fixpoint_closure(pairs) -> frozenset:
         closure |= extra
 
 
-def brute_force_extension_count(poset) -> int:
+def brute_force_extensions(poset) -> frozenset:
     """Orderings of the elements, larger first, that respect every relation."""
-    count = 0
+    orders = []
     for order in itertools.permutations(poset.elements):
         place = {x: i for i, x in enumerate(order)}
-        count += all(place[a] < place[b] for a, b in poset.closure)
-    return count
+        if all(place[a] < place[b] for a, b in poset.closure):
+            orders.append(order)
+    return frozenset(orders)
+
+
+# -- the domains as relation sets, before they were built from parent maps ----
+
+
+def td_relations(pair) -> list:
+    """One relation per admissible-tree edge, plus t_1 >= t_3."""
+    tree = tree_from_pair(pair)
+    relations = [(1, 3)]
+    for x in tree.labels:
+        p = tree.parent_of(x)
+        if p != 1:
+            relations.append((p + 1, x + 1))
+    return relations
+
+
+def tc_relations(pair) -> list:
+    """One relation per Duhamel-tree edge; the root contributes t_1."""
+    dtree = build_dtree(pair)
+    return [(1 if p == 0 else p + 1, x + 1) for x, p in sorted(dtree.parent.items())]
+
+
+def tr_relations(reference) -> list:
+    """The reference formula, literally: same-branch same-sign pairs by
+    label, every node below its M/R attachment point, the branch at
+    value 1 under t_1."""
+    relations = []
+    evens = list(reference.even_labels)
+    for x in evens:
+        if reference.mu_of(x) == 1:
+            relations.append((1, x + 1))
+    for a, b in itertools.combinations(evens, 2):
+        if reference.mu_of(a) == reference.mu_of(b) and reference.sgn_of(
+            a
+        ) == reference.sgn_of(b):
+            relations.append((a + 1, b + 1))
+    for b in evens:
+        v = reference.mu_of(b)
+        if v > 1:
+            a = v if v % 2 == 0 else v - 1
+            relations.append((a + 1, b + 1))
+    return relations
+
+
+def relabel_by_reduction(poset, sigma):
+    """Rename the covers, then close again."""
+
+    def rename(a: int) -> int:
+        return 1 if a == 1 else sigma.of(a - 1) + 1
+
+    return TimePoset.from_relations(
+        poset.k, [(rename(a), rename(b)) for a, b in poset.reduction()]
+    )

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmboard import domains
 from kmboard.domains import (
@@ -18,9 +20,16 @@ from kmboard.domains import (
 )
 from kmboard.errors import CapExceeded, CyclicRelations, NotReference
 from kmboard.moves import MoveState, allowable_permutations, apply_wild
-from kmboard.canonical import is_reference
+from kmboard.canonical import is_reference, to_reference, to_tamed
 from kmboard.pairs import TimePermutation, enumerate_pairs, random_pair, validate_pair
-from oracles import brute_force_extension_count, fixpoint_closure
+from oracles import (
+    brute_force_extensions,
+    fixpoint_closure,
+    relabel_by_reduction,
+    tc_relations,
+    td_relations,
+    tr_relations,
+)
 
 MU1 = validate_pair(5, (1, 1, 1, 2, 3), "+++++")
 
@@ -109,13 +118,15 @@ def test_closure_rejects_every_random_cycle():
 
 def test_count_matches_brute_force_on_every_small_domain():
     for poset in _every_domain(4):
-        assert count_linear_extensions(poset) == brute_force_extension_count(poset)
+        orders = brute_force_extensions(poset)
+        assert count_linear_extensions(poset) == len(orders)
+        assert linear_extensions(poset) == orders
 
 
 def test_count_of_non_forest_diamond():
     diamond = TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)])
     assert not _is_forest(diamond)
-    assert count_linear_extensions(diamond) == 2 == brute_force_extension_count(diamond)
+    assert count_linear_extensions(diamond) == 2 == len(brute_force_extensions(diamond))
 
 
 def test_count_of_random_non_forests_matches_brute_force():
@@ -127,7 +138,9 @@ def test_count_of_random_non_forests_matches_brute_force():
         if _is_forest(poset):
             continue
         seen += 1
-        assert count_linear_extensions(poset) == brute_force_extension_count(poset)
+        orders = brute_force_extensions(poset)
+        assert count_linear_extensions(poset) == len(orders)
+        assert linear_extensions(poset) == orders
 
 
 def test_only_non_forests_reach_the_downset_dp(monkeypatch):
@@ -141,6 +154,104 @@ def test_only_non_forests_reach_the_downset_dp(monkeypatch):
     assert calls == []
     count_linear_extensions(TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)]))
     assert len(calls) == 1
+
+
+def test_only_non_forests_reach_the_backtracking(monkeypatch):
+    calls = []
+    backtrack = domains._enumerate_orders
+    monkeypatch.setattr(
+        domains, "_enumerate_orders", lambda *args: calls.append(args) or backtrack(*args)
+    )
+    for poset in _every_domain(3):
+        linear_extensions(poset)
+    for k in range(1, 4):
+        for p in enumerate_pairs(k, signed=False):
+            sigma_set(p)
+    assert calls == []
+    linear_extensions(TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)]))
+    assert len(calls) == 1
+
+
+def _parent_edges(parent):
+    return frozenset((p, x) for x, p in parent.items() if p is not None)
+
+
+@st.composite
+def _parent_maps(draw):
+    """Random forests on up to 8 nodes, parents listed before children."""
+    labels = draw(st.permutations(range(1, 17, 2)))[: draw(st.integers(1, 8))]
+    parent = {}
+    for i, x in enumerate(labels):
+        parent[x] = draw(st.one_of(st.none(), st.sampled_from(labels[:i]))) if i else None
+    return parent
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_parent_maps())
+def test_forest_generator_lists_each_extension_once(parent):
+    orders = list(domains._forest_orders(parent))
+    assert len(set(orders)) == len(orders) == domains._hook_count(parent)
+    for order in orders:
+        assert sorted(order) == sorted(parent)
+        place = {x: i for i, x in enumerate(order)}
+        assert all(place[p] < place[x] for p, x in _parent_edges(parent))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_parent_maps())
+def test_closure_from_parents_matches_fixpoint_oracle(parent):
+    children_first = dict(reversed(parent.items()))  # walks whole chains
+    for order in (parent, children_first):
+        poset = TimePoset.from_parents(8, order)
+        assert poset.closure == fixpoint_closure(_parent_edges(parent))
+        assert poset == TimePoset.from_relations(8, _parent_edges(parent))
+
+
+def test_from_parents_rejects_cycles():
+    with pytest.raises(CyclicRelations, match="t_3 and t_5 are mutually ordered"):
+        TimePoset.from_parents(2, {1: None, 3: 5, 5: 3})
+    with pytest.raises(CyclicRelations, match="t_5 and t_7 are mutually ordered"):
+        TimePoset.from_parents(4, {1: None, 3: 1, 5: 7, 7: 9, 9: 5})
+
+
+def _assert_domains_match_relation_builders(p):
+    assert td_domain(p) == TimePoset.from_relations(p.k, td_relations(p))
+    assert tc_domain(p) == TimePoset.from_relations(p.k, tc_relations(p))
+    if is_reference(p):
+        assert tr_domain(p) == TimePoset.from_relations(p.k, tr_relations(p))
+        parent = domains._reference_parents(p.mu, p.sgn)
+        assert TimePoset.from_parents(p.k, parent).closure == fixpoint_closure(
+            _parent_edges(parent)
+        )
+
+
+def test_domains_match_relation_builders_exhaustively():
+    for k in range(1, 6):
+        for p in enumerate_pairs(k, signed=True):
+            _assert_domains_match_relation_builders(p)
+
+
+def test_domains_match_relation_builders_on_large_reference_pairs():
+    rng = random.Random(41)
+    for _ in range(200):
+        tamed, _ = to_tamed(random_pair(rng.randint(8, 14), rng, signed=True))
+        reference, _ = to_reference(tamed)
+        assert is_reference(reference)
+        _assert_domains_match_relation_builders(reference)
+
+
+def test_relabel_matches_reduce_rename_close():
+    for k in range(1, 5):
+        for p in enumerate_pairs(k, signed=True):
+            if not is_reference(p):
+                continue
+            for rho in allowable_permutations(p):
+                moved = apply_wild(MoveState.start(p), rho).pair
+                for poset in (td_domain(moved), tr_domain(p)):
+                    for sigma in (rho, rho.inverse()):
+                        assert relabel_domain(poset, sigma) == relabel_by_reduction(
+                            poset, sigma
+                        )
 
 
 def test_td_of_worked_example():
