@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import canonical, counting, domains, duhamel, moves
-from .errors import BoardError, OutOfRange
+from .errors import BoardError, CensusViolation, OutOfRange
 from .pairs import (
     ENUMERATION_CAP,
     CollapsingPair,
@@ -26,7 +26,6 @@ from .pairs import (
 )
 from .trees import (
     pair_from_tree,
-    preorder_positions,
     skeleton_key,
     skeleton_of,
     tamed_labeling,
@@ -138,21 +137,16 @@ def cmd_classify(args) -> int:
                 record["members"] = [p.to_json() for p in members]
             lines.append(_dumps(record))
     elif args.moves == "signed-km":
-        sbuckets: dict[tuple, list] = {}
+        sbuckets: dict[str, list] = {}
         for pair in enumerate_pairs(args.k, signed=True, cap=args.cap):
-            order = preorder_positions(pair.mu)
-            key = (
-                skeleton_key(pair.mu),
-                "".join(pair.sgn[(x - 2) // 2] for x in order),
-            )
-            sbuckets.setdefault(key, []).append(pair)
+            sbuckets.setdefault(skeleton_key(pair.mu, pair.sgn), []).append(pair)
         for key in sorted(sbuckets):
             members = sbuckets[key]
             rep = pair_from_tree(
                 tamed_labeling(skeleton_of(tree_from_pair(members[0]), signed=True))
             )
             record = {
-                "canonical_key": key[0] + "|" + key[1],
+                "canonical_key": key,
                 "size": len(members),
                 "representative": rep.to_json(),
             }
@@ -243,7 +237,11 @@ def cmd_schedule(args) -> int:
 def _check_catalan(k, args, lines) -> bool:
     ok = True
     for kk in range(1, k + 1):
-        report = counting.census(kk, signed=False)
+        try:
+            report = counting.census(kk, signed=False)
+        except CensusViolation as exc:
+            lines.append(f"k={kk}: {exc} FAIL")
+            return False
         cat = counting.catalan_ternary(kk)
         good = report.unsigned_classes == cat
         ok &= good
@@ -257,7 +255,11 @@ def _check_catalan(k, args, lines) -> bool:
 def _check_tamed_unique(k, args, lines) -> bool:
     ok = True
     for kk in range(1, k + 1):
-        report = counting.census(kk, signed=True, threads=args.threads)
+        try:
+            report = counting.census(kk, signed=True, threads=args.threads)
+        except CensusViolation as exc:
+            lines.append(f"k={kk}: {exc} FAIL")
+            return False
         good = report.tamed_count == report.signed_classes
         ok &= good
         lines.append(
@@ -268,9 +270,8 @@ def _check_tamed_unique(k, args, lines) -> bool:
 
 
 def _check_reference_unique(k, args, lines) -> bool:
-    ok = True
     for kk in range(1, k + 1):
-        classes: dict[str, int] = {}
+        references: dict[str, int] = {}  # wild class -> reference pairs in it
         n_tamed = 0
         for pair in canonical.tamed_pairs(kk):
             n_tamed += 1
@@ -279,14 +280,20 @@ def _check_reference_unique(k, args, lines) -> bool:
             if back != pair:
                 lines.append(f"k={kk}: witness failed for {pair} FAIL")
                 return False
-            classes[str(reference)] = classes.get(str(reference), 0) + 1
-        good = len(classes) > 0 and n_tamed == sum(classes.values())
-        ok &= good
+            key = str(reference)
+            references[key] = references.get(key, 0) + canonical.is_reference(pair)
+        if not references:
+            lines.append(f"k={kk}: no tamed pairs FAIL")
+            return False
+        for key, n in references.items():
+            if n != 1:
+                lines.append(f"k={kk}: wild class of {key} holds {n} reference pairs FAIL")
+                return False
         lines.append(
-            f"k={kk}: {n_tamed} tamed pairs in {len(classes)} wild classes, "
-            "each with a verified reference witness " + ("OK" if good else "FAIL")
+            f"k={kk}: {n_tamed} tamed pairs in {len(references)} wild classes, "
+            "each with a verified reference witness OK"
         )
-    return ok
+    return True
 
 
 def _check_domain_bijection(k, args, lines) -> bool:

@@ -1,19 +1,20 @@
-"""Time-integration domains as posets on t_1, t_3, ..., t_{2k+1}.
+"""Time-integration domains as forest orders on t_1, t_3, ..., t_{2k+1}.
 
-A relation pair (a, b) reads "t_a >= t_b".  Posets are compared and
-hashed by transitive closure; a total order is a tuple of the odd
-labels from largest time to smallest.  The discrete semantics ignores
-boundary ties, so unions and disjointness of simplexes become exact
-statements about sets of total orders.
+A relation pair (a, b) reads "t_a >= t_b".  Every domain comes from a
+tree rooted at t_1, so a poset here is a forest, compared and hashed by
+its cover map; a total order is a tuple of the odd labels from largest
+time to smallest.  The discrete semantics ignores boundary ties, so
+unions and disjointness of simplexes become exact statements about
+sets of total orders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, CyclicRelations, NotReference
+from .errors import CapExceeded, CyclicRelations, NotAForest, NotReference, OutOfRange
 from .pairs import CollapsingPair, TimePermutation
 from .trees import tree_from_pair
 
@@ -23,87 +24,112 @@ TotalOrder = tuple[int, ...]
 EXTENSION_CAP = 10**6
 
 
-def _transitive_closure(pairs: frozenset) -> frozenset:
-    """Warshall's algorithm on one bitmask of lower labels per label.
-
-    Raises :class:`CyclicRelations` if some label lies below itself.
-    """
-    labels = sorted({x for pair in pairs for x in pair})
-    index = {x: i for i, x in enumerate(labels)}
-    below = [0] * len(labels)
-    for a, b in pairs:
-        below[index[a]] |= 1 << index[b]
-    for m in range(len(labels)):
-        bit, via = 1 << m, below[m]
-        for i, row in enumerate(below):
-            if row & bit:
-                below[i] = row | via
-    closure = []
-    for i, row in enumerate(below):
-        if row >> i & 1:
-            j = next(
-                j for j, other in enumerate(below) if j != i and row >> j & 1 and other >> i & 1
-            )
-            raise CyclicRelations(f"t_{labels[i]} and t_{labels[j]} are mutually ordered")
-        while row:
-            low = row & -row
-            closure.append((labels[i], labels[low.bit_length() - 1]))
-            row ^= low
-    return frozenset(closure)
+def _check_labels(k: int, labels) -> None:
+    bad = set(labels) - set(range(1, 2 * k + 2, 2))
+    if bad:
+        raise OutOfRange(f"label {min(bad)} is not an odd label in 1..{2 * k + 1}")
 
 
 @dataclass(frozen=True)
 class TimePoset:
-    """Partial order on the k+1 odd time labels, canonical by closure."""
+    """Forest order on the k+1 odd time labels, canonical by its cover map.
+
+    ``parent[i]`` is the upper cover of t_{2i+1}, or ``None`` for a root.
+    A forest's Hasse diagram is unique, so equality and hashing use it.
+    """
 
     k: int
-    closure: frozenset = field(default_factory=frozenset)
-
-    @classmethod
-    def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "TimePoset":
-        base = frozenset((a, b) for a, b in relations if a != b)
-        return cls(k, _transitive_closure(base))
+    parent: tuple
 
     @classmethod
     def from_parents(cls, k: int, parent: dict) -> "TimePoset":
         """Forest order: ``parent[x]`` is the upper cover of ``x``.
 
         A root maps to ``None`` (a label missing from the map is a root
-        too).  The up-set of x is its parent's up-set plus the parent, so
-        the closure comes out of one pass with no Warshall step.  Raises
-        :class:`CyclicRelations` if a parent chain returns to itself.
+        too).  Raises :class:`CyclicRelations` if a parent chain returns
+        to itself.
         """
-        up: dict = {}
-        limit = len(parent) + 1  # longer walks have entered a cycle
-        for x in parent:
+        _check_labels(k, parent.keys() | (set(parent.values()) - {None}))
+        poset = cls(k, tuple(parent.get(x) for x in range(1, 2 * k + 2, 2)))
+        reached = poset._top_down()
+        if len(reached) <= k:
+            # an element no root reaches walks up into a cycle
+            x = next(x for x in poset.elements if x not in reached)
             chain = []
-            while x is not None and x not in up:
+            while x not in chain:
                 chain.append(x)
-                if len(chain) > limit:
-                    cycle = sorted(set(chain[chain.index(x) :]))
-                    a, b = cycle[0], cycle[min(1, len(cycle) - 1)]
-                    raise CyclicRelations(f"t_{a} and t_{b} are mutually ordered")
-                x = parent.get(x)
-            ups = () if x is None else up[x] + (x,)
-            for y in reversed(chain):
-                up[y] = ups
-                ups += (y,)
-        return cls(k, frozenset([(a, x) for x, ups in up.items() for a in ups]))
+                x = poset.parent[x // 2]
+            cycle = sorted(chain[chain.index(x) :])
+            a, b = cycle[0], cycle[min(1, len(cycle) - 1)]
+            raise CyclicRelations(f"t_{a} and t_{b} are mutually ordered")
+        return poset
+
+    @classmethod
+    def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "TimePoset":
+        """Close the relations, then read the cover map off the closure.
+
+        Warshall's algorithm runs on one bitmask of upper labels per
+        label.  Raises :class:`CyclicRelations` if some label lies above
+        itself and :class:`NotAForest` if some label has two incomparable
+        upper covers.
+        """
+        relations = [(a, b) for a, b in relations if a != b]
+        _check_labels(k, [x for pair in relations for x in pair])
+        n = k + 1
+        above = [0] * n  # bit j of above[i]: t_{2j+1} >= t_{2i+1}
+        for a, b in relations:
+            above[b // 2] |= 1 << a // 2
+        for m in range(n):
+            bit, via = 1 << m, above[m]
+            for i, row in enumerate(above):
+                if row & bit:
+                    above[i] = row | via
+        for i, row in enumerate(above):
+            if row >> i & 1:
+                j = next(j for j in range(n) if j != i and row >> j & 1 and above[j] >> i & 1)
+                raise CyclicRelations(f"t_{2 * i + 1} and t_{2 * j + 1} are mutually ordered")
+        # A forest's up-sets are chains: each is its lowest member's up-set
+        # plus that member.  Shallowest first, the first label that fails
+        # has two incomparable upper covers.
+        depth = [row.bit_count() for row in above]
+        parent = [None] * n
+        for i in sorted(range(n), key=depth.__getitem__):
+            if above[i]:
+                low = max((j for j in range(n) if above[i] >> j & 1), key=depth.__getitem__)
+                if above[i] != above[low] | 1 << low:
+                    raise NotAForest(f"t_{2 * i + 1} has two incomparable upper covers")
+                parent[i] = 2 * low + 1
+        return cls(k, tuple(parent))
 
     @property
     def elements(self) -> tuple[int, ...]:
         return tuple(range(1, 2 * self.k + 2, 2))
 
+    def _top_down(self) -> dict:
+        """The cover map as a dict, parents listed before children.
+
+        Breadth first from the roots, with no recursion; elements on or
+        below a parent cycle are left out.
+        """
+        children: dict = {x: [] for x in self.elements}
+        order = []
+        for x, p in zip(self.elements, self.parent):
+            (order if p is None else children[p]).append(x)
+        for x in order:  # the list grows while it is read
+            order.extend(children[x])
+        return {x: self.parent[x // 2] for x in order}
+
+    @property
+    def closure(self) -> frozenset:
+        """Every relation (a, b) with t_a >= t_b, derived from the covers."""
+        up: dict = {}
+        for x, p in self._top_down().items():
+            up[x] = () if p is None else up[p] + (p,)
+        return frozenset((a, x) for x, ups in up.items() for a in ups)
+
     def reduction(self) -> frozenset:
-        """Covers only: (a,b) with no c strictly between."""
-        return frozenset(
-            (a, b)
-            for a, b in self.closure
-            if not any(
-                (a, c) in self.closure and (c, b) in self.closure
-                for c in self.elements
-            )
-        )
+        """Covers only: (parent, child) for every element that has a parent."""
+        return frozenset((p, x) for x, p in zip(self.elements, self.parent) if p is not None)
 
     def relations_sorted(self) -> list[tuple[int, int]]:
         return sorted(self.reduction())
@@ -125,47 +151,6 @@ def _hook_count(parent: dict) -> int:
         if parent[x] is not None:
             size[parent[x]] += size[x]
     return math.factorial(len(size)) // math.prod(size.values())
-
-
-def _count_orders(elements: tuple, above: dict) -> int:
-    """Downset DP: arrangements of all elements, larger-first.
-
-    ``above[x]`` holds elements that must precede ``x``; covers suffice.
-    Exponential in the number of elements; only non-forest posets use it.
-    """
-    index = {x: i for i, x in enumerate(elements)}
-    rules = []
-    for i, x in enumerate(elements):
-        need = 0
-        for y in above[x]:
-            need |= 1 << index[y]
-        rules.append((1 << i, need))
-    ways = [0] * (1 << len(elements))
-    ways[0] = 1
-    for mask, w in enumerate(ways):
-        if w:
-            for bit, need in rules:
-                if not mask & bit and need & mask == need:
-                    ways[mask | bit] += w
-    return ways[-1]
-
-
-def _enumerate_orders(elements: tuple, above: dict) -> Iterator[tuple]:
-    """Backtracking over arrangements; only non-forest posets use it."""
-
-    def backtrack(prefix, left):
-        if not left:
-            yield tuple(prefix)
-            return
-        for x in list(left):
-            if all(y not in left for y in above[x]):
-                left.remove(x)
-                prefix.append(x)
-                yield from backtrack(prefix, left)
-                prefix.pop()
-                left.add(x)
-
-    yield from backtrack([], set(elements))
 
 
 def _forest_orders(parent: dict) -> Iterator[tuple]:
@@ -195,50 +180,17 @@ def _forest_orders(parent: dict) -> Iterator[tuple]:
             stack.append((prefix + (x,), free[:i] + free[i + 1 :] + children[x]))
 
 
-def _above_map(poset: TimePoset) -> dict:
-    above = {x: set() for x in poset.elements}
-    for a, b in poset.closure:
-        above[b].add(a)
-    return above
-
-
-def _forest_parent(above: dict) -> dict | None:
-    """Upper covers of a forest, parents listed first; ``None`` otherwise.
-
-    The poset is a forest when every non-maximal element's up-set is its
-    lowest ancestor's up-set plus that ancestor.
-    """
-    depth = {x: len(ups) for x, ups in above.items()}
-    parent = {}
-    for x in sorted(above, key=depth.__getitem__):
-        low = max(above[x], key=depth.__getitem__, default=None)
-        if low is not None and above[x] != above[low] | {low}:
-            return None
-        parent[x] = low
-    return parent
-
-
 def count_linear_extensions(poset: TimePoset) -> int:
-    """Exact count: the hook formula on forests, the downset DP otherwise."""
-    above = _above_map(poset)
-    parent = _forest_parent(above)
-    if parent is None:
-        return _count_orders(poset.elements, above)
-    return _hook_count(parent)
+    """Exact count by the hook-length formula, O(k) at any k."""
+    return _hook_count(poset._top_down())
 
 
 def linear_extensions(poset: TimePoset, cap: int = EXTENSION_CAP) -> frozenset:
     """All total orders refining the poset (largest time first)."""
-    above = _above_map(poset)
-    parent = _forest_parent(above)
-    if parent is None:
-        count = _count_orders(poset.elements, above)
-        orders = _enumerate_orders(poset.elements, above)
-    else:
-        count, orders = _hook_count(parent), _forest_orders(parent)
-    if count > cap:
+    parent = poset._top_down()
+    if _hook_count(parent) > cap:
         raise CapExceeded(f"more than {cap} linear extensions")
-    return frozenset(orders)
+    return frozenset(_forest_orders(parent))
 
 
 # -- the three domains -------------------------------------------------------
@@ -299,10 +251,13 @@ def relabel_domain(poset: TimePoset, sigma: TimePermutation) -> TimePoset:
     """sigma[poset]: t_a -> t_{sigma(a-1)+1} on every relation, t_1 fixed.
 
     The renaming is a bijection of the labels fixing t_1, hence an order
-    isomorphism: renaming the closure pairs gives the closure.
+    isomorphism: renaming the cover map gives the cover map.
     """
-    rename = {a: sigma.of(a) for a in poset.elements}
-    return TimePoset(poset.k, frozenset((rename[a], rename[b]) for a, b in poset.closure))
+    rename = [sigma.of(x) for x in poset.elements]
+    parent = [None] * (poset.k + 1)
+    for x, p in zip(rename, poset.parent):
+        parent[x // 2] = None if p is None else rename[p // 2]
+    return TimePoset(poset.k, tuple(parent))
 
 
 # -- order-preserving relabelings (Sigma sets) -------------------------------

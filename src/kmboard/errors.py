@@ -65,5 +65,9 @@ class CyclicRelations(BoardError):
     """The relation set contains a cycle and is not a partial order."""
 
 
+class NotAForest(BoardError):
+    """Some label has two incomparable upper covers; the order is not a forest."""
+
+
 class CensusViolation(BoardError):
     """A census cross-check failed; the message names the witness."""

@@ -200,7 +200,9 @@ def skeleton_of(tree: SignedTree, signed: bool = True) -> Skeleton:
 def skeleton_key(mu, sgn=None) -> str:
     """Canonical (signed) skeleton serialization straight from arrays.
 
-    Fast path for censuses: equal keys <=> equal (signed) skeletons.
+    The shape in preorder, missing children as '.'; with ``sgn``, then
+    "|" and the signs in the same preorder (:func:`preorder_positions`).
+    Equal keys <=> equal (signed) skeletons.
     """
     k = len(mu)
     slots = _slots_from_mu(k, mu)
@@ -211,22 +213,23 @@ def skeleton_key(mu, sgn=None) -> str:
             out.append(".")
             return
         out.append("(")
-        if sgn is not None:
-            out.append(sgn[(x - 2) // 2])
         for c in slots[x]:
             ser(c)
         out.append(")")
 
     ser(2)
+    if sgn is not None:
+        out.append("|")
+        out.extend(sgn[(x - 2) // 2] for x in preorder_positions(mu))
     return "".join(out)
 
 
 def preorder_positions(mu) -> tuple[int, ...]:
     """Even labels in preorder (the node order of :func:`skeleton_key`).
 
-    A signed skeleton key equals ``(skeleton_key(mu), signs permuted
-    into this order)``; censuses use that to reuse one shape pass for
-    all sign arrays of a map.
+    A signed skeleton key is the unsigned key, "|" and the signs in this
+    order; censuses use that to reuse one shape pass for all sign arrays
+    of a map.
     """
     k = len(mu)
     slots = _slots_from_mu(k, mu)

@@ -177,6 +177,32 @@ def test_verify_all_small(capsys):
     }
 
 
+@pytest.mark.parametrize("check", ["catalan", "tamed-unique"])
+def test_census_violation_fails_the_check_with_exit_1(capsys, monkeypatch, check):
+    from kmboard import counting
+    from kmboard.errors import CensusViolation
+
+    def violated(k, **kwargs):
+        raise CensusViolation(f"class count off at k={k}")
+
+    monkeypatch.setattr(counting, "census", violated)
+    code, out = run(capsys, "verify", "--k", "3", "--check", check)
+    assert code == 1
+    assert "k=1: class count off at k=1 FAIL" in out.splitlines()
+    assert json.loads(out.strip().splitlines()[-1]) == {check: "fail"}
+
+
+def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkeypatch):
+    from kmboard import canonical
+
+    monkeypatch.setattr(canonical, "is_reference", lambda pair: True)
+    code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
+    assert code == 1
+    assert out.splitlines()[-2].endswith("reference pairs FAIL")
+    assert "holds 2 reference pairs" in out
+    assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["domain", "--mu", "1,1"]) == 2  # missing --kind
     capsys.readouterr()

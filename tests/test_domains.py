@@ -18,7 +18,7 @@ from kmboard.domains import (
     td_domain,
     tr_domain,
 )
-from kmboard.errors import CapExceeded, CyclicRelations, NotReference
+from kmboard.errors import CapExceeded, CyclicRelations, NotAForest, NotReference, OutOfRange
 from kmboard.moves import MoveState, allowable_permutations, apply_wild
 from kmboard.canonical import is_reference, to_reference, to_tamed
 from kmboard.pairs import TimePermutation, enumerate_pairs, random_pair, validate_pair
@@ -81,14 +81,24 @@ def _random_relations(rng, k, density):
     )
 
 
-def _is_forest(poset):
+def _is_forest(closure):
     """Every element's strict up-set is a chain."""
-    above = {x: {a for a, b in poset.closure if b == x} for x in poset.elements}
+    above = {}
+    for a, b in closure:
+        above.setdefault(b, set()).add(a)
     return all(
-        (a, c) in poset.closure or (c, a) in poset.closure
+        (a, c) in closure or (c, a) in closure
         for ups in above.values()
         for a, c in itertools.combinations(ups, 2)
     )
+
+
+def _assert_closes_or_not_a_forest(k, relations, closure):
+    if _is_forest(closure):
+        assert TimePoset.from_relations(k, relations).closure == closure
+    else:
+        with pytest.raises(NotAForest, match=r"t_\d+ has two incomparable upper covers"):
+            TimePoset.from_relations(k, relations)
 
 
 def test_closure_matches_fixpoint_oracle():
@@ -97,8 +107,7 @@ def test_closure_matches_fixpoint_oracle():
     rng = random.Random(31)
     for _ in range(300):
         relations = _random_relations(rng, rng.randint(1, 7), 0.3)
-        poset = TimePoset.from_relations(7, relations)
-        assert poset.closure == fixpoint_closure(relations)
+        _assert_closes_or_not_a_forest(7, relations, fixpoint_closure(relations))
 
 
 def test_closure_rejects_every_random_cycle():
@@ -113,7 +122,26 @@ def test_closure_rejects_every_random_cycle():
             with pytest.raises(CyclicRelations, match=r"t_\d+ and t_\d+ are mutually ordered"):
                 TimePoset.from_relations(5, relations)
         else:
-            assert TimePoset.from_relations(5, relations).closure == closure
+            _assert_closes_or_not_a_forest(5, relations, closure)
+
+
+def test_from_relations_rejects_the_diamond():
+    with pytest.raises(NotAForest, match="t_7 has two incomparable upper covers"):
+        TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)])
+
+
+def test_poset_compares_by_parent_tuple():
+    chain = TimePoset.from_relations(2, [(1, 3), (3, 5), (1, 5)])
+    assert chain.parent == (None, 1, 3)
+    assert chain == TimePoset(2, (None, 1, 3)) == TimePoset.from_parents(2, {1: None, 3: 1, 5: 3})
+    assert chain != TimePoset(2, (None, 1, 1))
+
+
+def test_labels_outside_the_order_are_rejected():
+    with pytest.raises(OutOfRange, match="label 7"):
+        TimePoset.from_relations(2, [(1, 7)])
+    with pytest.raises(OutOfRange, match="label 4"):
+        TimePoset.from_parents(2, {1: None, 3: 1, 4: 3})
 
 
 def test_count_matches_brute_force_on_every_small_domain():
@@ -121,55 +149,6 @@ def test_count_matches_brute_force_on_every_small_domain():
         orders = brute_force_extensions(poset)
         assert count_linear_extensions(poset) == len(orders)
         assert linear_extensions(poset) == orders
-
-
-def test_count_of_non_forest_diamond():
-    diamond = TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)])
-    assert not _is_forest(diamond)
-    assert count_linear_extensions(diamond) == 2 == len(brute_force_extensions(diamond))
-
-
-def test_count_of_random_non_forests_matches_brute_force():
-    rng = random.Random(33)
-    seen = 0
-    while seen < 30:
-        k = rng.randint(3, 5)
-        poset = TimePoset.from_relations(k, _random_relations(rng, k, 0.4))
-        if _is_forest(poset):
-            continue
-        seen += 1
-        orders = brute_force_extensions(poset)
-        assert count_linear_extensions(poset) == len(orders)
-        assert linear_extensions(poset) == orders
-
-
-def test_only_non_forests_reach_the_downset_dp(monkeypatch):
-    calls = []
-    dp = domains._count_orders
-    monkeypatch.setattr(
-        domains, "_count_orders", lambda *args: calls.append(args) or dp(*args)
-    )
-    for poset in _every_domain(3):
-        count_linear_extensions(poset)
-    assert calls == []
-    count_linear_extensions(TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)]))
-    assert len(calls) == 1
-
-
-def test_only_non_forests_reach_the_backtracking(monkeypatch):
-    calls = []
-    backtrack = domains._enumerate_orders
-    monkeypatch.setattr(
-        domains, "_enumerate_orders", lambda *args: calls.append(args) or backtrack(*args)
-    )
-    for poset in _every_domain(3):
-        linear_extensions(poset)
-    for k in range(1, 4):
-        for p in enumerate_pairs(k, signed=False):
-            sigma_set(p)
-    assert calls == []
-    linear_extensions(TimePoset.from_relations(3, [(1, 3), (1, 5), (3, 7), (5, 7)]))
-    assert len(calls) == 1
 
 
 def _parent_edges(parent):
