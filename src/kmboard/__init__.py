@@ -46,7 +46,6 @@ from .moves import (
     apply_wild,
     km_admissible_indices,
     km_class,
-    skeleton_fiber,
 )
 from .pairs import (
     CollapsingPair,

@@ -216,20 +216,23 @@ def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]
     """
     if not is_tamed(pair):
         raise NotTamed(f"reference reduction needs a tamed pair: {pair}")
-    image = {}
+    k, sgn = pair.k, pair.sgn
+    image = [0] * k  # image[j-1] = rho(2j)
     for members in groups_of(pair).values():
-        plus = [x for x in members if pair.sgn_of(x) == "+"]
-        minus = [x for x in members if pair.sgn_of(x) == "-"]
+        signs = [sgn[(x - 2) >> 1] for x in members]
+        plus = [x for x, s in zip(members, signs) if s == "+"]
+        minus = [x for x, s in zip(members, signs) if s == "-"]
         for src, dst in zip(members, plus + minus):
-            image[src] = dst
-    rho = TimePermutation(pair.k, tuple(image[2 * j] for j in range(1, pair.k + 1)))
-    rho_inv = rho.inverse()
-    k = pair.k
+            image[(src - 2) >> 1] = dst
+    rho = TimePermutation(k, tuple(image))
+    inverse = [0] * k  # inverse[j-1] = rho^-1(2j)
+    for i, v in enumerate(image):
+        inverse[(v - 2) >> 1] = 2 * i + 2
     mu = tuple(
-        1 if pair.mu[j - 1] == 1 else rho_inv.of(pair.mu[j - 1]) for j in range(1, k + 1)
+        1 if v == 1 else inverse[(v - 2) >> 1] if v % 2 == 0 else inverse[(v - 3) >> 1] + 1
+        for v in pair.mu
     )
-    sgn = tuple(pair.sgn_of(rho.of(2 * j)) for j in range(1, k + 1))
-    reference = CollapsingPair(k, mu, sgn)
+    reference = CollapsingPair(k, mu, tuple(sgn[(v - 2) >> 1] for v in image))
     if not is_reference(reference):
         raise NotReference(f"constructed pair is not a reference pair: {reference}")
     if not is_allowable(reference, rho):

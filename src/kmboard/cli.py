@@ -1,27 +1,25 @@
 """Command-line interface.
 
 One executable, deterministic output: identical invocations produce
-byte-identical stdout (timings, if any, go to stderr).  Exit codes:
-0 success, 1 verification failure, 2 usage or input error.
+byte-identical stdout.  ``verify`` runs the checks of
+:mod:`kmboard.verify` and prints no timings yet.  Exit codes: 0 success,
+1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import canonical, counting, domains, duhamel, moves
-from .errors import BoardError, CensusViolation, OutOfRange
+from . import canonical, domains, duhamel, verify
+from .errors import BoardError, OutOfRange
 from .pairs import (
     ENUMERATION_CAP,
     CollapsingPair,
-    double_factorial_odd,
     enumerate_pairs,
     parse_mu,
     parse_sgn,
-    random_pair,
     validate_pair,
 )
 from .trees import (
@@ -31,6 +29,7 @@ from .trees import (
     tamed_labeling,
     tree_from_pair,
 )
+from .verify import CHECKS
 
 
 def _dumps(obj) -> str:
@@ -234,180 +233,14 @@ def cmd_schedule(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _check_catalan(k, args, lines) -> bool:
-    ok = True
-    for kk in range(1, k + 1):
-        try:
-            report = counting.census(kk, signed=False)
-        except CensusViolation as exc:
-            lines.append(f"k={kk}: {exc} FAIL")
-            return False
-        cat = counting.catalan_ternary(kk)
-        good = report.unsigned_classes == cat
-        ok &= good
-        lines.append(
-            f"unsigned classes: {report.unsigned_classes} == catalan({kk}): {cat} "
-            + ("OK" if good else "FAIL")
-        )
-    return ok
-
-
-def _check_tamed_unique(k, args, lines) -> bool:
-    ok = True
-    for kk in range(1, k + 1):
-        try:
-            report = counting.census(kk, signed=True, threads=args.threads)
-        except CensusViolation as exc:
-            lines.append(f"k={kk}: {exc} FAIL")
-            return False
-        good = report.tamed_count == report.signed_classes
-        ok &= good
-        lines.append(
-            f"k={kk}: {report.signed_classes} signed classes, {report.tamed_count} "
-            "tamed pairs, one per class " + ("OK" if good else "FAIL")
-        )
-    return ok
-
-
-def _check_reference_unique(k, args, lines) -> bool:
-    for kk in range(1, k + 1):
-        references: dict[str, int] = {}  # wild class -> reference pairs in it
-        n_tamed = 0
-        for pair in canonical.tamed_pairs(kk):
-            n_tamed += 1
-            reference, rho = canonical.to_reference(pair)
-            back = moves.apply_wild(moves.MoveState.start(reference), rho).pair
-            if back != pair:
-                lines.append(f"k={kk}: witness failed for {pair} FAIL")
-                return False
-            key = str(reference)
-            references[key] = references.get(key, 0) + canonical.is_reference(pair)
-        if not references:
-            lines.append(f"k={kk}: no tamed pairs FAIL")
-            return False
-        for key, n in references.items():
-            if n != 1:
-                lines.append(f"k={kk}: wild class of {key} holds {n} reference pairs FAIL")
-                return False
-        lines.append(
-            f"k={kk}: {n_tamed} tamed pairs in {len(references)} wild classes, "
-            "each with a verified reference witness OK"
-        )
-    return True
-
-
-def _check_domain_bijection(k, args, lines) -> bool:
-    ok = True
-    for kk in range(1, k + 1):
-        for pair in enumerate_pairs(kk, signed=False):
-            orders = [domains.induced_order(rho) for rho in domains.sigma_set(pair)]
-            if len(set(orders)) != len(orders):
-                lines.append(f"k={kk}: duplicate induced order for {pair} FAIL")
-                return False
-            if set(orders) != domains.linear_extensions(domains.td_domain(pair)):
-                lines.append(f"k={kk}: order sets differ for {pair} FAIL")
-                return False
-        lines.append(f"k={kk}: relabelings <-> linear extensions, exhaustively OK")
-    rng = random.Random(args.seed)
-    for _ in range(200):
-        pair = random_pair(7, rng, signed=False)
-        if len(domains.sigma_set(pair)) != domains.count_linear_extensions(
-            domains.td_domain(pair)
-        ):
-            lines.append(f"random k=7: count mismatch for {pair} FAIL")
-            return False
-    lines.append("random k=7 (200 maps): relabeling count == extension count OK")
-    return ok
-
-
-def _check_compat(k, args, lines) -> bool:
-    for kk in range(1, k + 1):
-        n = 0
-        for pair in canonical.tamed_pairs(kk):
-            if not canonical.is_reference(pair):
-                continue
-            n += 1
-            if domains.tr_domain(pair) != domains.tc_domain(pair):
-                lines.append(f"k={kk}: T_R != T_C for {pair} FAIL")
-                return False
-        lines.append(f"k={kk}: T_R == T_C for all {n} reference pairs OK")
-    return True
-
-
-def _check_mass(k, args, lines) -> bool:
-    for kk in range(1, k + 1):
-        total = 0
-        for pair in canonical.tamed_pairs(kk):
-            if not canonical.is_reference(pair):
-                continue
-            extensions = domains.linear_extensions(domains.tr_domain(pair))
-            seen: set = set()
-            for rho in moves.allowable_permutations(pair):
-                moved = moves.apply_wild(moves.MoveState.start(pair), rho).pair
-                piece = domains.linear_extensions(
-                    domains.relabel_domain(domains.td_domain(moved), rho.inverse())
-                )
-                if piece & seen:
-                    lines.append(f"k={kk}: overlapping simplexes for {pair} FAIL")
-                    return False
-                seen |= piece
-            if seen != extensions:
-                lines.append(f"k={kk}: partition misses extensions for {pair} FAIL")
-                return False
-            total += len(extensions)
-        expected = double_factorial_odd(kk) * 2**kk
-        if total != expected:
-            lines.append(f"k={kk}: mass {total} != {expected} FAIL")
-            return False
-        lines.append(f"k={kk}: disjoint partition, mass {total} == (2k-1)!!2^k OK")
-    return True
-
-
-def _check_duhamel(k, args, lines) -> bool:
-    for kk in range(1, min(k, 3) + 1):
-        for pair in enumerate_pairs(kk, signed=True):
-            if duhamel.expand(pair) != tuple(
-                map(duhamel.normalize, duhamel.expand_oracle(pair))
-            ):
-                lines.append(f"k={kk}: expansion != oracle for {pair} FAIL")
-                return False
-        lines.append(f"k={kk}: tree expansion == operator oracle, exhaustively OK")
-    rng = random.Random(args.seed)
-    for _ in range(50):
-        pair = random_pair(5, rng, signed=True)
-        if duhamel.expand(pair) != tuple(
-            map(duhamel.normalize, duhamel.expand_oracle(pair))
-        ):
-            lines.append(f"random k=5: expansion != oracle for {pair} FAIL")
-            return False
-    lines.append("random k=5 (50 pairs): tree expansion == operator oracle OK")
-    return True
-
-
-CHECKS = {
-    "catalan": _check_catalan,
-    "tamed-unique": _check_tamed_unique,
-    "reference-unique": _check_reference_unique,
-    "domain-bijection": _check_domain_bijection,
-    "compat": _check_compat,
-    "mass": _check_mass,
-    "duhamel": _check_duhamel,
-}
-
-
 def cmd_verify(args) -> int:
     _in_range("--k", args.k, 1)
     _in_range("--threads", args.threads, 1)
     names = list(CHECKS) if args.check == "all" else [args.check]
-    lines: list[str] = []
-    ok = True
-    payload = {}
-    for name in names:
-        good = CHECKS[name](args.k, args, lines)
-        payload[name] = "ok" if good else "fail"
-        ok &= good
+    lines, results = verify.run_checks(names, args.k, seed=args.seed, threads=args.threads)
+    payload = {name: "ok" if good else "fail" for name, good in results.items()}
     _emit(args, "".join(line + "\n" for line in lines) + _dumps(payload) + "\n")
-    return 0 if ok else 1
+    return 0 if all(results.values()) else 1
 
 
 # -- parser ------------------------------------------------------------------

@@ -14,9 +14,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotAcceptable, NotAllowable, NotTamed
-from .pairs import CollapsingPair, TimePermutation, enumerate_pairs
-from .trees import skeleton_key
+from .errors import CapExceeded, KMismatch, NotAcceptable, NotAllowable, NotTamed
+from .pairs import CollapsingPair, TimePermutation
 
 
 @dataclass(frozen=True)
@@ -44,23 +43,24 @@ def km_admissible_indices(pair: CollapsingPair) -> list[int]:
     ]
 
 
-def _permuted_value(rho: TimePermutation, v: int) -> int:
-    # mu values live in 1..2k-1; rho fixes 1 and extends to odd labels
-    return 1 if v == 1 else rho.of(v)
-
-
 def _act(pair: CollapsingPair, rho: TimePermutation, conjugate: bool) -> CollapsingPair:
-    """mu' = rho.mu.rho^-1 (KM, conjugate) or rho.mu (wild); sgn' = sgn.rho^-1."""
-    rho_inv = rho.inverse()
-    k = pair.k
-    if conjugate:
-        mu = tuple(
-            _permuted_value(rho, pair.mu_of(rho_inv.of(2 * j))) for j in range(1, k + 1)
-        )
-    else:
-        mu = tuple(_permuted_value(rho, pair.mu[j - 1]) for j in range(1, k + 1))
-    sgn = tuple(pair.sgn_of(rho_inv.of(2 * j)) for j in range(1, k + 1))
-    return CollapsingPair(k, mu, sgn)
+    """mu' = rho.mu.rho^-1 (KM, conjugate) or rho.mu (wild); sgn' = sgn.rho^-1.
+
+    Indexes ``pair.mu``, ``pair.sgn`` and ``rho.image`` directly: mu
+    values live in 1..2k-1, rho fixes 1 and sends the odd label 2l+1 to
+    rho(2l) + 1.
+    """
+    image = rho.image
+    src = [0] * len(image)  # src[j-1] = i-1 where rho(2i) = 2j
+    for i, v in enumerate(image):
+        src[(v - 2) >> 1] = i
+    values = [pair.mu[i] for i in src] if conjugate else pair.mu
+    mu = tuple(
+        1 if v == 1 else image[(v - 2) >> 1] if v % 2 == 0 else image[(v - 3) >> 1] + 1
+        for v in values
+    )
+    sgn = tuple(pair.sgn[i] for i in src)
+    return CollapsingPair(pair.k, mu, sgn)
 
 
 def apply_signed_km(state: MoveState, j: int) -> MoveState:
@@ -99,21 +99,6 @@ def km_class(
     return seen if with_moves else frozenset(seen)
 
 
-def skeleton_fiber(pair: CollapsingPair, signed: bool = True) -> frozenset:
-    """All pairs with the same (signed) skeleton, by direct enumeration.
-
-    The independent route to the same set as :func:`km_class`; censuses
-    and tests compare the two.
-    """
-    seed = pair if signed else pair.unsigned()
-    want = skeleton_key(seed.mu, seed.sgn if signed else None)
-    return frozenset(
-        p
-        for p in enumerate_pairs(pair.k, signed=signed)
-        if skeleton_key(p.mu, p.sgn if signed else None) == want
-    )
-
-
 def groups_of(pair: CollapsingPair) -> dict[int, list[int]]:
     """The left-branch partition: value i -> sorted labels with mu = i."""
     groups: dict[int, list[int]] = {}
@@ -123,14 +108,24 @@ def groups_of(pair: CollapsingPair) -> dict[int, list[int]]:
 
 
 def is_allowable(pair: CollapsingPair, rho: TimePermutation) -> bool:
-    """Group-preserving and same-sign order-preserving for this pair."""
-    for x in pair.even_labels:
-        if pair.mu_of(rho.of(x)) != pair.mu_of(x):
+    """Group-preserving and same-sign order-preserving for this pair.
+
+    Same-sign members of a left branch keep their order exactly when
+    each one's image exceeds that of the previous one, so one pass over
+    the labels decides both conditions.
+    """
+    if rho.k != pair.k:
+        raise KMismatch(f"permutation of order {rho.k} acts on a pair of order {pair.k}")
+    mu, sgn = pair.mu, pair.sgn
+    last: dict[tuple, int] = {}  # (mu value, sign) -> image of the previous such label
+    for i, v in enumerate(rho.image):
+        m = mu[i]
+        if mu[(v - 2) >> 1] != m:
             return False
-    for members in groups_of(pair).values():
-        for a, b in itertools.combinations(members, 2):
-            if pair.sgn_of(a) == pair.sgn_of(b) and rho.of(a) > rho.of(b):
-                return False
+        key = (m, sgn[i])
+        if last.get(key, 0) > v:
+            return False
+        last[key] = v
     return True
 
 

@@ -206,14 +206,6 @@ class TimePermutation:
         return {"k": self.k, "image": list(self.image)}
 
 
-def all_permutations(k: int, cap: int = ENUMERATION_CAP) -> Iterator[TimePermutation]:
-    """Every permutation of the even labels (k! of them)."""
-    if k > cap:
-        raise CapExceeded(f"k={k} exceeds enumeration cap {cap}")
-    for image in itertools.permutations(range(2, 2 * k + 1, 2)):
-        yield TimePermutation(k, image)
-
-
 def parse_mu(text: str) -> tuple[int, ...]:
     """Parse a CLI-style ``1,1,1,2,3`` list."""
     try:

@@ -4,8 +4,10 @@ import itertools
 
 from kmboard.domains import TimePoset
 from kmboard.duhamel import build_dtree
+from kmboard.errors import CapExceeded
 from kmboard.moves import groups_of
-from kmboard.trees import tree_from_pair
+from kmboard.pairs import ENUMERATION_CAP, CollapsingPair, TimePermutation, enumerate_pairs
+from kmboard.trees import skeleton_key, tree_from_pair
 
 
 def literal_tiers(pair):
@@ -144,3 +146,74 @@ def relabel_by_reduction(poset, sigma):
     return TimePoset.from_relations(
         poset.k, [(rename(a), rename(b)) for a, b in poset.reduction()]
     )
+
+
+# -- moves and permutations, by their definitions ------------------------------
+
+
+def all_permutations(k, cap=ENUMERATION_CAP):
+    """Every permutation of the even labels (k! of them)."""
+    if k > cap:
+        raise CapExceeded(f"k={k} exceeds enumeration cap {cap}")
+    for image in itertools.permutations(range(2, 2 * k + 1, 2)):
+        yield TimePermutation(k, image)
+
+
+def skeleton_fiber(pair, signed=True) -> frozenset:
+    """All pairs with the same (signed) skeleton, by direct enumeration."""
+    seed = pair if signed else pair.unsigned()
+    want = skeleton_key(seed.mu, seed.sgn if signed else None)
+    return frozenset(
+        p
+        for p in enumerate_pairs(pair.k, signed=signed)
+        if skeleton_key(p.mu, p.sgn if signed else None) == want
+    )
+
+
+def _permuted_value(rho, v):
+    return 1 if v == 1 else rho.of(v)
+
+
+def literal_act(pair, rho, conjugate):
+    """mu' = rho.mu.rho^-1 (KM, conjugate) or rho.mu (wild); sgn' = sgn.rho^-1,
+    through the extended maps ``of``, ``mu_of`` and ``sgn_of``."""
+    rho_inv = rho.inverse()
+    k = pair.k
+    if conjugate:
+        mu = tuple(
+            _permuted_value(rho, pair.mu_of(rho_inv.of(2 * j))) for j in range(1, k + 1)
+        )
+    else:
+        mu = tuple(_permuted_value(rho, pair.mu[j - 1]) for j in range(1, k + 1))
+    sgn = tuple(pair.sgn_of(rho_inv.of(2 * j)) for j in range(1, k + 1))
+    return CollapsingPair(k, mu, sgn)
+
+
+def literal_is_allowable(pair, rho) -> bool:
+    """Group-preserving, and every same-sign pair of a group keeps its order."""
+    for x in pair.even_labels:
+        if pair.mu_of(rho.of(x)) != pair.mu_of(x):
+            return False
+    for members in groups_of(pair).values():
+        for a, b in itertools.combinations(members, 2):
+            if pair.sgn_of(a) == pair.sgn_of(b) and rho.of(a) > rho.of(b):
+                return False
+    return True
+
+
+def literal_to_reference(pair):
+    """The reference pair and witness through the extended maps, unguarded."""
+    image = {}
+    for members in groups_of(pair).values():
+        plus = [x for x in members if pair.sgn_of(x) == "+"]
+        minus = [x for x in members if pair.sgn_of(x) == "-"]
+        for src, dst in zip(members, plus + minus):
+            image[src] = dst
+    rho = TimePermutation(pair.k, tuple(image[2 * j] for j in range(1, pair.k + 1)))
+    rho_inv = rho.inverse()
+    k = pair.k
+    mu = tuple(
+        1 if pair.mu[j - 1] == 1 else rho_inv.of(pair.mu[j - 1]) for j in range(1, k + 1)
+    )
+    sgn = tuple(pair.sgn_of(rho.of(2 * j)) for j in range(1, k + 1))
+    return CollapsingPair(k, mu, sgn), rho

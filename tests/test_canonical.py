@@ -24,7 +24,7 @@ from kmboard.moves import (
 )
 from kmboard.pairs import enumerate_pairs, random_pair, validate_pair
 from kmboard.trees import skeleton_key
-from oracles import literal_is_reference, literal_is_tamed, literal_tiers
+from oracles import literal_is_reference, literal_is_tamed, literal_tiers, literal_to_reference
 
 TAMED13 = validate_pair(
     13,
@@ -204,6 +204,15 @@ def test_to_reference_of_order_five_wild_image():
     back, rho = to_reference(p5)
     assert back == validate_pair(5, (1, 1, 1, 3, 6), "++--+")
     assert apply_wild(MoveState.start(back), rho).pair == p5
+
+
+def test_to_reference_matches_its_oracle():
+    rng = random.Random(41)
+    cases = [p for k in range(1, 6) for p in tamed_pairs(k)]
+    cases += [to_tamed(random_pair(rng.randint(6, 12), rng))[0] for _ in range(200)]
+    for p in cases:
+        reference, rho = to_reference(p)
+        assert (reference, rho) == literal_to_reference(p)
 
 
 def test_to_reference_rejects_untamed():

@@ -334,3 +334,64 @@ def test_classify_k4_stdout_is_pinned(capsys, argv, digest):
     code, out = run(capsys, "classify", "--k", "4", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_wild_sweep_does_not_outlive_a_verify_call(capsys, monkeypatch):
+    from kmboard import canonical
+
+    calls = []
+    original = canonical.to_reference
+
+    def counted(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(canonical, "to_reference", counted)
+    made = []
+    for _ in range(2):
+        calls.clear()
+        assert run(capsys, "verify", "--k", "3")[0] == 0
+        made.append(len(calls))
+    assert made == [2 + 12 + 96] * 2
+
+
+@pytest.mark.parametrize(
+    "check, marker",
+    [
+        ("reference-unique", "wild classes"),
+        ("compat", "T_R == T_C"),
+        ("mass", "disjoint partition"),
+    ],
+)
+def test_sweep_consumer_alone_prints_its_lines_from_all(capsys, check, marker):
+    expected = [line for line in VERIFY_K4_ALL.splitlines() if marker in line]
+    code, out = run(capsys, "verify", "--k", "4", "--check", check)
+    assert code == 0
+    assert out.splitlines() == expected + [json.dumps({check: "ok"}, separators=(",", ": "))]
+
+
+def _single_fail_line(out):
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fails) == 1, out
+    return fails[0]
+
+
+def test_mass_fails_when_a_wild_class_is_not_its_orbit(capsys, monkeypatch):
+    from kmboard import moves
+
+    original = moves.allowable_permutations
+    monkeypatch.setattr(moves, "allowable_permutations", lambda pair: original(pair)[:-1])
+    code, out = run(capsys, "verify", "--k", "3", "--check", "mass")
+    assert code == 1
+    assert _single_fail_line(out) == "k=1: wild class of mu=1 sgn=+ != its orbit FAIL"
+    assert json.loads(out.strip().splitlines()[-1]) == {"mass": "fail"}
+
+
+def test_mass_alone_fails_when_a_witness_does_not_round_trip(capsys, monkeypatch):
+    from kmboard import moves
+
+    monkeypatch.setattr(moves, "_act", lambda pair, rho, conjugate: pair)
+    code, out = run(capsys, "verify", "--k", "3", "--check", "mass")
+    assert code == 1
+    assert _single_fail_line(out) == "k=2: witness failed for mu=1,1 sgn=-,+ FAIL"
+    assert json.loads(out.strip().splitlines()[-1]) == {"mass": "fail"}

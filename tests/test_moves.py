@@ -3,9 +3,10 @@ import random
 import pytest
 
 from kmboard.canonical import is_tamed
-from kmboard.errors import NotAcceptable, NotAllowable, NotTamed
+from kmboard.errors import ConstraintViolation, KMismatch, NotAcceptable, NotAllowable, NotTamed
 from kmboard.moves import (
     MoveState,
+    _act,
     allowable_permutations,
     apply_signed_km,
     apply_wild,
@@ -13,15 +14,15 @@ from kmboard.moves import (
     is_allowable,
     km_admissible_indices,
     km_class,
-    skeleton_fiber,
 )
 from kmboard.pairs import (
+    CollapsingPair,
     TimePermutation,
-    all_permutations,
     enumerate_pairs,
     random_pair,
     validate_pair,
 )
+from oracles import all_permutations, literal_act, literal_is_allowable, skeleton_fiber
 
 SEC2_CLASS = [
     validate_pair(5, (1, 1, 1, 3, 6), "++--+"),
@@ -253,3 +254,29 @@ def test_wild_moves_compose_as_group_action():
         combined = rho2.compose(rho)
         assert is_allowable(p, combined)
         assert apply_wild(MoveState.start(p), combined) == two_step
+
+
+def _outcome(act, pair, rho, conjugate):
+    try:
+        return act(pair, rho, conjugate)
+    except ConstraintViolation as exc:
+        return type(exc), exc.args
+
+
+def test_indexed_kernels_match_their_oracles_exhaustively():
+    illegal = 0
+    for k in range(1, 5):
+        perms = list(all_permutations(k))
+        for pair in enumerate_pairs(k, signed=True):
+            for rho in perms:
+                assert is_allowable(pair, rho) == literal_is_allowable(pair, rho)
+                for conjugate in (False, True):
+                    got = _outcome(_act, pair, rho, conjugate)
+                    assert got == _outcome(literal_act, pair, rho, conjugate)
+                    illegal += not isinstance(got, CollapsingPair)
+    assert illegal > 0  # the error branch was compared too
+
+
+def test_is_allowable_rejects_a_permutation_of_another_order():
+    with pytest.raises(KMismatch):
+        is_allowable(validate_pair(2, (1, 1), "++"), TimePermutation.identity(3))

@@ -6,12 +6,12 @@ from kmboard.errors import CapExceeded, ConstraintViolation, KMismatch, LengthMi
 from kmboard.pairs import (
     CollapsingPair,
     TimePermutation,
-    all_permutations,
     double_factorial_odd,
     enumerate_pairs,
     random_pair,
     validate_pair,
 )
+from oracles import all_permutations
 
 EX41 = validate_pair(5, (1, 1, 1, 2, 3), "++--+")
 
