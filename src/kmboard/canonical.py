@@ -16,7 +16,7 @@ import itertools
 from typing import Iterator
 
 from .errors import NotReference, NotTamed, OutOfRange
-from .moves import MoveState, apply_signed_km, groups_of, is_allowable
+from .moves import MoveState, _act, apply_signed_km, groups_of, is_allowable
 from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
 from .trees import (
     SignedTree,
@@ -225,14 +225,7 @@ def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]
         for src, dst in zip(members, plus + minus):
             image[(src - 2) >> 1] = dst
     rho = TimePermutation(k, tuple(image))
-    inverse = [0] * k  # inverse[j-1] = rho^-1(2j)
-    for i, v in enumerate(image):
-        inverse[(v - 2) >> 1] = 2 * i + 2
-    mu = tuple(
-        1 if v == 1 else inverse[(v - 2) >> 1] if v % 2 == 0 else inverse[(v - 3) >> 1] + 1
-        for v in pair.mu
-    )
-    reference = CollapsingPair(k, mu, tuple(sgn[(v - 2) >> 1] for v in image))
+    reference = _act(pair, rho.inverse(), conjugate=False)
     if not is_reference(reference):
         raise NotReference(f"constructed pair is not a reference pair: {reference}")
     if not is_allowable(reference, rho):

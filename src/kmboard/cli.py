@@ -117,58 +117,39 @@ def cmd_canon(args) -> int:
     return 0
 
 
+def _tamed_representative(pair: CollapsingPair) -> CollapsingPair:
+    return pair_from_tree(tamed_labeling(skeleton_of(tree_from_pair(pair), signed=True)))
+
+
+def _reference_of(pair: CollapsingPair) -> CollapsingPair:
+    return canonical.to_reference(pair)[0]
+
+
 def cmd_classify(args) -> int:
     _in_range("--cap", args.cap, 1, ENUMERATION_CAP)
-    lines = []
     if args.moves == "km":
-        buckets: dict[str, list] = {}
-        for pair in enumerate_pairs(args.k, signed=False, cap=args.cap):
-            buckets.setdefault(skeleton_key(pair.mu), []).append(pair)
-        for key in sorted(buckets):
-            members = buckets[key]
-            rep = canonical.echelon_pair(members[0])
-            record = {
-                "canonical_key": key,
-                "size": len(members),
-                "representative": rep.to_json(),
-            }
-            if args.members:
-                record["members"] = [p.to_json() for p in members]
-            lines.append(_dumps(record))
+        pairs = enumerate_pairs(args.k, signed=False, cap=args.cap)
+        key_of, rep_of = (lambda p: skeleton_key(p.mu)), canonical.echelon_pair
     elif args.moves == "signed-km":
-        sbuckets: dict[str, list] = {}
-        for pair in enumerate_pairs(args.k, signed=True, cap=args.cap):
-            sbuckets.setdefault(skeleton_key(pair.mu, pair.sgn), []).append(pair)
-        for key in sorted(sbuckets):
-            members = sbuckets[key]
-            rep = pair_from_tree(
-                tamed_labeling(skeleton_of(tree_from_pair(members[0]), signed=True))
-            )
-            record = {
-                "canonical_key": key,
-                "size": len(members),
-                "representative": rep.to_json(),
-            }
-            if args.members:
-                record["members"] = [p.to_json() for p in members]
-            lines.append(_dumps(record))
+        pairs = enumerate_pairs(args.k, signed=True, cap=args.cap)
+        key_of, rep_of = (lambda p: skeleton_key(p.mu, p.sgn)), _tamed_representative
     else:  # wild classes partition the tamed pairs
-        wbuckets: dict[str, dict] = {}
-        for pair in canonical.tamed_pairs(args.k, cap=args.cap):
-            reference, _ = canonical.to_reference(pair)
-            key = _dumps(reference.to_json())
-            entry = wbuckets.setdefault(key, {"reference": reference, "members": []})
-            entry["members"].append(pair)
-        for key in sorted(wbuckets):
-            entry = wbuckets[key]
-            record = {
-                "canonical_key": key,
-                "size": len(entry["members"]),
-                "representative": entry["reference"].to_json(),
-            }
-            if args.members:
-                record["members"] = [p.to_json() for p in entry["members"]]
-            lines.append(_dumps(record))
+        pairs = canonical.tamed_pairs(args.k, cap=args.cap)
+        key_of, rep_of = (lambda p: _dumps(_reference_of(p).to_json())), _reference_of
+    buckets: dict[str, list] = {}
+    for pair in pairs:
+        buckets.setdefault(key_of(pair), []).append(pair)
+    lines = []
+    for key in sorted(buckets):
+        members = buckets[key]
+        record = {
+            "canonical_key": key,
+            "size": len(members),
+            "representative": rep_of(members[0]).to_json(),
+        }
+        if args.members:
+            record["members"] = [p.to_json() for p in members]
+        lines.append(_dumps(record))
     _emit(args, "".join(line + "\n" for line in lines))
     return 0
 

@@ -114,15 +114,25 @@ def expr_key(e: SymExpr) -> str:
 
 def normalize(e: SymExpr) -> SymExpr:
     """Canonical form: conjugation at atoms, merged propagators, sorted products."""
+    return _normal(e, False)
+
+
+def _normal(e: SymExpr, flip: bool) -> SymExpr:
+    """Normal form of ``e``, or of ``conj(e)`` when ``flip`` is set.
+
+    The parity rides down: ``conj(U_{a,b} e) = U_{b,a} conj(e)`` and
+    conjugation distributes over products, so it lands on the atoms.
+    """
     if isinstance(e, Atom):
-        return e
+        return Conj(e) if flip else e
     if isinstance(e, Conj):
-        return _conj_normalized(normalize(e.body))
+        return _normal(e.body, not flip)
     if isinstance(e, Evolve):
-        return _merge_evolve(e.a, e.b, normalize(e.body))
+        a, b = (e.b, e.a) if flip else (e.a, e.b)
+        return _merge_evolve(a, b, _normal(e.body, flip))
     factors = []
     for f in e.factors:
-        nf = normalize(f)
+        nf = _normal(f, flip)
         if isinstance(nf, Prod):
             factors.extend(nf.factors)
         else:
@@ -132,50 +142,25 @@ def normalize(e: SymExpr) -> SymExpr:
     return Prod(tuple(sorted(factors, key=expr_key)))
 
 
-def _conj_normalized(e: SymExpr) -> SymExpr:
-    """Conjugate of an already-normalized expression, pushed to the atoms."""
+def _substitute(e: SymExpr, rename, atom: Optional[SymExpr]) -> SymExpr:
+    """Rebuild ``e`` through the eager constructors, time labels renamed
+    and, unless ``atom`` is None, every atom replaced by ``atom``."""
     if isinstance(e, Atom):
-        return Conj(e)
+        return e if atom is None else atom
     if isinstance(e, Conj):
-        return e.body
+        return conj(_substitute(e.body, rename, atom))
     if isinstance(e, Evolve):
-        return _merge_evolve(e.b, e.a, _conj_normalized(e.body))
-    return Prod(tuple(sorted((_conj_normalized(f) for f in e.factors), key=expr_key)))
-
-
-def _map_labels(e: SymExpr, rename) -> SymExpr:
-    if isinstance(e, Atom):
-        return e
-    if isinstance(e, Conj):
-        return conj(_map_labels(e.body, rename))
-    if isinstance(e, Evolve):
-        return evolve(rename(e.a), rename(e.b), _map_labels(e.body, rename))
-    return prod(tuple(_map_labels(f, rename) for f in e.factors))
+        return evolve(rename(e.a), rename(e.b), _substitute(e.body, rename, atom))
+    return prod(tuple(_substitute(f, rename, atom) for f in e.factors))
 
 
 def substitute_times(e: SymExpr, sigma: TimePermutation) -> SymExpr:
-    """Relabel times by t_a -> t_{sigma(a-1)+1} (t_1 fixed), then normalize.
+    """Relabel times by t_a -> t_{sigma(a)} (t_1 fixed), then normalize.
 
     All odd labels move, the final time 2k+1 included: the relabeling
     identities below compare kernels whose datum slot moves with sigma.
     """
-
-    def rename(a):
-        if a is None or a == 1:
-            return a
-        return sigma.of(a - 1) + 1
-
-    return normalize(_map_labels(e, rename))
-
-
-def substitute_atom(e: SymExpr, replacement: SymExpr) -> SymExpr:
-    if isinstance(e, Atom):
-        return replacement
-    if isinstance(e, Conj):
-        return conj(substitute_atom(e.body, replacement))
-    if isinstance(e, Evolve):
-        return evolve(e.a, e.b, substitute_atom(e.body, replacement))
-    return prod(tuple(substitute_atom(f, replacement) for f in e.factors))
+    return normalize(_substitute(e, lambda a: a if a is None else sigma.of(a), None))
 
 
 def as_flow(e: SymExpr, k: int) -> SymExpr:
@@ -184,7 +169,7 @@ def as_flow(e: SymExpr, k: int) -> SymExpr:
     Substitutes ``phi = U_{2k+1} phi0``; propagator chains that used to
     stop at the final time then telescope through it.
     """
-    return substitute_atom(e, Evolve(2 * k + 1, None, Atom()))
+    return _substitute(e, lambda a: a, Evolve(2 * k + 1, None, Atom()))
 
 
 # -- Duhamel tree ------------------------------------------------------------
@@ -216,9 +201,6 @@ class DTree:
     parent: dict
     marks: dict = field(default_factory=dict)
 
-    def children_of(self, x: int) -> tuple:
-        return self.root if x == 0 else self.kids[x]
-
     def has_f_child(self, x: int) -> bool:
         return any(isinstance(c, FLeaf) for c in self.kids[x])
 
@@ -230,9 +212,6 @@ class DTree:
             out.append(p)
             p = self.parent[p]
         return out
-
-    def is_offspring(self, x: int, of: int) -> bool:
-        return of in self.ancestors(x)
 
     def to_dot(self, marked: bool = False) -> str:
         lines = ["digraph dtree {", '  d0 [label="D(0)"];']
@@ -607,11 +586,12 @@ def integrated_expand(pair: CollapsingPair) -> IntegratedExpansion:
     """Attach the compatible integral bounds to every coupling."""
     dtree = build_dtree(pair)
     final = 2 * pair.k + 1
+    chain = set(dtree.ancestors(2 * pair.k))
     bounds = {}
     for l in range(1, pair.k):
         x = 2 * l
         p = dtree.parent[x]
         upper = 1 if p == 0 else p + 1
-        lower = final if dtree.is_offspring(2 * pair.k, x) else 0
+        lower = final if x in chain else 0
         bounds[x] = (lower, upper)
     return IntegratedExpansion(pair, bounds, (final, 0, 1))

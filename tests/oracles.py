@@ -3,7 +3,18 @@
 import itertools
 
 from kmboard.domains import TimePoset
-from kmboard.duhamel import build_dtree
+from kmboard.duhamel import (
+    Atom,
+    Conj,
+    Evolve,
+    Prod,
+    _merge_evolve,
+    build_dtree,
+    conj,
+    evolve,
+    expr_key,
+    prod,
+)
 from kmboard.errors import CapExceeded
 from kmboard.moves import groups_of
 from kmboard.pairs import ENUMERATION_CAP, CollapsingPair, TimePermutation, enumerate_pairs
@@ -217,3 +228,59 @@ def literal_to_reference(pair):
     )
     sgn = tuple(pair.sgn_of(rho.of(2 * j)) for j in range(1, k + 1))
     return CollapsingPair(k, mu, sgn), rho
+
+
+# -- Duhamel kernels: normal form in two passes, substitution by relabeling ----
+
+
+def two_pass_normalize(e):
+    """Normalize the body first, then push a conjugation through the result."""
+    if isinstance(e, Atom):
+        return e
+    if isinstance(e, Conj):
+        return _conj_normalized(two_pass_normalize(e.body))
+    if isinstance(e, Evolve):
+        return _merge_evolve(e.a, e.b, two_pass_normalize(e.body))
+    factors = []
+    for f in e.factors:
+        nf = two_pass_normalize(f)
+        if isinstance(nf, Prod):
+            factors.extend(nf.factors)
+        else:
+            factors.append(nf)
+    if len(factors) == 1:
+        return factors[0]
+    return Prod(tuple(sorted(factors, key=expr_key)))
+
+
+def _conj_normalized(e):
+    """Conjugate of an already-normalized expression, pushed to the atoms."""
+    if isinstance(e, Atom):
+        return Conj(e)
+    if isinstance(e, Conj):
+        return e.body
+    if isinstance(e, Evolve):
+        return _merge_evolve(e.b, e.a, _conj_normalized(e.body))
+    return Prod(tuple(sorted((_conj_normalized(f) for f in e.factors), key=expr_key)))
+
+
+def _map_labels(e, rename):
+    if isinstance(e, Atom):
+        return e
+    if isinstance(e, Conj):
+        return conj(_map_labels(e.body, rename))
+    if isinstance(e, Evolve):
+        return evolve(rename(e.a), rename(e.b), _map_labels(e.body, rename))
+    return prod(tuple(_map_labels(f, rename) for f in e.factors))
+
+
+def literal_substitute_times(e, sigma):
+    """Relabel t_a -> t_{sigma(a-1)+1} (t_1 and absent slots fixed), then
+    normalize in two passes."""
+
+    def rename(a):
+        if a is None or a == 1:
+            return a
+        return sigma.of(a - 1) + 1
+
+    return two_pass_normalize(_map_labels(e, rename))

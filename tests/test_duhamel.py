@@ -1,5 +1,9 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmboard.canonical import is_reference, tamed_pairs
 from kmboard.domains import tc_domain, TimePoset
 from kmboard.duhamel import (
     Atom,
@@ -11,6 +15,7 @@ from kmboard.duhamel import (
     build_dtree,
     estimate_schedule,
     expand,
+    expand_display,
     expand_oracle,
     expand_text,
     integrated_expand,
@@ -21,7 +26,14 @@ from kmboard.duhamel import (
     unclogged_count,
 )
 from kmboard.moves import MoveState, allowable_permutations, apply_signed_km, apply_wild, km_admissible_indices
-from kmboard.pairs import TimePermutation, enumerate_pairs, random_pair, validate_pair
+from kmboard.pairs import (
+    CollapsingPair,
+    TimePermutation,
+    enumerate_pairs,
+    random_pair,
+    validate_pair,
+)
+from oracles import literal_substitute_times, two_pass_normalize
 
 QUINTIC = validate_pair(7, (1, 1, 1, 2, 3, 6, 6), "++--++-")
 
@@ -217,6 +229,63 @@ def test_conj_commutes_through_evolve_with_flip():
         lhs = normalize(Conj(Evolve(3, 9, e)))
         rhs = normalize(Evolve(9, 3, Conj(e)))
         assert lhs == rhs
+
+
+def test_normalize_and_substitute_times_match_their_oracles():
+    rng = random.Random(102)
+    pairs = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]
+    pairs += [random_pair(rng.randint(6, 12), rng) for _ in range(200)]
+    for p in pairs:
+        display, oracle = expand_display(p), expand_oracle(p)
+        exprs = display + oracle + (Conj(Prod(display)),)
+        if p.k <= 4:
+            exprs += tuple(as_flow(e, p.k) for e in display)
+        for e in exprs:
+            assert normalize(e) == two_pass_normalize(e)
+    for _ in range(300):
+        e = _random_expr(rng, 5)
+        assert normalize(e) == two_pass_normalize(e)
+    for k in range(1, 5):
+        for reference in filter(is_reference, tamed_pairs(k)):
+            kernels = [as_flow(e, k) for e in expand(reference)]
+            for rho in allowable_permutations(reference):
+                for e in kernels:
+                    assert substitute_times(e, rho) == literal_substitute_times(e, rho)
+
+
+@st.composite
+def _signed_pairs(draw, max_k=12):
+    k = draw(st.integers(1, max_k))
+    mu = tuple(draw(st.integers(1, 2 * j - 1)) for j in range(1, k + 1))
+    sgn = tuple(draw(st.sampled_from("+-")) for _ in range(k))
+    return CollapsingPair(k, mu, sgn)
+
+
+_LABELS = st.sampled_from([None, 1, 3, 5, 7, 9])
+
+_EXPRS = st.recursive(
+    st.just(Atom()),
+    lambda inner: st.one_of(
+        inner.map(Conj),
+        st.builds(Evolve, _LABELS, _LABELS, inner).filter(
+            lambda e: e.a is not None or e.b is not None
+        ),
+        st.lists(inner, min_size=2, max_size=4).map(lambda fs: Prod(tuple(fs))),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_signed_pairs())
+def test_expand_equals_normalized_oracle_property(p):
+    assert expand(p) == tuple(map(normalize, expand_oracle(p)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_EXPRS)
+def test_conjugation_commutes_with_normalize_property(e):
+    assert normalize(Conj(e)) == normalize(Conj(normalize(e)))
 
 
 def test_substitute_times_identity_and_composition():
