@@ -54,11 +54,9 @@ from .pairs import (
     validate_pair,
 )
 from .trees import (
-    Skeleton,
     SignedTree,
     echelon_labeling,
     pair_from_tree,
-    skeleton_of,
     tamed_labeling,
     tree_from_pair,
 )

@@ -18,14 +18,7 @@ from typing import Iterator
 from .errors import NotReference, NotTamed, OutOfRange
 from .moves import MoveState, _act, apply_signed_km, groups_of, is_allowable
 from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
-from .trees import (
-    SignedTree,
-    echelon_labeling,
-    pair_from_tree,
-    skeleton_of,
-    tamed_labeling,
-    tree_from_pair,
-)
+from .trees import echelon_labeling, tamed_labeling, tree_from_pair
 
 
 def _tiers(mu) -> list[int]:
@@ -166,44 +159,42 @@ def tamed_pairs(k: int, cap: int = ENUMERATION_CAP) -> Iterator[CollapsingPair]:
 
 
 def reduce_to_labeling(
-    pair: CollapsingPair, target: SignedTree
+    pair: CollapsingPair, rho: TimePermutation
 ) -> tuple[CollapsingPair, tuple[int, ...]]:
-    """Carry ``pair`` onto a target labeling of the same signed skeleton.
+    """Carry ``pair`` onto the relabeling ``rho`` of its own tree's nodes.
 
-    Walks the labels in order; the node that should carry label 2j is
-    bubbled up from its current label 2l through the adjacent chain
-    KM(2l-2,2l), ..., KM(2j,2j+2).  Every step is checked acceptable.
-    Returns the final pair and the move indices in application order.
+    ``target[i]`` is the label that the node now labeled 2(i+1) should
+    end up with.  For each label 2j in order, that node is bubbled down
+    from its current label 2l through KM(2l-2,2l), ..., KM(2j,2j+2), each
+    move swapping two entries of ``target``.  Every step is checked
+    acceptable.  Returns the final pair and the move indices in
+    application order.
     """
-    target_path = {lab: path for path, lab in target.positions().items()}
+    target = list(rho.image)
     state = MoveState.start(pair)
     moves: list[int] = []
     for j in range(1, pair.k + 1):
-        positions = tree_from_pair(state.pair).positions()
-        current = positions[target_path[2 * j]]
-        for m in range(current // 2 - 1, j - 1, -1):
+        for m in range(target.index(2 * j, j - 1), j - 1, -1):
             state = apply_signed_km(state, m)
+            target[m - 1], target[m] = target[m], target[m - 1]
             moves.append(m)
     return state.pair, tuple(moves)
 
 
 def to_tamed(pair: CollapsingPair) -> tuple[CollapsingPair, tuple[int, ...]]:
     """The unique tamed pair of the signed-KM class, with a move witness."""
-    target = tamed_labeling(skeleton_of(tree_from_pair(pair), signed=True))
-    return reduce_to_labeling(pair, target)
+    return reduce_to_labeling(pair, tamed_labeling(tree_from_pair(pair)))
 
 
 def to_echelon(pair: CollapsingPair) -> tuple[CollapsingPair, tuple[int, ...]]:
     """The unique upper-echelon member of the (unsigned) class."""
     seed = pair.unsigned()
-    target = echelon_labeling(skeleton_of(tree_from_pair(seed), signed=False))
-    return reduce_to_labeling(seed, target)
+    return reduce_to_labeling(seed, echelon_labeling(tree_from_pair(seed)))
 
 
 def echelon_pair(pair: CollapsingPair) -> CollapsingPair:
-    """Upper-echelon form read straight off the skeleton labeling."""
-    tree = echelon_labeling(skeleton_of(tree_from_pair(pair), signed=False))
-    return pair_from_tree(tree)
+    """Upper-echelon form read straight off the echelon relabeling."""
+    return _act(pair.unsigned(), echelon_labeling(tree_from_pair(pair)), conjugate=True)
 
 
 def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]:

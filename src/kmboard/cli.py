@@ -22,13 +22,7 @@ from .pairs import (
     parse_sgn,
     validate_pair,
 )
-from .trees import (
-    pair_from_tree,
-    skeleton_key,
-    skeleton_of,
-    tamed_labeling,
-    tree_from_pair,
-)
+from .trees import skeleton_key, tree_from_pair
 from .verify import CHECKS
 
 
@@ -117,10 +111,6 @@ def cmd_canon(args) -> int:
     return 0
 
 
-def _tamed_representative(pair: CollapsingPair) -> CollapsingPair:
-    return pair_from_tree(tamed_labeling(skeleton_of(tree_from_pair(pair), signed=True)))
-
-
 def _reference_of(pair: CollapsingPair) -> CollapsingPair:
     return canonical.to_reference(pair)[0]
 
@@ -132,7 +122,7 @@ def cmd_classify(args) -> int:
         key_of, rep_of = (lambda p: skeleton_key(p.mu)), canonical.echelon_pair
     elif args.moves == "signed-km":
         pairs = enumerate_pairs(args.k, signed=True, cap=args.cap)
-        key_of, rep_of = (lambda p: skeleton_key(p.mu, p.sgn)), _tamed_representative
+        key_of, rep_of = (lambda p: skeleton_key(p.mu, p.sgn)), (lambda p: canonical.to_tamed(p)[0])
     else:  # wild classes partition the tamed pairs
         pairs = canonical.tamed_pairs(args.k, cap=args.cap)
         key_of, rep_of = (lambda p: _dumps(_reference_of(p).to_json())), _reference_of
@@ -326,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BoardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply for this command", file=sys.stderr)
         return 2
 
 

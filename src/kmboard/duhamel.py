@@ -477,29 +477,27 @@ def expand_oracle(pair: CollapsingPair, trace: bool = False):
 
 def _render_group(base: SymExpr, plain: int, conjd: int) -> str:
     paired = min(plain, conjd)
+    text = render_expr(base)  # once: a repeat here multiplies down every nested product
     out = ""
     if paired:
-        out += f"|{render_expr(base)}|^{2 * paired}"
-    out += render_expr(base) * (plain - paired)
-    out += f"conj({render_expr(base)})" * (conjd - paired)
+        out += f"|{text}|^{2 * paired}"
+    out += text * (plain - paired)
+    out += f"conj({text})" * (conjd - paired)
     return out
 
 
 def _product_groups(factors) -> list[str]:
-    order: list[SymExpr] = []
+    order: list[tuple[SymExpr, str]] = []
     plain: dict[str, int] = {}
     conjd: dict[str, int] = {}
     for f in factors:
         base = f.body if isinstance(f, Conj) else f
         key = expr_key(base)
         if key not in plain and key not in conjd:
-            order.append(base)
+            order.append((base, key))
         bucket = conjd if isinstance(f, Conj) else plain
         bucket[key] = bucket.get(key, 0) + 1
-    return [
-        _render_group(base, plain.get(expr_key(base), 0), conjd.get(expr_key(base), 0))
-        for base in order
-    ]
+    return [_render_group(base, plain.get(key, 0), conjd.get(key, 0)) for base, key in order]
 
 
 def render_expr(e: SymExpr) -> str:

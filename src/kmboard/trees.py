@@ -6,18 +6,18 @@ when ``mu(2l) = mu(2j)`` (same left branch), as a middle child when
 ``mu(2l) = 2j`` and as a right child when ``mu(2l) = 2j + 1``.  Node 1
 has the single child 2.  Erasing labels (keeping the L/M/R slot of every
 child, and optionally the signs) gives the skeleton, the complete
-invariant of (signed) KM equivalence.
+invariant of (signed) KM equivalence, serialized by :func:`skeleton_key`.
+A canonical labeling is a permutation of the tree's own labels.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NotAdmissible, OutOfRange
-from .pairs import CollapsingPair
-
-SLOT_NAMES = ("L", "M", "R")
+from .pairs import CollapsingPair, TimePermutation
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,6 @@ class SignedTree:
             raise OutOfRange(f"no node {label}")
         return self.parent[label]
 
-    def path_of(self, label: int) -> str:
-        """Slot path from the root's child down to ``label`` ("" for node 2)."""
-        steps = []
-        x = label
-        while x != 2:
-            p = self.parent[x]
-            steps.append(SLOT_NAMES[self.slots[p].index(x)])
-            x = p
-        return ".".join(reversed(steps))
-
-    def positions(self) -> dict:
-        """Map slot-path -> label for every even node."""
-        return {self.path_of(x): x for x in self.labels}
-
     def to_json(self) -> dict:
         def node(x):
             l, m, r = self.slots[x]
@@ -104,36 +90,6 @@ class SignedTree:
                 lines.append(f'  n{x} -> n{r} [label="R"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """Unlabeled rooted ternary shape with L/M/R slot identity.
-
-    ``shape`` is a nested tuple ``(sign, L, M, R)`` per node (children
-    ``None`` when the slot is empty; ``sign`` is ``None`` in the
-    unsigned variant), rooted at the position of node 2.  Structural
-    equality coincides with equality of the canonical serialization.
-    """
-
-    k: int
-    signed: bool
-    shape: tuple
-
-    @property
-    def key(self) -> str:
-        """Canonical preorder serialization; missing children print as '.'."""
-
-        def ser(node):
-            if node is None:
-                return "."
-            s, l, m, r = node
-            return "(" + (s or "") + ser(l) + ser(m) + ser(r) + ")"
-
-        return ser(self.shape)
-
-    def __str__(self):
-        return self.key
 
 
 def _slots_from_mu(k: int, mu) -> dict:
@@ -183,18 +139,6 @@ def pair_from_tree(tree: SignedTree) -> CollapsingPair:
         tuple(mu[2 * j] for j in range(1, k + 1)),
         tuple(tree.sign[2 * j] for j in range(1, k + 1)),
     )
-
-
-def skeleton_of(tree: SignedTree, signed: bool = True) -> Skeleton:
-    """Erase the labels; keep signs only when ``signed``."""
-
-    def shape(x):
-        if x is None:
-            return None
-        l, m, r = tree.slots[x]
-        return (tree.sign[x] if signed else None, shape(l), shape(m), shape(r))
-
-    return Skeleton(tree.k, signed, shape(2))
 
 
 def skeleton_key(mu, sgn=None) -> str:
@@ -249,93 +193,55 @@ def preorder_positions(mu) -> tuple[int, ...]:
 # -- canonical labelings -----------------------------------------------------
 
 
-class _ShapeNodes:
-    """Mutable scratch view of a skeleton for the labeling algorithms."""
+def _queue_labeling(tree: SignedTree, signed: bool) -> TimePermutation:
+    """rho(x) = the canonical label of node x under the queue discipline.
 
-    def __init__(self, skeleton: Skeleton):
-        self.sign: list[Optional[str]] = []
-        self.kids: list[list[Optional[int]]] = []
+    Labels go out in increasing order, one whole left branch at a time,
+    starting with node 2's.  A dequeued node opens its middle-child
+    branch and then its right-child branch.  Each labeled branch is
+    enqueued in label order, with its ``+`` nodes before its ``-`` nodes
+    when ``signed``.  No recursion, so any depth works.
+    """
+    image = [0] * tree.k
+    queue: deque[int] = deque()
+    label = 2
 
-        def build(node) -> Optional[int]:
-            if node is None:
-                return None
-            s, l, m, r = node
-            i = len(self.sign)
-            self.sign.append(s)
-            self.kids.append([None, None, None])
-            self.kids[i][0] = build(l)
-            self.kids[i][1] = build(m)
-            self.kids[i][2] = build(r)
-            return i
-
-        self.root = build(skeleton.shape)
-        self.label: dict[int, int] = {}
-        self._next = 2
-
-    def label_left_branch(self, start: int) -> list[int]:
-        """Assign the next labels down the left chain from ``start``."""
+    def open_branch(x: Optional[int]) -> None:
+        nonlocal label
         branch = []
-        node: Optional[int] = start
-        while node is not None:
-            self.label[node] = self._next
-            self._next += 2
-            branch.append(node)
-            node = self.kids[node][0]
-        return branch
+        while x is not None:
+            image[(x - 2) >> 1] = label
+            label += 2
+            branch.append(x)
+            x = tree.slots[x][0]
+        if signed:
+            branch.sort(key=tree.sign.__getitem__)  # stable, and "+" < "-"
+        queue.extend(branch)
 
-    def to_tree(self, k: int, default_sign: str = "+") -> SignedTree:
-        slots = {}
-        sign = {}
-        for i, lab in self.label.items():
-            slots[lab] = tuple(
-                self.label[c] if c is not None else None for c in self.kids[i]
-            )
-            sign[lab] = self.sign[i] or default_sign
-        return SignedTree(k, slots, sign)
-
-
-def echelon_labeling(skeleton: Skeleton) -> SignedTree:
-    """The unique labeling in upper echelon form (mu(2j) <= mu(2j+2)).
-
-    Branches are opened in order of their attachment node's label,
-    middle before right; each new branch's left chain is consumed at
-    once.  Signs, if present on the skeleton, are carried through.
-    """
-    nodes = _ShapeNodes(skeleton)
-    nodes.label_left_branch(nodes.root)
-    while True:
-        pending = [
-            (nodes.label[i], slot, child)
-            for i in nodes.label
-            for slot, child in ((1, nodes.kids[i][1]), (2, nodes.kids[i][2]))
-            if child is not None and child not in nodes.label
-        ]
-        if not pending:
-            break
-        _, _, child = min(pending)
-        nodes.label_left_branch(child)
-    return nodes.to_tree(skeleton.k)
-
-
-def tamed_labeling(skeleton: Skeleton) -> SignedTree:
-    """The unique tamed labeling of a signed skeleton.
-
-    Queue discipline: dequeue a node, label its middle-child branch and
-    then its right-child branch; each newly labeled left branch
-    enqueues its ``+`` nodes (in label order) before its ``-`` nodes.
-    """
-    nodes = _ShapeNodes(skeleton)
-
-    def enqueue(branch):
-        queue.extend(i for i in branch if (nodes.sign[i] or "+") == "+")
-        queue.extend(i for i in branch if (nodes.sign[i] or "+") == "-")
-
-    queue: list[int] = []
-    enqueue(nodes.label_left_branch(nodes.root))
+    open_branch(2)
     while queue:
-        i = queue.pop(0)
-        for slot in (1, 2):
-            child = nodes.kids[i][slot]
-            if child is not None:
-                enqueue(nodes.label_left_branch(child))
-    return nodes.to_tree(skeleton.k)
+        _, m, r = tree.slots[queue.popleft()]
+        if m is not None:
+            open_branch(m)
+        if r is not None:
+            open_branch(r)
+    return TimePermutation(tree.k, tuple(image))
+
+
+def echelon_labeling(tree: SignedTree) -> TimePermutation:
+    """Relabeling of the tree's nodes into upper echelon form.
+
+    The relabeled map satisfies mu(2j) <= mu(2j+2): branches open in
+    order of their attachment node's label, middle before right.  Signs
+    are ignored.
+    """
+    return _queue_labeling(tree, signed=False)
+
+
+def tamed_labeling(tree: SignedTree) -> TimePermutation:
+    """Relabeling of the tree's nodes into the unique tamed labeling.
+
+    As :func:`echelon_labeling`, except that each left branch is queued
+    with its ``+`` nodes before its ``-`` nodes.
+    """
+    return _queue_labeling(tree, signed=True)

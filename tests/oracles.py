@@ -1,6 +1,9 @@
-"""Slow literal definitions that the fast predicates in ``kmboard`` are checked against."""
+"""Slow literal definitions that the fast predicates in ``kmboard`` are checked against,
+and the Hypothesis strategy for pairs that the property tests draw from."""
 
 import itertools
+
+from hypothesis import strategies as st
 
 from kmboard.domains import TimePoset
 from kmboard.duhamel import (
@@ -16,9 +19,18 @@ from kmboard.duhamel import (
     prod,
 )
 from kmboard.errors import CapExceeded
-from kmboard.moves import groups_of
+from kmboard.moves import MoveState, apply_signed_km, groups_of
 from kmboard.pairs import ENUMERATION_CAP, CollapsingPair, TimePermutation, enumerate_pairs
-from kmboard.trees import skeleton_key, tree_from_pair
+from kmboard.trees import SignedTree, pair_from_tree, skeleton_key, tree_from_pair
+
+
+@st.composite
+def signed_pairs(draw, max_k=12):
+    """A signed pair of order 1..max_k, every legal entry reachable."""
+    k = draw(st.integers(1, max_k))
+    mu = tuple(draw(st.integers(1, 2 * j - 1)) for j in range(1, k + 1))
+    sgn = tuple(draw(st.sampled_from("+-")) for _ in range(k))
+    return CollapsingPair(k, mu, sgn)
 
 
 def literal_tiers(pair):
@@ -228,6 +240,148 @@ def literal_to_reference(pair):
     )
     sgn = tuple(pair.sgn_of(rho.of(2 * j)) for j in range(1, k + 1))
     return CollapsingPair(k, mu, sgn), rho
+
+
+# -- canonical labelings through a skeleton copy and slot paths ----------------
+
+
+def literal_skeleton(tree, signed=True):
+    """Nested ``(sign, L, M, R)`` shape rooted at node 2; sign None unless ``signed``."""
+
+    def shape(x):
+        if x is None:
+            return None
+        l, m, r = tree.slots[x]
+        return (tree.sign[x] if signed else None, shape(l), shape(m), shape(r))
+
+    return shape(2)
+
+
+class _ShapeNodes:
+    """Mutable scratch copy of a skeleton shape, labeled one left branch at a time."""
+
+    def __init__(self, shape):
+        self.sign = []
+        self.kids = []
+
+        def build(node):
+            if node is None:
+                return None
+            s, l, m, r = node
+            i = len(self.sign)
+            self.sign.append(s or "+")
+            self.kids.append([None, None, None])
+            self.kids[i][0] = build(l)
+            self.kids[i][1] = build(m)
+            self.kids[i][2] = build(r)
+            return i
+
+        self.root = build(shape)
+        self.label = {}
+        self._next = 2
+
+    def label_left_branch(self, start):
+        branch = []
+        node = start
+        while node is not None:
+            self.label[node] = self._next
+            self._next += 2
+            branch.append(node)
+            node = self.kids[node][0]
+        return branch
+
+    def to_tree(self, k):
+        slots = {}
+        sign = {}
+        for i, lab in self.label.items():
+            slots[lab] = tuple(self.label[c] if c is not None else None for c in self.kids[i])
+            sign[lab] = self.sign[i]
+        return SignedTree(k, slots, sign)
+
+
+def literal_echelon_labeling(shape, k):
+    """The upper-echelon labeled tree: always open the pending branch whose
+    attachment node has the smallest label, middle before right."""
+    nodes = _ShapeNodes(shape)
+    nodes.label_left_branch(nodes.root)
+    while True:
+        pending = [
+            (nodes.label[i], slot, child)
+            for i in nodes.label
+            for slot, child in ((1, nodes.kids[i][1]), (2, nodes.kids[i][2]))
+            if child is not None and child not in nodes.label
+        ]
+        if not pending:
+            return nodes.to_tree(k)
+        nodes.label_left_branch(min(pending)[2])
+
+
+def literal_tamed_labeling(shape, k):
+    """The tamed labeled tree: a dequeued node opens its middle then right
+    branch; each new branch enqueues its + nodes before its - nodes."""
+    nodes = _ShapeNodes(shape)
+    queue = []
+
+    def enqueue(branch):
+        queue.extend(i for i in branch if nodes.sign[i] == "+")
+        queue.extend(i for i in branch if nodes.sign[i] == "-")
+
+    enqueue(nodes.label_left_branch(nodes.root))
+    while queue:
+        i = queue.pop(0)
+        for slot in (1, 2):
+            child = nodes.kids[i][slot]
+            if child is not None:
+                enqueue(nodes.label_left_branch(child))
+    return nodes.to_tree(k)
+
+
+def literal_positions(tree):
+    """Slot path ("" for node 2, else L/M/R steps joined by ".") -> label."""
+    names = "LMR"
+    out = {}
+    for label in tree.labels:
+        steps = []
+        x = label
+        while x != 2:
+            p = tree.parent[x]
+            steps.append(names[tree.slots[p].index(x)])
+            x = p
+        out[".".join(reversed(steps))] = label
+    return out
+
+
+def literal_reduce_to_labeling(pair, target):
+    """Bubble the node at the slot path of each target label 2j, in order,
+    down to 2j by adjacent KM moves, re-reading the paths after moving."""
+    target_path = {lab: path for path, lab in literal_positions(target).items()}
+    state = MoveState.start(pair)
+    positions = literal_positions(tree_from_pair(pair))
+    moves = []
+    for j in range(1, pair.k + 1):
+        current = positions[target_path[2 * j]]
+        for m in range(current // 2 - 1, j - 1, -1):
+            state = apply_signed_km(state, m)
+            moves.append(m)
+        if current != 2 * j:
+            positions = literal_positions(tree_from_pair(state.pair))
+    return state.pair, tuple(moves)
+
+
+def literal_to_tamed(pair):
+    target = literal_tamed_labeling(literal_skeleton(tree_from_pair(pair)), pair.k)
+    return literal_reduce_to_labeling(pair, target)
+
+
+def literal_to_echelon(pair):
+    seed = pair.unsigned()
+    target = literal_echelon_labeling(literal_skeleton(tree_from_pair(seed), False), seed.k)
+    return literal_reduce_to_labeling(seed, target)
+
+
+def literal_echelon_pair(pair):
+    shape = literal_skeleton(tree_from_pair(pair), signed=False)
+    return pair_from_tree(literal_echelon_labeling(shape, pair.k))
 
 
 # -- Duhamel kernels: normal form in two passes, substitution by relabeling ----

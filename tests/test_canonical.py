@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from kmboard.canonical import (
     echelon_pair,
@@ -24,7 +25,16 @@ from kmboard.moves import (
 )
 from kmboard.pairs import enumerate_pairs, random_pair, validate_pair
 from kmboard.trees import skeleton_key
-from oracles import literal_is_reference, literal_is_tamed, literal_tiers, literal_to_reference
+from oracles import (
+    literal_echelon_pair,
+    literal_is_reference,
+    literal_is_tamed,
+    literal_tiers,
+    literal_to_echelon,
+    literal_to_reference,
+    literal_to_tamed,
+    signed_pairs,
+)
 
 TAMED13 = validate_pair(
     13,
@@ -174,6 +184,30 @@ def test_to_echelon_witness_and_fixed_point():
         for j in move_seq:
             state = apply_signed_km(state, j)
         assert state.pair == ech
+
+
+def test_canonical_forms_match_their_slot_path_oracles():
+    rng = random.Random(43)
+    cases = [p for k in range(1, 6) for p in enumerate_pairs(k, signed=True)]
+    cases += [random_pair(rng.randint(6, 14), rng) for _ in range(200)]
+    for p in cases:
+        assert to_tamed(p) == literal_to_tamed(p)
+    # the echelon forms drop the signs first, so one sign array per map covers them
+    for p in cases:
+        if all(s == "+" for s in p.sgn) or p.k > 5:
+            assert to_echelon(p) == literal_to_echelon(p)
+            assert echelon_pair(p) == literal_echelon_pair(p)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_pairs())
+def test_to_tamed_is_idempotent_and_its_witness_replays_property(p):
+    tamed, witness = to_tamed(p)
+    assert to_tamed(tamed) == (tamed, ())
+    state = MoveState.start(p)
+    for j in witness:
+        state = apply_signed_km(state, j)
+    assert state.pair == tamed
 
 
 def test_to_reference_of_wild_example_matches_table():

@@ -256,6 +256,24 @@ def test_verify_threads_below_one_exits_2(capsys):
     assert "--threads" in input_error(capsys, "verify", "--k", "2", "--threads", "0")
 
 
+def middle_chain(k):
+    """--mu and --sgn of the chain 2 -> 4 -> ... -> 2k through middle slots."""
+    return "--mu", ",".join(map(str, (1, *range(2, 2 * k - 1, 2)))), "--sgn", ",".join("+" * k)
+
+
+def test_too_deep_input_exits_2_without_a_traceback(capsys):
+    line = input_error(capsys, "dtree", *middle_chain(600), "--format", "json")
+    assert line == "error: input nests too deeply for this command"
+
+
+@pytest.mark.parametrize("form", ["tamed", "echelon"])
+def test_canon_labels_a_deep_chain(capsys, form):
+    code, out = run(capsys, "canon", *middle_chain(1200), "--form", form)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["canonical"] == payload["input"] and payload["moves"] == []
+
+
 def test_enumerate_negative_limit_exits_2(capsys):
     assert "--limit" in input_error(capsys, "enumerate", "--k", "2", "--limit", "-1")
 

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmboard import duhamel
 from kmboard.canonical import is_reference, tamed_pairs
 from kmboard.domains import tc_domain, TimePoset
 from kmboard.duhamel import (
@@ -27,13 +28,12 @@ from kmboard.duhamel import (
 )
 from kmboard.moves import MoveState, allowable_permutations, apply_signed_km, apply_wild, km_admissible_indices
 from kmboard.pairs import (
-    CollapsingPair,
     TimePermutation,
     enumerate_pairs,
     random_pair,
     validate_pair,
 )
-from oracles import literal_substitute_times, two_pass_normalize
+from oracles import literal_substitute_times, signed_pairs, two_pass_normalize
 
 QUINTIC = validate_pair(7, (1, 1, 1, 2, 3, 6, 6), "++--++-")
 
@@ -253,14 +253,6 @@ def test_normalize_and_substitute_times_match_their_oracles():
                     assert substitute_times(e, rho) == literal_substitute_times(e, rho)
 
 
-@st.composite
-def _signed_pairs(draw, max_k=12):
-    k = draw(st.integers(1, max_k))
-    mu = tuple(draw(st.integers(1, 2 * j - 1)) for j in range(1, k + 1))
-    sgn = tuple(draw(st.sampled_from("+-")) for _ in range(k))
-    return CollapsingPair(k, mu, sgn)
-
-
 _LABELS = st.sampled_from([None, 1, 3, 5, 7, 9])
 
 _EXPRS = st.recursive(
@@ -277,7 +269,7 @@ _EXPRS = st.recursive(
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_signed_pairs())
+@given(signed_pairs())
 def test_expand_equals_normalized_oracle_property(p):
     assert expand(p) == tuple(map(normalize, expand_oracle(p)))
 
@@ -286,6 +278,22 @@ def test_expand_equals_normalized_oracle_property(p):
 @given(_EXPRS)
 def test_conjugation_commutes_with_normalize_property(e):
     assert normalize(Conj(e)) == normalize(Conj(normalize(e)))
+
+
+def test_expand_text_renders_each_subexpression_once(monkeypatch):
+    calls = 0
+    render = duhamel.render_expr
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "render_expr repeats the bases of nested products"
+        return render(e)
+
+    monkeypatch.setattr(duhamel, "render_expr", counted)
+    k = 20  # the middle chain: every product nests inside the one before
+    duhamel.expand_text(validate_pair(k, (1, *range(2, 2 * k - 1, 2)), "+-" * (k // 2)))
+    assert calls < 1000
 
 
 def test_substitute_times_identity_and_composition():

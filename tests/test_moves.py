@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmboard.canonical import is_tamed
 from kmboard.errors import ConstraintViolation, KMismatch, NotAcceptable, NotAllowable, NotTamed
@@ -22,7 +24,14 @@ from kmboard.pairs import (
     random_pair,
     validate_pair,
 )
-from oracles import all_permutations, literal_act, literal_is_allowable, skeleton_fiber
+from kmboard.trees import skeleton_key
+from oracles import (
+    all_permutations,
+    literal_act,
+    literal_is_allowable,
+    signed_pairs,
+    skeleton_fiber,
+)
 
 SEC2_CLASS = [
     validate_pair(5, (1, 1, 1, 3, 6), "++--+"),
@@ -280,3 +289,26 @@ def test_indexed_kernels_match_their_oracles_exhaustively():
 def test_is_allowable_rejects_a_permutation_of_another_order():
     with pytest.raises(KMismatch):
         is_allowable(validate_pair(2, (1, 1), "++"), TimePermutation.identity(3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_pairs(), st.data())
+def test_km_move_is_an_involution_property(p, data):
+    js = km_admissible_indices(p)
+    if js:
+        j = data.draw(st.sampled_from(js))
+        twice = apply_signed_km(apply_signed_km(MoveState.start(p), j), j)
+        assert twice.pair == p and twice.sigma.is_identity
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_pairs(), st.lists(st.integers(0, 2**16), max_size=24))
+def test_signed_skeleton_key_is_constant_along_km_walks_property(p, picks):
+    key = skeleton_key(p.mu, p.sgn)
+    state = MoveState.start(p)
+    for pick in picks:
+        js = km_admissible_indices(state.pair)
+        if not js:
+            break
+        state = apply_signed_km(state, js[pick % len(js)])
+        assert skeleton_key(state.pair.mu, state.pair.sgn) == key

@@ -10,10 +10,18 @@ from kmboard.trees import (
     echelon_labeling,
     pair_from_tree,
     skeleton_key,
-    skeleton_of,
     tamed_labeling,
     tree_from_pair,
 )
+
+
+def relabeled(tree, rho):
+    """The same tree with node x carrying label rho(x), slots and signs riding along."""
+    slots = {
+        rho.of(x): tuple(None if c is None else rho.of(c) for c in tree.slots[x])
+        for x in tree.labels
+    }
+    return SignedTree(tree.k, slots, {rho.of(x): tree.sign[x] for x in tree.labels})
 
 
 def test_tree_of_worked_example():
@@ -73,8 +81,7 @@ def test_skeleton_equal_across_km_class():
 
 
 def test_single_node_skeleton():
-    sk = skeleton_of(tree_from_pair(validate_pair(1, (1,), "+")), signed=False)
-    assert sk.key == "(...)"
+    assert skeleton_key(validate_pair(1, (1,), "+").mu) == "(...)"
 
 
 def test_signed_skeleton_invariant_under_moves_with_label_map():
@@ -87,24 +94,23 @@ def test_signed_skeleton_invariant_under_moves_with_label_map():
         j = rng.choice(js)
         state = apply_signed_km(MoveState.start(p), j)
         old, new = tree_from_pair(p), tree_from_pair(state.pair)
-        assert skeleton_of(old).key == skeleton_of(new).key
-        # node 2j trades places with 2j+2, signs riding along
-        positions_old = old.positions()
-        positions_new = new.positions()
-        for path, label in positions_old.items():
-            image = {2 * j: 2 * j + 2, 2 * j + 2: 2 * j}.get(label, label)
-            assert positions_new[path] == image
+        assert skeleton_key(p.mu, p.sgn) == skeleton_key(state.pair.mu, state.pair.sgn)
+        # node 2j trades places with 2j+2 in its slot, signs riding along
+        swap = {2 * j: 2 * j + 2, 2 * j + 2: 2 * j}
+        for label in old.labels:
+            image = swap.get(label, label)
+            assert new.slots[image] == tuple(swap.get(c, c) for c in old.slots[label])
             assert new.sign_of(image) == old.sign_of(label)
 
 
 def test_echelon_labeling_of_worked_skeleton():
-    sk = skeleton_of(tree_from_pair(validate_pair(5, (1, 1, 1, 2, 3), "++--+")), False)
-    assert pair_from_tree(echelon_labeling(sk)).mu == (1, 1, 1, 2, 3)
+    tree = tree_from_pair(validate_pair(5, (1, 1, 1, 2, 3), "++--+"))
+    assert pair_from_tree(relabeled(tree, echelon_labeling(tree))).mu == (1, 1, 1, 2, 3)
 
 
 def test_echelon_labeling_of_left_chain():
-    sk = skeleton_of(tree_from_pair(validate_pair(4, (1, 1, 1, 1), "++++")), False)
-    assert pair_from_tree(echelon_labeling(sk)).mu == (1, 1, 1, 1)
+    tree = tree_from_pair(validate_pair(4, (1, 1, 1, 1), "++++"))
+    assert pair_from_tree(relabeled(tree, echelon_labeling(tree))).mu == (1, 1, 1, 1)
 
 
 def test_every_k3_skeleton_yields_distinct_echelon_pair():
@@ -117,8 +123,8 @@ def test_every_k3_skeleton_yields_distinct_echelon_pair():
     assert len(by_skeleton) == 12
     echelons = set()
     for members in by_skeleton.values():
-        sk = skeleton_of(tree_from_pair(members[0]), signed=False)
-        ech = pair_from_tree(echelon_labeling(sk))
+        tree = tree_from_pair(members[0])
+        ech = pair_from_tree(relabeled(tree, echelon_labeling(tree)))
         assert is_upper_echelon(ech)
         assert ech in members
         echelons.add(ech.mu)
@@ -129,20 +135,22 @@ def test_tamed_labeling_of_large_example():
     mu = (1, 1, 1, 1, 1, 6, 6, 7, 2, 3, 10, 13, 18)
     sgn = ("-", "-", "+", "+", "-", "-", "+", "+", "-", "+", "+", "-", "+")
     pair = validate_pair(13, mu, sgn)
-    relabeled = pair_from_tree(tamed_labeling(skeleton_of(tree_from_pair(pair))))
-    assert relabeled == pair  # the chart is already the tamed enumeration
+    tree = tree_from_pair(pair)
+    # the chart is already the tamed enumeration
+    assert pair_from_tree(relabeled(tree, tamed_labeling(tree))) == pair
+    assert tamed_labeling(tree).is_identity
 
 
 def test_tamed_labeling_one_node():
-    sk = skeleton_of(tree_from_pair(validate_pair(1, (1,), "+")))
-    out = pair_from_tree(tamed_labeling(sk))
+    tree = tree_from_pair(validate_pair(1, (1,), "+"))
+    out = pair_from_tree(relabeled(tree, tamed_labeling(tree)))
     assert out.mu == (1,) and out.sgn == ("+",)
 
 
 def test_tamed_labeling_of_order_five_reference():
     pair = validate_pair(5, (1, 1, 1, 3, 6), "++--+")
-    out = pair_from_tree(tamed_labeling(skeleton_of(tree_from_pair(pair))))
-    assert out == pair
+    tree = tree_from_pair(pair)
+    assert pair_from_tree(relabeled(tree, tamed_labeling(tree))) == pair
 
 
 def test_skeleton_count_matches_catalan():
