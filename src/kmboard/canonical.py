@@ -15,8 +15,8 @@ import functools
 import itertools
 from typing import Iterator
 
-from .errors import NotReference, NotTamed, OutOfRange
-from .moves import MoveState, _act, apply_signed_km, groups_of, is_allowable
+from .errors import NotAcceptable, NotReference, NotTamed, OutOfRange
+from .moves import _act, _km_acceptable, groups_of, is_allowable
 from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
 from .trees import echelon_labeling, tamed_labeling, tree_from_pair
 
@@ -167,18 +167,31 @@ def reduce_to_labeling(
     end up with.  For each label 2j in order, that node is bubbled down
     from its current label 2l through KM(2l-2,2l), ..., KM(2j,2j+2), each
     move swapping two entries of ``target``.  Every step is checked
-    acceptable.  Returns the final pair and the move indices in
-    application order.
+    acceptable (:class:`NotAcceptable` otherwise) and applied to the map
+    in place: the move at m swaps entries m-1 and m of ``mu`` and
+    ``sgn`` and renames the values 2m <-> 2m+2 and 2m+1 <-> 2m+3.
+    Acceptability keeps both swapped entries below 2m, so the renamed
+    values sit after them.  Returns the final pair and the move indices
+    in application order.
     """
+    k = pair.k
+    mu, sgn = list(pair.mu), list(pair.sgn)
     target = list(rho.image)
-    state = MoveState.start(pair)
     moves: list[int] = []
-    for j in range(1, pair.k + 1):
+    for j in range(1, k + 1):
         for m in range(target.index(2 * j, j - 1), j - 1, -1):
-            state = apply_signed_km(state, m)
+            if not _km_acceptable(mu, m):
+                raise NotAcceptable(m)
+            mu[m - 1], mu[m] = mu[m], mu[m - 1]
+            sgn[m - 1], sgn[m] = sgn[m], sgn[m - 1]
+            lo = 2 * m
+            for i in range(m + 1, k):
+                v = mu[i]
+                if lo <= v <= lo + 3:
+                    mu[i] = v + 2 if v < lo + 2 else v - 2
             target[m - 1], target[m] = target[m], target[m - 1]
             moves.append(m)
-    return state.pair, tuple(moves)
+    return CollapsingPair(k, tuple(mu), tuple(sgn)), tuple(moves)
 
 
 def to_tamed(pair: CollapsingPair) -> tuple[CollapsingPair, tuple[int, ...]]:

@@ -31,14 +31,39 @@ from .pairs import CollapsingPair, TimePermutation
 # -- symbolic expressions ----------------------------------------------------
 
 
+class _cached_key:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on each first read: the key is stored in the instance dict
+    under the same name, so later reads never reach this descriptor.
+    Nodes are immutable, so two threads racing on one node compute the
+    same string."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        key = node.__dict__["key"] = self.compute(node)
+        return key
+
+
 @dataclass(frozen=True)
 class Atom:
     name: str = "phi"
+
+    @_cached_key
+    def key(self) -> str:
+        return self.name
 
 
 @dataclass(frozen=True)
 class Conj:
     body: "SymExpr"
+
+    @_cached_key
+    def key(self) -> str:
+        return f"c({self.body.key})"
 
 
 @dataclass(frozen=True)
@@ -47,10 +72,20 @@ class Evolve:
     b: Optional[int]  # negative-phase time label
     body: "SymExpr"
 
+    @_cached_key
+    def key(self) -> str:
+        a = "_" if self.a is None else self.a
+        b = "_" if self.b is None else self.b
+        return f"e[{a},{b}]({self.body.key})"
+
 
 @dataclass(frozen=True)
 class Prod:
     factors: tuple
+
+    @_cached_key
+    def key(self) -> str:
+        return "p(" + ",".join(f.key for f in self.factors) + ")"
 
 
 SymExpr = Union[Atom, Conj, Evolve, Prod]
@@ -100,16 +135,13 @@ def prod(factors) -> SymExpr:
 
 
 def expr_key(e: SymExpr) -> str:
-    """Deterministic serialization; equal keys <=> equal expressions."""
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, Conj):
-        return f"c({expr_key(e.body)})"
-    if isinstance(e, Evolve):
-        a = "_" if e.a is None else e.a
-        b = "_" if e.b is None else e.b
-        return f"e[{a},{b}]({expr_key(e.body)})"
-    return "p(" + ",".join(expr_key(f) for f in e.factors) + ")"
+    """Deterministic serialization; equal keys <=> equal expressions.
+
+    Each node computes its key once and keeps it, so sorting the
+    factors of nested products does not serialize a subtree again at
+    every level above it.
+    """
+    return e.key
 
 
 def normalize(e: SymExpr) -> SymExpr:

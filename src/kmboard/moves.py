@@ -4,8 +4,10 @@ KM acceptable moves conjugate the map by an adjacent double
 transposition ``(2j,2j+2)(2j+1,2j+3)`` subject to an admissibility
 condition; they permute tree labels but fix the (signed) skeleton.
 Wild moves act by allowable permutations; they fix the left-branch
-partition but change the skeleton.  Both accumulate a time relabeling
-``sigma``.
+partition but change the skeleton.  :func:`apply_signed_km` and
+:func:`apply_wild` accumulate a time relabeling ``sigma`` in a
+:class:`MoveState`; reductions that only need the final pair apply KM
+moves to the map directly (see :func:`kmboard.canonical.reduce_to_labeling`).
 """
 
 from __future__ import annotations
@@ -30,17 +32,18 @@ class MoveState:
         return cls(pair, TimePermutation.identity(pair.k))
 
 
-def km_admissible_indices(pair: CollapsingPair) -> list[int]:
-    """Indices j in {2..k-1} where the adjacent move is acceptable.
+def _km_acceptable(mu, j: int) -> bool:
+    """Is the adjacent move at j acceptable for the map ``mu`` (``mu[j-1] = mu(2j)``)?
 
-    The move at j needs ``mu(2j) != mu(2j+2)`` and ``mu(2j+2) < 2j``.
+    It needs ``2 <= j < k``, ``mu(2j) != mu(2j+2)`` and ``mu(2j+2) < 2j``.
     j=1 is never offered: mu(2)=1 is pinned.
     """
-    return [
-        j
-        for j in range(2, pair.k)
-        if pair.mu[j - 1] != pair.mu[j] and pair.mu[j] < 2 * j
-    ]
+    return 2 <= j < len(mu) and mu[j - 1] != mu[j] and mu[j] < 2 * j
+
+
+def km_admissible_indices(pair: CollapsingPair) -> list[int]:
+    """Indices j in {2..k-1} where the adjacent move is acceptable."""
+    return [j for j in range(2, pair.k) if _km_acceptable(pair.mu, j)]
 
 
 def _act(pair: CollapsingPair, rho: TimePermutation, conjugate: bool) -> CollapsingPair:
@@ -66,7 +69,7 @@ def _act(pair: CollapsingPair, rho: TimePermutation, conjugate: bool) -> Collaps
 def apply_signed_km(state: MoveState, j: int) -> MoveState:
     """One signed KM acceptable move at index j (an involution)."""
     pair = state.pair
-    if j not in km_admissible_indices(pair):
+    if not _km_acceptable(pair.mu, j):
         raise NotAcceptable(j)
     rho = TimePermutation.transposition(pair.k, 2 * j, 2 * j + 2)
     return MoveState(_act(pair, rho, conjugate=True), rho.compose(state.sigma))

@@ -47,11 +47,6 @@ class SignedTree:
     def labels(self) -> range:
         return range(2, 2 * self.k + 1, 2)
 
-    def children(self, label: int) -> tuple:
-        if label == 1:
-            return (None, 2, None)
-        return self.slots[label]
-
     def sign_of(self, label: int) -> str:
         return self.sign[label]
 

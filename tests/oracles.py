@@ -15,7 +15,6 @@ from kmboard.duhamel import (
     build_dtree,
     conj,
     evolve,
-    expr_key,
     prod,
 )
 from kmboard.errors import CapExceeded
@@ -387,6 +386,20 @@ def literal_echelon_pair(pair):
 # -- Duhamel kernels: normal form in two passes, substitution by relabeling ----
 
 
+def literal_expr_key(e):
+    """The serialization that ``expr_key`` keeps on each node, rebuilt from
+    the whole subtree on every call."""
+    if isinstance(e, Atom):
+        return e.name
+    if isinstance(e, Conj):
+        return f"c({literal_expr_key(e.body)})"
+    if isinstance(e, Evolve):
+        a = "_" if e.a is None else e.a
+        b = "_" if e.b is None else e.b
+        return f"e[{a},{b}]({literal_expr_key(e.body)})"
+    return "p(" + ",".join(literal_expr_key(f) for f in e.factors) + ")"
+
+
 def two_pass_normalize(e):
     """Normalize the body first, then push a conjugation through the result."""
     if isinstance(e, Atom):
@@ -404,7 +417,7 @@ def two_pass_normalize(e):
             factors.append(nf)
     if len(factors) == 1:
         return factors[0]
-    return Prod(tuple(sorted(factors, key=expr_key)))
+    return Prod(tuple(sorted(factors, key=literal_expr_key)))
 
 
 def _conj_normalized(e):
@@ -415,7 +428,7 @@ def _conj_normalized(e):
         return e.body
     if isinstance(e, Evolve):
         return _merge_evolve(e.b, e.a, _conj_normalized(e.body))
-    return Prod(tuple(sorted((_conj_normalized(f) for f in e.factors), key=expr_key)))
+    return Prod(tuple(sorted((_conj_normalized(f) for f in e.factors), key=literal_expr_key)))
 
 
 def _map_labels(e, rename):

@@ -8,6 +8,7 @@ from kmboard.canonical import (
     is_reference,
     is_tamed,
     is_upper_echelon,
+    reduce_to_labeling,
     tamed_pairs,
     tier,
     tier_table,
@@ -15,15 +16,16 @@ from kmboard.canonical import (
     to_reference,
     to_tamed,
 )
-from kmboard.errors import NotTamed, OutOfRange
+from kmboard.errors import NotAcceptable, NotTamed, OutOfRange
 from kmboard.moves import (
     MoveState,
     allowable_permutations,
     apply_signed_km,
     apply_wild,
+    km_admissible_indices,
     km_class,
 )
-from kmboard.pairs import enumerate_pairs, random_pair, validate_pair
+from kmboard.pairs import TimePermutation, enumerate_pairs, random_pair, validate_pair
 from kmboard.trees import skeleton_key
 from oracles import (
     literal_echelon_pair,
@@ -190,6 +192,7 @@ def test_canonical_forms_match_their_slot_path_oracles():
     rng = random.Random(43)
     cases = [p for k in range(1, 6) for p in enumerate_pairs(k, signed=True)]
     cases += [random_pair(rng.randint(6, 14), rng) for _ in range(200)]
+    cases += [random_pair(rng.randint(20, 40), rng) for _ in range(10)]  # long bubbling runs
     for p in cases:
         assert to_tamed(p) == literal_to_tamed(p)
     # the echelon forms drop the signs first, so one sign array per map covers them
@@ -197,6 +200,27 @@ def test_canonical_forms_match_their_slot_path_oracles():
         if all(s == "+" for s in p.sgn) or p.k > 5:
             assert to_echelon(p) == literal_to_echelon(p)
             assert echelon_pair(p) == literal_echelon_pair(p)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_pairs())
+def test_in_place_move_matches_apply_signed_km_property(p):
+    # relabeling by the swap of 2j and 2j+2 is exactly the one move at j
+    for j in km_admissible_indices(p):
+        swap = TimePermutation.transposition(p.k, 2 * j, 2 * j + 2)
+        assert reduce_to_labeling(p, swap) == (apply_signed_km(MoveState.start(p), j).pair, (j,))
+
+
+def test_reduce_to_labeling_rejects_an_unacceptable_move():
+    p = validate_pair(5, (1, 1, 1, 2, 3), "++--+")  # acceptable at j = 3, 4 only
+    for m in (1, 2):
+        with pytest.raises(NotAcceptable) as raised:
+            reduce_to_labeling(p, TimePermutation.transposition(5, 2 * m, 2 * m + 2))
+        assert raised.value.j == m
+    # five moves bubble 10 to 4 and 8 to 6; then mu(8) = mu(10) = 1 forbids KM(8,10)
+    with pytest.raises(NotAcceptable) as raised:
+        reduce_to_labeling(p, TimePermutation(5, (2, 10, 8, 6, 4)))
+    assert raised.value.j == 4
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

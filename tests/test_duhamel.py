@@ -19,6 +19,7 @@ from kmboard.duhamel import (
     expand_display,
     expand_oracle,
     expand_text,
+    expr_key,
     integrated_expand,
     mark_dtree,
     normalize,
@@ -33,7 +34,12 @@ from kmboard.pairs import (
     random_pair,
     validate_pair,
 )
-from oracles import literal_substitute_times, signed_pairs, two_pass_normalize
+from oracles import (
+    literal_expr_key,
+    literal_substitute_times,
+    signed_pairs,
+    two_pass_normalize,
+)
 
 QUINTIC = validate_pair(7, (1, 1, 1, 2, 3, 6, 6), "++--++-")
 
@@ -278,6 +284,47 @@ def test_expand_equals_normalized_oracle_property(p):
 @given(_EXPRS)
 def test_conjugation_commutes_with_normalize_property(e):
     assert normalize(Conj(e)) == normalize(Conj(normalize(e)))
+
+
+def _nodes(e):
+    """Every node of ``e``, a shared subtree once per place it occurs."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Conj, Evolve)):
+            stack.append(node.body)
+        elif isinstance(node, Prod):
+            stack.extend(node.factors)
+
+
+def test_cached_keys_equal_the_literal_serialization():
+    rng = random.Random(104)
+    pairs = [p for k in range(1, 4) for p in enumerate_pairs(k, signed=True)]
+    pairs += [random_pair(rng.randint(4, 12), rng) for _ in range(60)]
+    for p in pairs:
+        display = expand_display(p)
+        flows = tuple(as_flow(e, p.k) for e in display)
+        sigma = TimePermutation(p.k, tuple(rng.sample(range(2, 2 * p.k + 1, 2), p.k)))
+        substituted = tuple(substitute_times(e, sigma) for e in flows)
+        for e in expand(p) + expand_oracle(p) + flows + substituted:
+            for node in _nodes(e):
+                assert expr_key(node) == literal_expr_key(node)
+
+
+def test_reading_a_key_keeps_equality_hash_and_repr():
+    rng = random.Random(105)
+    for _ in range(30):
+        p = random_pair(rng.randint(1, 12), rng)
+        unread, read = expand_oracle(p), expand_oracle(p)  # equal trees, no node shared
+        nodes = [n for e in read for n in _nodes(e)]
+        before = [(repr(n), hash(n)) for n in nodes]
+        for e in read:
+            expr_key(e)
+        assert all("key" in vars(n) for n in nodes)  # the read was kept on every node
+        assert not any("key" in vars(n) for e in unread for n in _nodes(e))
+        assert [(repr(n), hash(n)) for n in nodes] == before
+        assert read == unread and hash(read) == hash(unread)
 
 
 def test_expand_text_renders_each_subexpression_once(monkeypatch):
