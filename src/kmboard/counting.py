@@ -1,22 +1,27 @@
 """Exact counting: generalized Catalan numbers and the class census.
 
-The census streams every pair of a coupling order, folds it into hash
-buckets keyed by canonical forms, and cross-checks every counting claim
-(class totals against the Catalan numbers, one tamed pair per signed
-class, the linear-extension mass identity).  All integers are exact.
+The census folds every (map, sign array) pair of a coupling order into
+one table keyed by signed skeleton, walking each map's tree once, and
+cross-checks every counting claim against that table: class totals
+against the Catalan numbers, one tamed pair per class, the
+linear-extension mass identity.  Unsigned mode is the same fold over
+the all-plus sign array alone.  All integers are exact.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 
 from .canonical import _MapProfile
 from .domains import _hook_count, _reference_parents
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
-from .trees import preorder_positions, skeleton_key
+from .trees import _preorder
 
 CENSUS_CAP = 6
 
@@ -44,8 +49,8 @@ class CensusReport:
     reference_masses: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
-    def to_json(self, include_masses: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "k": self.k,
             "signed": self.signed,
             "total_pairs": self.total_pairs,
@@ -58,141 +63,106 @@ class CensusReport:
             },
             "mass_total": self.mass_total,
         }
-        if include_masses:
-            out["reference_masses"] = dict(sorted(self.reference_masses.items()))
-        return out
 
 
-def _census_signed_chunk(k: int, mus) -> dict:
-    from itertools import product
+def _census_chunk(mus, sign_arrays) -> tuple[dict, dict]:
+    """Fold every (map, sign array) pair into one class table.
 
-    unsigned: set[str] = set()
-    signed_first: dict[tuple, tuple] = {}
-    signed_sizes: dict[tuple, int] = {}
-    tamed_per_class: dict[tuple, int] = {}
-    tamed = 0
+    The table maps each signed skeleton key ``(shape, signs in
+    preorder)`` to ``[size, tamed members, first member]``; the second
+    dict maps each reference pair to its extension count.
+    """
+    table: dict[tuple, list] = {}
     masses: dict[str, int] = {}
-    sign_arrays = list(product("+-", repeat=k))
     for mu in mus:
-        ukey = skeleton_key(mu)
-        unsigned.add(ukey)
-        order = [(x - 2) // 2 for x in preorder_positions(mu)]
+        shape, order = _preorder(mu)
+        signs_in_preorder = itemgetter(*order)  # a bare sign when k = 1
         profile = _MapProfile(mu)
         for sgn in sign_arrays:
-            skey = (ukey, tuple(sgn[i] for i in order))
-            signed_sizes[skey] = signed_sizes.get(skey, 0) + 1
-            if skey not in signed_first:
-                signed_first[skey] = (mu, sgn)
+            skey = (shape, signs_in_preorder(sgn))
+            entry = table.get(skey)
+            if entry is None:
+                entry = table[skey] = [0, 0, (mu, sgn)]
+            entry[0] += 1
             if profile.tamed(sgn):
-                tamed += 1
-                tamed_per_class[skey] = tamed_per_class.get(skey, 0) + 1
+                entry[1] += 1
                 if profile.blocks_ordered(sgn):
                     ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
                     masses[ref_key] = _hook_count(_reference_parents(mu, sgn))
-    return {
-        "unsigned": unsigned,
-        "signed_first": signed_first,
-        "signed_sizes": signed_sizes,
-        "tamed_per_class": tamed_per_class,
-        "tamed": tamed,
-        "masses": masses,
-    }
+    return table, masses
 
 
-def _merge_chunks(parts: list[dict]) -> dict:
-    out = parts[0]
-    for part in parts[1:]:
-        out["unsigned"] |= part["unsigned"]
-        for skey, n in part["signed_sizes"].items():
-            out["signed_sizes"][skey] = out["signed_sizes"].get(skey, 0) + n
-        for skey, first in part["signed_first"].items():
-            out["signed_first"].setdefault(skey, first)
-        for skey, n in part["tamed_per_class"].items():
-            out["tamed_per_class"][skey] = out["tamed_per_class"].get(skey, 0) + n
-        out["tamed"] += part["tamed"]
-        out["masses"].update(part["masses"])
-    return out
+def _merge_chunks(parts: list[tuple[dict, dict]]) -> tuple[dict, dict]:
+    table, masses = parts[0]
+    for part_table, part_masses in parts[1:]:
+        for skey, (size, tamed, first) in part_table.items():
+            entry = table.setdefault(skey, [0, 0, first])
+            entry[0] += size
+            entry[1] += tamed
+        masses.update(part_masses)
+    return table, masses
 
 
 def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1) -> CensusReport:
-    """Stream all pairs of order k, bucket by canonical keys, verify.
+    """Fold all pairs of order k into their skeleton classes and verify.
 
-    Raises :class:`CensusViolation` naming a witness if any counting
-    claim fails.  Unsigned mode stops after the Catalan cross-check.
+    Signed mode folds every map with every sign array; unsigned mode
+    folds every map with the all-plus sign array alone.  KM moves keep
+    an all-plus pair all-plus, so its classes are the unsigned classes
+    and every claim holds with 2^k replaced by 1: catalan(k) classes,
+    one tamed pair in each, reference masses summing to (2k-1)!!.
+    Raises :class:`CensusViolation` naming a witness if any claim fails.
     """
     if k > cap:
         raise CapExceeded(f"census k={k} exceeds cap {cap}")
     start = time.monotonic()
-    expected_unsigned = double_factorial_odd(k)
+    sign_arrays = list(product("+-", repeat=k)) if signed else [("+",) * k]
+    mode, times = ("signed", "2^k") if signed else ("unsigned", "2^0")
     cat = catalan_ternary(k)
-
-    if not signed:
-        buckets: dict[str, int] = {}
-        for mu in enumerate_mus(k):
-            key = skeleton_key(mu)
-            buckets[key] = buckets.get(key, 0) + 1
-        total = sum(buckets.values())
-        if total != expected_unsigned:
-            raise CensusViolation(f"unsigned total {total} != (2k-1)!! = {expected_unsigned}")
-        if len(buckets) != cat:
-            raise CensusViolation(f"unsigned class count {len(buckets)} != catalan {cat}")
-        hist: dict[int, int] = {}
-        for size in buckets.values():
-            hist[size] = hist.get(size, 0) + 1
-        return CensusReport(
-            k, False, total, len(buckets), 0, 0, 0, hist, 0, {}, time.monotonic() - start
-        )
+    expected_classes = cat * len(sign_arrays)
+    expected_total = double_factorial_odd(k) * len(sign_arrays)
 
     mus = list(enumerate_mus(k))
     if threads > 1:
         import multiprocessing
 
-        chunks = [mus[i::threads] for i in range(threads)]
+        chunks = [(mus[i::threads], sign_arrays) for i in range(threads)]
         with multiprocessing.Pool(threads) as pool:
-            parts = pool.starmap(_census_signed_chunk, [(k, c) for c in chunks])
-        data = _merge_chunks(parts)
+            table, masses = _merge_chunks(pool.starmap(_census_chunk, chunks))
     else:
-        data = _census_signed_chunk(k, mus)
+        table, masses = _census_chunk(mus, sign_arrays)
 
-    total = sum(data["signed_sizes"].values())
-    expected_total = expected_unsigned * 2**k
+    total = sum(size for size, _, _ in table.values())
     if total != expected_total:
-        raise CensusViolation(f"signed total {total} != (2k-1)!! 2^k = {expected_total}")
-    signed_classes = len(data["signed_sizes"])
-    if signed_classes != cat * 2**k:
+        raise CensusViolation(f"{mode} total {total} != (2k-1)!! {times} = {expected_total}")
+    if len(table) != expected_classes:
         raise CensusViolation(
-            f"signed class count {signed_classes} != catalan*2^k = {cat * 2 ** k}"
+            f"{mode} class count {len(table)} != catalan*{times} = {expected_classes}"
         )
-    if len(data["unsigned"]) != cat:
-        raise CensusViolation(f"unsigned class count {len(data['unsigned'])} != {cat}")
-    for skey in data["signed_sizes"]:
-        n = data["tamed_per_class"].get(skey, 0)
-        if n != 1:
-            mu, sgn = data["signed_first"][skey]
+    shapes = {shape for shape, _ in table}
+    if len(shapes) != cat:
+        raise CensusViolation(f"unsigned class count {len(shapes)} != {cat}")
+    for _, tamed, (mu, sgn) in table.values():
+        if tamed != 1:
             raise CensusViolation(
-                f"class of mu={mu} sgn={''.join(sgn)} holds {n} tamed pairs"
+                f"class of mu={mu} sgn={''.join(sgn)} holds {tamed} tamed pairs"
             )
-    if data["tamed"] != cat * 2**k:
-        raise CensusViolation(f"tamed count {data['tamed']} != catalan*2^k")
-    mass_total = sum(data["masses"].values())
+    mass_total = sum(masses.values())
     if mass_total != expected_total:
         raise CensusViolation(
-            f"extension mass {mass_total} over {len(data['masses'])} reference pairs "
+            f"extension mass {mass_total} over {len(masses)} reference pairs "
             f"!= {expected_total}"
         )
-    hist = {}
-    for size in data["signed_sizes"].values():
-        hist[size] = hist.get(size, 0) + 1
     return CensusReport(
         k=k,
-        signed=True,
+        signed=signed,
         total_pairs=total,
-        unsigned_classes=len(data["unsigned"]),
-        signed_classes=signed_classes,
-        tamed_count=data["tamed"],
-        wild_classes=len(data["masses"]),
-        class_size_histogram=hist,
+        unsigned_classes=len(shapes),
+        signed_classes=len(table),
+        tamed_count=len(table),  # exactly one per class, checked above
+        wild_classes=len(masses),
+        class_size_histogram=dict(Counter(size for size, _, _ in table.values())),
         mass_total=mass_total,
-        reference_masses=data["masses"],
+        reference_masses=masses,
         elapsed=time.monotonic() - start,
     )

@@ -6,7 +6,8 @@ condition; they permute tree labels but fix the (signed) skeleton.
 Wild moves act by allowable permutations; they fix the left-branch
 partition but change the skeleton.  :func:`apply_signed_km` and
 :func:`apply_wild` accumulate a time relabeling ``sigma`` in a
-:class:`MoveState`; reductions that only need the final pair apply KM
+:class:`MoveState`.  :func:`km_class` needs only the pairs and acts by
+each transposition without composing a ``sigma``; reductions apply KM
 moves to the map directly (see :func:`kmboard.canonical.reduce_to_labeling`).
 """
 
@@ -93,7 +94,8 @@ def km_class(
     while frontier:
         current = frontier.popleft()
         for j in km_admissible_indices(current):
-            nxt = apply_signed_km(MoveState.start(current), j).pair
+            rho = TimePermutation.transposition(current.k, 2 * j, 2 * j + 2)
+            nxt = _act(current, rho, conjugate=True)
             if nxt not in seen:
                 if cap is not None and len(seen) >= cap:
                     raise CapExceeded(f"class size exceeds cap {cap}")

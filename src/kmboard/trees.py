@@ -47,9 +47,6 @@ class SignedTree:
     def labels(self) -> range:
         return range(2, 2 * self.k + 1, 2)
 
-    def sign_of(self, label: int) -> str:
-        return self.sign[label]
-
     def parent_of(self, label: int) -> int:
         if label not in self.parent:
             raise OutOfRange(f"no node {label}")
@@ -136,53 +133,43 @@ def pair_from_tree(tree: SignedTree) -> CollapsingPair:
     )
 
 
+def _preorder(mu) -> tuple[str, list[int]]:
+    """The unsigned skeleton key and the sign index of each node, both in preorder.
+
+    The key is the shape in preorder, "(" and the three child slots and
+    ")" per node, missing children as "."; node ``2j`` has sign index
+    ``j - 1``.  An explicit stack keeps deep trees off the recursion
+    limit.
+    """
+    slots = _slots_from_mu(len(mu), mu)
+    out: list[str] = []
+    order: list[int] = []
+    stack = [2]
+    while stack:
+        x = stack.pop()
+        if x is None:
+            out.append(".")
+        elif x == 0:  # end of a node's slots
+            out.append(")")
+        else:
+            out.append("(")
+            order.append((x - 2) >> 1)
+            l, m, r = slots[x]
+            stack += (0, r, m, l)
+    return "".join(out), order
+
+
 def skeleton_key(mu, sgn=None) -> str:
     """Canonical (signed) skeleton serialization straight from arrays.
 
     The shape in preorder, missing children as '.'; with ``sgn``, then
-    "|" and the signs in the same preorder (:func:`preorder_positions`).
-    Equal keys <=> equal (signed) skeletons.
+    "|" and the signs in the same preorder.  Equal keys <=> equal
+    (signed) skeletons.
     """
-    k = len(mu)
-    slots = _slots_from_mu(k, mu)
-    out = []
-
-    def ser(x):
-        if x is None:
-            out.append(".")
-            return
-        out.append("(")
-        for c in slots[x]:
-            ser(c)
-        out.append(")")
-
-    ser(2)
-    if sgn is not None:
-        out.append("|")
-        out.extend(sgn[(x - 2) // 2] for x in preorder_positions(mu))
-    return "".join(out)
-
-
-def preorder_positions(mu) -> tuple[int, ...]:
-    """Even labels in preorder (the node order of :func:`skeleton_key`).
-
-    A signed skeleton key is the unsigned key, "|" and the signs in this
-    order; censuses use that to reuse one shape pass for all sign arrays
-    of a map.
-    """
-    k = len(mu)
-    slots = _slots_from_mu(k, mu)
-    order = []
-
-    def walk(x):
-        if x is None:
-            return
-        order.append(x)
-        for c in slots[x]:
-            walk(c)
-
-    walk(2)
-    return tuple(order)
+    shape, order = _preorder(mu)
+    if sgn is None:
+        return shape
+    return shape + "|" + "".join([sgn[i] for i in order])
 
 
 # -- canonical labelings -----------------------------------------------------

@@ -19,8 +19,20 @@ from kmboard.duhamel import (
 )
 from kmboard.errors import CapExceeded
 from kmboard.moves import MoveState, apply_signed_km, groups_of
-from kmboard.pairs import ENUMERATION_CAP, CollapsingPair, TimePermutation, enumerate_pairs
-from kmboard.trees import SignedTree, pair_from_tree, skeleton_key, tree_from_pair
+from kmboard.pairs import (
+    ENUMERATION_CAP,
+    CollapsingPair,
+    TimePermutation,
+    enumerate_mus,
+    enumerate_pairs,
+)
+from kmboard.trees import (
+    SignedTree,
+    _slots_from_mu,
+    pair_from_tree,
+    skeleton_key,
+    tree_from_pair,
+)
 
 
 @st.composite
@@ -190,6 +202,54 @@ def skeleton_fiber(pair, signed=True) -> frozenset:
         for p in enumerate_pairs(pair.k, signed=signed)
         if skeleton_key(p.mu, p.sgn if signed else None) == want
     )
+
+
+def literal_skeleton_key(mu, sgn=None) -> str:
+    """The (signed) skeleton key by recursion over the child slots: the shape
+    in preorder, missing children as '.', then "|" and the signs in the same
+    preorder when ``sgn`` is given."""
+    slots = _slots_from_mu(len(mu), mu)
+    out = []
+
+    def ser(x):
+        if x is None:
+            out.append(".")
+            return
+        out.append("(")
+        for c in slots[x]:
+            ser(c)
+        out.append(")")
+
+    ser(2)
+    if sgn is not None:
+        out.append("|")
+        out.extend(sgn[(x - 2) // 2] for x in literal_preorder_positions(mu))
+    return "".join(out)
+
+
+def literal_preorder_positions(mu) -> tuple:
+    """Even labels in preorder, by recursion over the child slots."""
+    slots = _slots_from_mu(len(mu), mu)
+    order = []
+
+    def walk(x):
+        if x is None:
+            return
+        order.append(x)
+        for c in slots[x]:
+            walk(c)
+
+    walk(2)
+    return tuple(order)
+
+
+def literal_unsigned_census(k) -> dict:
+    """Unsigned skeleton key -> number of maps of order k with that skeleton."""
+    buckets = {}
+    for mu in enumerate_mus(k):
+        key = literal_skeleton_key(mu)
+        buckets[key] = buckets.get(key, 0) + 1
+    return buckets
 
 
 def _permuted_value(rho, v):

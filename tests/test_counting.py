@@ -2,7 +2,7 @@ import pytest
 
 from kmboard.counting import CENSUS_CAP, catalan_ternary, census
 from kmboard.domains import count_linear_extensions, td_domain
-from kmboard.errors import CapExceeded
+from kmboard.errors import CapExceeded, CensusViolation
 from kmboard.pairs import double_factorial_odd, enumerate_pairs
 from kmboard.canonical import is_tamed
 
@@ -45,9 +45,38 @@ def test_census_order_six_full():
 
 
 def test_census_unsigned_mode():
+    # the all-plus slice of the signed census: one tamed pair per class and
+    # reference masses summing to (2k-1)!!
     r = census(6, signed=False)
-    assert r.unsigned_classes == 1428
-    assert r.total_pairs == double_factorial_odd(6)
+    assert r.unsigned_classes == r.signed_classes == 1428
+    assert r.total_pairs == double_factorial_odd(6) == 10395
+    assert r.tamed_count == r.wild_classes == 1428
+    assert r.mass_total == 10395
+    assert sum(r.reference_masses.values()) == 10395
+
+
+def test_unsigned_census_matches_literal_buckets():
+    from collections import Counter
+
+    from oracles import literal_unsigned_census
+
+    for k in range(1, 7):
+        buckets = literal_unsigned_census(k)
+        r = census(k, signed=False)
+        assert r.unsigned_classes == len(buckets)
+        assert r.class_size_histogram == Counter(buckets.values())
+
+
+def test_unsigned_census_checks_tamed_uniqueness(monkeypatch):
+    from kmboard import counting
+
+    class EveryPairTamed(counting._MapProfile):
+        def tamed(self, sgn):
+            return True
+
+    monkeypatch.setattr(counting, "_MapProfile", EveryPairTamed)
+    with pytest.raises(CensusViolation, match=r"class of mu=\(.*\) sgn=\+{3} holds \d+ tamed"):
+        census(3, signed=False)
 
 
 def test_census_cap():
@@ -56,7 +85,10 @@ def test_census_cap():
 
 
 def test_census_threads_match_sequential():
-    assert census(4, threads=2).to_json() == census(4).to_json()
+    for signed in (True, False):
+        threaded, sequential = census(4, signed, threads=2), census(4, signed)
+        assert threaded.to_json() == sequential.to_json()
+        assert threaded.reference_masses == sequential.reference_masses
 
 
 def test_census_tamedness_agrees_with_literal_predicate():

@@ -42,7 +42,7 @@ def test_tree_of_quintic_example_map():
     tree = tree_from_pair(validate_pair(7, (1, 1, 1, 2, 3, 6, 6), "++--++-"))
     assert tree.slots[6] == (None, 12, None)
     assert tree.slots[12] == (14, None, None)
-    assert tree.sign_of(12) == "+" and tree.sign_of(14) == "-"
+    assert tree.sign[12] == "+" and tree.sign[14] == "-"
 
 
 def test_pair_from_tree_reads_worked_example():
@@ -84,6 +84,32 @@ def test_single_node_skeleton():
     assert skeleton_key(validate_pair(1, (1,), "+").mu) == "(...)"
 
 
+def test_skeleton_key_matches_its_recursive_oracle():
+    from oracles import literal_preorder_positions, literal_skeleton_key
+
+    from kmboard.pairs import enumerate_mus
+    from kmboard.trees import _preorder
+
+    rng = random.Random(10)
+    maps = [mu for k in range(1, 7) for mu in enumerate_mus(k)]
+    maps += [random_pair(rng.randint(7, 40), rng).mu for _ in range(300)]
+    for mu in maps:
+        sgn = tuple(rng.choice("+-") for _ in mu)
+        assert skeleton_key(mu) == literal_skeleton_key(mu)
+        assert skeleton_key(mu, sgn) == literal_skeleton_key(mu, sgn)
+        assert _preorder(mu)[1] == [(x - 2) // 2 for x in literal_preorder_positions(mu)]
+
+
+def test_skeleton_key_of_a_deep_middle_chain():
+    # mu = 1,2,4,...: each node is the middle child of the one before, far
+    # deeper than the recursion limit
+    k = 1500
+    mu = (1,) + tuple(range(2, 2 * k - 1, 2))
+    sgn = ("+", "-") * (k // 2)
+    assert skeleton_key(mu) == "(." * (k - 1) + "(...)" + ".)" * (k - 1)
+    assert skeleton_key(mu, sgn).endswith("|" + "+-" * (k // 2))
+
+
 def test_signed_skeleton_invariant_under_moves_with_label_map():
     rng = random.Random(9)
     for _ in range(100):
@@ -100,7 +126,7 @@ def test_signed_skeleton_invariant_under_moves_with_label_map():
         for label in old.labels:
             image = swap.get(label, label)
             assert new.slots[image] == tuple(swap.get(c, c) for c in old.slots[label])
-            assert new.sign_of(image) == old.sign_of(label)
+            assert new.sign[image] == old.sign[label]
 
 
 def test_echelon_labeling_of_worked_skeleton():
