@@ -21,7 +21,6 @@ from .domains import (
     count_linear_extensions,
     induced_order,
     linear_extensions,
-    relabel_domain,
     sigma_set,
     tc_domain,
     td_domain,

@@ -18,7 +18,7 @@ from itertools import product
 from operator import itemgetter
 
 from .canonical import _MapProfile
-from .domains import _hook_count, _reference_parents
+from .domains import _attached_parents, _hook_count
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
 from .trees import _preorder
@@ -88,7 +88,7 @@ def _census_chunk(mus, sign_arrays) -> tuple[dict, dict]:
                 entry[1] += 1
                 if profile.blocks_ordered(sgn):
                     ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
-                    masses[ref_key] = _hook_count(_reference_parents(mu, sgn))
+                    masses[ref_key] = _hook_count(_attached_parents(mu, zip(mu, sgn)))
     return table, masses
 
 

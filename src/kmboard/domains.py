@@ -196,14 +196,25 @@ def linear_extensions(poset: TimePoset, cap: int = EXTENSION_CAP) -> frozenset:
 # -- the three domains -------------------------------------------------------
 
 
-def td_domain(pair: CollapsingPair) -> TimePoset:
-    """One cover per admissible-tree edge; node 2 hangs under t_1."""
-    tree = tree_from_pair(pair)
+def _attached_parents(mu, keys) -> dict:
+    """Upper covers by the attachment rule, parents listed first (mu(2j) < 2j).
+
+    t_{2j+1} hangs under the previous label with the same key, else
+    under t_{v-v%2+1} for v = mu(2j).  Keyed by mu this is td, by
+    (mu, sgn) the reference formula.
+    """
     parent = {1: None}
-    for x in tree.labels:
-        p = tree.parent_of(x)
-        parent[x + 1] = 1 if p == 1 else p + 1
-    return TimePoset.from_parents(pair.k, parent)
+    last = {}
+    for x, v, key in zip(range(3, 2 * len(mu) + 2, 2), mu, keys):
+        parent[x] = last.get(key, v - v % 2 + 1)
+        last[key] = x
+    return parent
+
+
+def td_domain(pair: CollapsingPair) -> TimePoset:
+    """One cover per admissible-tree edge, read off the map: a node hangs
+    under the previous node of its left branch, else at its M/R point."""
+    return TimePoset.from_parents(pair.k, _attached_parents(pair.mu, pair.mu))
 
 
 def tc_domain(pair: CollapsingPair) -> TimePoset:
@@ -217,20 +228,23 @@ def tc_domain(pair: CollapsingPair) -> TimePoset:
     return TimePoset.from_parents(pair.k, parent)
 
 
-def _reference_parents(mu, sgn) -> dict:
-    """Upper covers of the reference-formula domain, parents listed first.
+def _wild_piece(mu, image) -> dict:
+    """td(W(rho)(R)) relabeled by rho^-1, as a parent map listing parents first.
 
-    t_{2j+1} hangs under the previous label with the same (mu, sgn),
-    else under its M/R attachment point t_{a+1}, where a = mu(2j)
-    rounded down to even (t_1 for the branch at value 1).
+    The attachment rule runs on the moved map v -> rho(v) of the
+    reference map ``mu``; then every label is renamed by rho^-1.
     """
-    parent = {1: None}
-    last = {}
-    for j, key in enumerate(zip(mu, sgn), start=1):
-        v = key[0]
-        parent[2 * j + 1] = last.get(key, v - v % 2 + 1)
-        last[key] = 2 * j + 1
-    return parent
+    rho = [0, 1]  # rho[v] for v in 1..2k+1, with rho(2l+1) = rho(2l) + 1
+    for w in image:
+        rho += (w, w + 1)
+    back = rho[:]  # rho^-1
+    for v, w in enumerate(rho):
+        back[w] = v
+    moved = [rho[v] for v in mu]
+    return {
+        back[x]: None if p is None else back[p]
+        for x, p in _attached_parents(moved, moved).items()
+    }
 
 
 def tr_domain(reference: CollapsingPair) -> TimePoset:
@@ -244,20 +258,8 @@ def tr_domain(reference: CollapsingPair) -> TimePoset:
 
     if not is_reference(reference):
         raise NotReference(f"not a reference pair: {reference}")
-    return TimePoset.from_parents(reference.k, _reference_parents(reference.mu, reference.sgn))
-
-
-def relabel_domain(poset: TimePoset, sigma: TimePermutation) -> TimePoset:
-    """sigma[poset]: t_a -> t_{sigma(a-1)+1} on every relation, t_1 fixed.
-
-    The renaming is a bijection of the labels fixing t_1, hence an order
-    isomorphism: renaming the cover map gives the cover map.
-    """
-    rename = [sigma.of(x) for x in poset.elements]
-    parent = [None] * (poset.k + 1)
-    for x, p in zip(rename, poset.parent):
-        parent[x // 2] = None if p is None else rename[p // 2]
-    return TimePoset(poset.k, tuple(parent))
+    mu = reference.mu
+    return TimePoset.from_parents(reference.k, _attached_parents(mu, zip(mu, reference.sgn)))
 
 
 # -- order-preserving relabelings (Sigma sets) -------------------------------

@@ -145,27 +145,26 @@ def allowable_permutations(pair: CollapsingPair) -> list[TimePermutation]:
 
     if not is_tamed(pair):
         raise NotTamed(f"allowable permutations are defined on tamed pairs: {pair}")
+    sgn = pair.sgn
     per_group = []
     for members in groups_of(pair).values():
-        plus = [x for x in members if pair.sgn_of(x) == "+"]
-        minus = [x for x in members if pair.sgn_of(x) == "-"]
+        plus = [x for x in members if sgn[x // 2 - 1] == "+"]
+        minus = [x for x in members if sgn[x // 2 - 1] == "-"]
+        if not plus or not minus:
+            continue  # one sign: the branch's only interleaving fixes it
         options = []
-        for plus_slots in itertools.combinations(range(len(members)), len(plus)):
-            slot_set = set(plus_slots)
-            targets_plus = [members[i] for i in plus_slots]
-            targets_minus = [members[i] for i in range(len(members)) if i not in slot_set]
-            mapping = dict(zip(plus, targets_plus))
-            mapping.update(zip(minus, targets_minus))
-            options.append(mapping)
+        for plus_slots in itertools.combinations(members, len(plus)):
+            minus_slots = [x for x in members if x not in plus_slots]
+            options.append(tuple(zip(plus, plus_slots)) + tuple(zip(minus, minus_slots)))
         per_group.append(options)
     perms = []
     for combo in itertools.product(*per_group):
-        image = {}
+        image = list(range(2, 2 * pair.k + 1, 2))
         for mapping in combo:
-            image.update(mapping)
-        perms.append(
-            TimePermutation(pair.k, tuple(image[2 * j] for j in range(1, pair.k + 1)))
-        )
+            for x, y in mapping:
+                image[x // 2 - 1] = y
+        # each branch goes onto itself, so the image is a permutation
+        perms.append(TimePermutation._unchecked(pair.k, tuple(image)))
     return sorted(perms, key=lambda p: p.image)
 
 

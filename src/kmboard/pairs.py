@@ -165,6 +165,14 @@ class TimePermutation:
             raise ConstraintViolation(1, f"image {self.image} is not a permutation of {evens}")
 
     @classmethod
+    def _unchecked(cls, k: int, image: tuple[int, ...]) -> "TimePermutation":
+        """A permutation known to be valid, built without the sort check."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "k", k)
+        object.__setattr__(rho, "image", image)
+        return rho
+
+    @classmethod
     def identity(cls, k: int) -> "TimePermutation":
         return cls(k, tuple(range(2, 2 * k + 1, 2)))
 
@@ -196,7 +204,7 @@ class TimePermutation:
         image = [0] * self.k
         for j, v in enumerate(self.image):
             image[(v - 2) // 2] = 2 * (j + 1)
-        return TimePermutation(self.k, tuple(image))
+        return TimePermutation._unchecked(self.k, tuple(image))
 
     @property
     def is_identity(self) -> bool:

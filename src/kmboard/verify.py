@@ -4,7 +4,9 @@ Each check takes the order k, the :class:`VerifyRun` it belongs to and
 the report lines, appends its lines and returns whether it passed.
 Reference-unique, compat and mass read one :class:`WildSweep` per order,
 built by whichever of them runs first and dropped with the run, so every
-verify call does the sweep's work again.
+verify call does the sweep's work again.  Mass proves each reference's
+simplex partition by containment, branch signatures and hook counts
+(:func:`_partition_failure`), so it lists no linear extension.
 """
 
 from __future__ import annotations
@@ -157,6 +159,50 @@ def _check_compat(k, run, lines) -> bool:
     return True
 
 
+def _partition_failure(reference, whole, mass, orbit) -> str | None:
+    """Do the orbit's relabeled simplexes partition T_R?  Say what fails, or None.
+
+    ``whole`` is T_R, with ``mass`` orders.  Each piece is td(W(rho)(R))
+    relabeled by rho^-1, built from the arrays.  Containment (every cover
+    of T_R holds in each piece) puts each piece inside T_R; signatures
+    (each left branch is a chain in each piece, and no two pieces chain
+    all branches alike) make the pieces disjoint; counts (the pieces'
+    hook counts sum to ``mass``) make them cover T_R.
+    """
+    covers = [(1 << p, x) for x, p in zip(whole.elements, whole.parent) if p is not None]
+    branches = []  # (mu value, time labels, their bitmask) per left branch
+    for v, evens in moves.groups_of(reference).items():
+        if len(evens) > 1:  # a one-label branch is a chain in every piece and tells none apart
+            xs = [x + 1 for x in evens]
+            branches.append((v, xs, sum(1 << x for x in xs)))
+    signatures = set()
+    count = 0
+    for rho in orbit:
+        piece = domains._wild_piece(reference.mu, rho.image)
+        above = {}  # label -> bitmask of the labels above it in the piece
+        for x, p in piece.items():
+            above[x] = 0 if p is None else above[p] | 1 << p
+        where = f"rho={','.join(map(str, rho.image))}"
+        if not all(above[x] & bit for bit, x in covers):
+            return f"simplex of {where} leaves T_R of {reference}"
+        signature = []
+        for v, xs, m in branches:
+            # a chain: its lowest label has all the others above it
+            if not any((above[x] | 1 << x) & m == m for x in xs):
+                return f"branch at {v} is not a chain in the simplex of {where} for {reference}"
+            signature += (above[x] & m for x in xs)  # fixes the chain's order
+        signature = tuple(signature)
+        if signature in signatures:
+            return f"overlapping simplexes for {reference} at {where}"
+        signatures.add(signature)
+        count += domains._hook_count(piece)
+    if count != mass:
+        return (
+            f"partition misses extensions for {reference}: the pieces hold {count} of {mass} orders"
+        )
+    return None
+
+
 def _check_mass(k, run, lines) -> bool:
     for kk in range(1, k + 1):
         sweep = run.sweep(kk)
@@ -169,21 +215,13 @@ def _check_mass(k, run, lines) -> bool:
             if sorted(witnesses) != [rho.image for rho in orbit]:
                 lines.append(f"k={kk}: wild class of {reference} != its orbit FAIL")
                 return False
-            extensions = domains.linear_extensions(domains.tr_domain(reference))
-            seen: set = set()
-            for rho in orbit:
-                moved = moves._act(reference, rho, conjugate=False)
-                piece = domains.linear_extensions(
-                    domains.relabel_domain(domains.td_domain(moved), rho.inverse())
-                )
-                if piece & seen:
-                    lines.append(f"k={kk}: overlapping simplexes for {reference} FAIL")
-                    return False
-                seen |= piece
-            if seen != extensions:
-                lines.append(f"k={kk}: partition misses extensions for {reference} FAIL")
+            whole = domains.tr_domain(reference)
+            mass = domains.count_linear_extensions(whole)
+            failure = _partition_failure(reference, whole, mass, orbit)
+            if failure:
+                lines.append(f"k={kk}: {failure} FAIL")
                 return False
-            total += len(extensions)
+            total += mass
         expected = double_factorial_odd(kk) * 2**kk
         if total != expected:
             lines.append(f"k={kk}: mass {total} != {expected} FAIL")

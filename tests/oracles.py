@@ -5,7 +5,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from kmboard.domains import TimePoset
+from kmboard.domains import TimePoset, linear_extensions
 from kmboard.duhamel import (
     Atom,
     Conj,
@@ -18,7 +18,7 @@ from kmboard.duhamel import (
     prod,
 )
 from kmboard.errors import CapExceeded
-from kmboard.moves import MoveState, apply_signed_km, groups_of
+from kmboard.moves import MoveState, _act, apply_signed_km, groups_of
 from kmboard.pairs import (
     ENUMERATION_CAP,
     CollapsingPair,
@@ -141,6 +141,46 @@ def td_relations(pair) -> list:
         if p != 1:
             relations.append((p + 1, x + 1))
     return relations
+
+
+def tree_td_domain(pair):
+    """td read off the admissible tree: one cover per tree edge, node 2 under t_1."""
+    tree = tree_from_pair(pair)
+    parent = {1: None}
+    for x in tree.labels:
+        p = tree.parent_of(x)
+        parent[x + 1] = 1 if p == 1 else p + 1
+    return TimePoset.from_parents(pair.k, parent)
+
+
+def relabel_domain(poset: TimePoset, sigma: TimePermutation) -> TimePoset:
+    """sigma[poset]: t_a -> t_{sigma(a-1)+1} on every relation, t_1 fixed.
+
+    The renaming is a bijection of the labels fixing t_1, hence an order
+    isomorphism: renaming the cover map gives the cover map.
+    """
+    rename = [sigma.of(x) for x in poset.elements]
+    parent = [None] * (poset.k + 1)
+    for x, p in zip(rename, poset.parent):
+        parent[x // 2] = None if p is None else rename[p // 2]
+    return TimePoset(poset.k, tuple(parent))
+
+
+def set_partition_holds(reference, whole, orbit) -> bool:
+    """Do the relabeled simplexes of the orbit partition T_R = ``whole``?
+
+    By sets of total orders: list every extension of T_R and of each
+    piece td(W(rho)(R)) relabeled by rho^-1, with td read off the tree,
+    and require the pieces to be pairwise disjoint with union T_R.
+    """
+    seen = set()
+    for rho in orbit:
+        moved = _act(reference, rho, conjugate=False)
+        piece = linear_extensions(relabel_domain(tree_td_domain(moved), rho.inverse()))
+        if piece & seen:
+            return False
+        seen |= piece
+    return seen == linear_extensions(whole)
 
 
 def tc_relations(pair) -> list:

@@ -13,7 +13,6 @@ from kmboard.domains import (
     TimePoset,
     induced_order,
     linear_extensions,
-    relabel_domain,
     sigma_set,
     tc_domain,
     td_domain,
@@ -33,6 +32,7 @@ from kmboard.duhamel import (
 )
 from kmboard.moves import MoveState, allowable_permutations, apply_signed_km, apply_wild
 from kmboard.pairs import double_factorial_odd, enumerate_pairs, random_pair, validate_pair
+from oracles import relabel_domain
 
 
 def report(n, text):

@@ -12,7 +12,6 @@ from kmboard.domains import (
     count_linear_extensions,
     induced_order,
     linear_extensions,
-    relabel_domain,
     sigma_set,
     tc_domain,
     td_domain,
@@ -26,6 +25,7 @@ from oracles import (
     brute_force_extensions,
     fixpoint_closure,
     relabel_by_reduction,
+    relabel_domain,
     tc_relations,
     td_relations,
     tr_relations,
@@ -198,7 +198,7 @@ def _assert_domains_match_relation_builders(p):
     assert tc_domain(p) == TimePoset.from_relations(p.k, tc_relations(p))
     if is_reference(p):
         assert tr_domain(p) == TimePoset.from_relations(p.k, tr_relations(p))
-        parent = domains._reference_parents(p.mu, p.sgn)
+        parent = domains._attached_parents(p.mu, zip(p.mu, p.sgn))
         assert TimePoset.from_parents(p.k, parent).closure == fixpoint_closure(
             _parent_edges(parent)
         )

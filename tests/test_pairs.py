@@ -122,6 +122,22 @@ def test_transposition_is_involution():
     assert t.compose(t).is_identity
 
 
+def test_inverse_is_a_two_sided_inverse_on_every_small_permutation():
+    for k in range(1, 7):
+        identity = TimePermutation.identity(k)
+        for rho in all_permutations(k):
+            inverse = rho.inverse()
+            assert inverse.inverse() == rho
+            assert rho.compose(inverse) == inverse.compose(rho) == identity
+            assert inverse == TimePermutation(k, inverse.image)  # the checked constructor agrees
+    with pytest.raises(ConstraintViolation, match="is not a permutation"):
+        TimePermutation(3, (2, 4, 4))
+    with pytest.raises(ConstraintViolation, match="is not a permutation"):
+        TimePermutation(3, (2, 4, 8))
+    with pytest.raises(LengthMismatch):
+        TimePermutation(3, (2, 4))
+
+
 def test_table_inverse_row():
     # the (2,6,8,4,10) relabeling inverts to (2,8,4,6,10)
     rho7 = TimePermutation(5, (2, 6, 8, 4, 10))
