@@ -157,7 +157,17 @@ def cmd_domain(args) -> int:
             "relations": [list(r) for r in poset.relations_sorted()],
             "extensions": domains.count_linear_extensions(poset),
         }
-        _emit(args, _dumps(payload) + "\n")
+        # the count is exact at any k, so it may pass the interpreter's digit
+        # limit (0 is none, as before Python 3.10.7); lift it for this dump only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            text = _dumps(payload)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        _emit(args, text + "\n")
     else:
         _emit(args, "".join(f"t_{a}>=t_{b}\n" for a, b in poset.relations_sorted()))
     return 0

@@ -46,8 +46,9 @@ class TimePoset:
         """Forest order: ``parent[x]`` is the upper cover of ``x``.
 
         A root maps to ``None`` (a label missing from the map is a root
-        too).  Raises :class:`CyclicRelations` if a parent chain returns
-        to itself.
+        too).  This validates a caller's map: it raises
+        :class:`OutOfRange` for a label that is not odd in 1..2k+1 and
+        :class:`CyclicRelations` if a parent chain returns to itself.
         """
         _check_labels(k, parent.keys() | (set(parent.values()) - {None}))
         poset = cls(k, tuple(parent.get(x) for x in range(1, 2 * k + 2, 2)))
@@ -211,21 +212,24 @@ def _attached_parents(mu, keys) -> dict:
     return parent
 
 
+# The attachment rule and the slot rule hang every label under a smaller
+# one, so their maps list parents first and hold no cycle: the domains
+# below build each poset straight from its parent tuple, with none of
+# ``from_parents``' checks.
+
+
 def td_domain(pair: CollapsingPair) -> TimePoset:
     """One cover per admissible-tree edge, read off the map: a node hangs
     under the previous node of its left branch, else at its M/R point."""
-    return TimePoset.from_parents(pair.k, _attached_parents(pair.mu, pair.mu))
+    return TimePoset(pair.k, tuple(_attached_parents(pair.mu, pair.mu).values()))
 
 
 def tc_domain(pair: CollapsingPair) -> TimePoset:
-    """One cover per Duhamel-tree edge; the root contributes t_1."""
-    from .duhamel import build_dtree  # one-way: duhamel never imports domains
+    """One cover per Duhamel-tree edge; the top node contributes t_1."""
+    from .duhamel import _slot_pass  # one-way: duhamel never imports domains
 
-    dtree = build_dtree(pair)
-    parent = {1: None}
-    for x, p in sorted(dtree.parent.items()):
-        parent[x + 1] = 1 if p == 0 else p + 1
-    return TimePoset.from_parents(pair.k, parent)
+    up = _slot_pass(pair.mu, pair.sgn)[2]
+    return TimePoset(pair.k, (None, *(1 if p == 0 else p + 1 for p in up)))
 
 
 def _wild_piece(mu, image) -> dict:
@@ -259,7 +263,7 @@ def tr_domain(reference: CollapsingPair) -> TimePoset:
     if not is_reference(reference):
         raise NotReference(f"not a reference pair: {reference}")
     mu = reference.mu
-    return TimePoset.from_parents(reference.k, _attached_parents(mu, zip(mu, reference.sgn)))
+    return TimePoset(reference.k, tuple(_attached_parents(mu, zip(mu, reference.sgn)).values()))
 
 
 # -- order-preserving relabelings (Sigma sets) -------------------------------

@@ -246,29 +246,23 @@ class DTree:
         return out
 
     def to_dot(self, marked: bool = False) -> str:
+        """Preorder DOT text, drawn from an explicit stack so any depth survives."""
         lines = ["digraph dtree {", '  d0 [label="D(0)"];']
-        names = {0: "d0"}
-        order = []
-
-        def visit(x, parent_name):
+        stack = [(c, "d0") for c in reversed(self.root)]
+        drawn = 0  # nodes and leaves drawn so far; numbers the leaves
+        while stack:
+            x, up = stack.pop()
             if isinstance(x, FLeaf):
-                leaf = f"f{len(order)}"
-                order.append(leaf)
-                lines.append(f'  {leaf} [label="F({x.index},{x.sign})" shape=none];')
-                lines.append(f"  {parent_name} -> {leaf};")
-                return
-            tag = f"D({x})"
-            if marked and self.marks.get(x):
-                tag += "[" + ",".join(sorted(self.marks[x])) + "]"
-            names[x] = f"d{x}"
-            order.append(names[x])
-            lines.append(f'  d{x} [label="{tag}"];')
-            lines.append(f"  {parent_name} -> d{x};")
-            for c in self.kids[x]:
-                visit(c, names[x])
-
-        for child in self.root:
-            visit(child, "d0")
+                lines.append(f'  f{drawn} [label="F({x.index},{x.sign})" shape=none];')
+                lines.append(f"  {up} -> f{drawn};")
+            else:
+                tag = f"D({x})"
+                if marked and self.marks.get(x):
+                    tag += "[" + ",".join(sorted(self.marks[x])) + "]"
+                lines.append(f'  d{x} [label="{tag}"];')
+                lines.append(f"  {up} -> d{x};")
+                stack.extend((c, f"d{x}") for c in reversed(self.kids[x]))
+            drawn += 1
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -285,45 +279,55 @@ class DTree:
         return {"k": self.k, "root": [node(c) for c in self.root]}
 
 
-def build_dtree(pair: CollapsingPair) -> DTree:
-    """Place every coupling by the minimal-index slot rules."""
-    k = pair.k
+def _slot_pass(mu, sgn):
+    """The minimal-index slot rule in one backward pass over j = k..1.
 
-    def minimal(lo: int, value: int, sign: str):
-        for m in range(lo, k + 1):
-            if pair.mu[m - 1] == value and pair.sgn[m - 1] == sign:
-                return 2 * m
-        return None
-
-    parent = {}
-    left = minimal(1, 1, "+")
-    right = minimal(1, 1, "-")
-    root = (
-        left if left is not None else FLeaf(1, "+"),
-        right if right is not None else FLeaf(1, "-"),
-    )
-    for c in root:
-        if not isinstance(c, FLeaf):
-            parent[c] = 0
-    kids = {}
-    for j in range(1, k + 1):
-        targets = (
-            (pair.mu[j - 1], pair.sgn[j - 1]),
-            (2 * j, "+"),
-            (2 * j, "-"),
-            (2 * j + 1, "+"),
-            (2 * j + 1, "-"),
+    Coupling j's slots seek (mu(2j), sgn(2j)), (2j, +), (2j, -),
+    (2j+1, +) and (2j+1, -); each takes the least label 2m with m > j
+    whose (mu(2m), sgn(2m)) is the sought key.  ``first`` maps each key
+    to the least such label seen so far, so coupling j fills its slots
+    before recording its own key.  Returns the two top slots, each
+    coupling's five slots (in label order), and each coupling's parent
+    label (0 for the top node); a missed slot holds its key.
+    """
+    k = len(mu)
+    first: dict = {}
+    kids = [()] * k
+    up = [0] * k  # one slot finds each coupling; those no coupling's slot finds sit at the top
+    for j in range(k, 0, -1):
+        x = 2 * j
+        own = (mu[j - 1], sgn[j - 1])
+        # values 2j and 2j+1 are sought by coupling j alone, so their keys leave
+        slots = (
+            first.get(own, own),
+            first.pop((x, "+"), (x, "+")),
+            first.pop((x, "-"), (x, "-")),
+            first.pop((x + 1, "+"), (x + 1, "+")),
+            first.pop((x + 1, "-"), (x + 1, "-")),
         )
-        slots = []
-        for value, sign in targets:
-            hit = minimal(j + 1, value, sign)
-            if hit is None:
-                slots.append(FLeaf(value, sign))
-            else:
-                slots.append(hit)
-                parent[hit] = 2 * j
-        kids[2 * j] = tuple(slots)
-    return DTree(k, pair.sgn, root, kids, parent)
+        for c in slots:
+            if type(c) is int:
+                up[c // 2 - 1] = x
+        kids[j - 1] = slots
+        first[own] = x
+    root = (first.get((1, "+"), (1, "+")), first.get((1, "-"), (1, "-")))
+    return root, kids, up
+
+
+def build_dtree(pair: CollapsingPair) -> DTree:
+    """Place every coupling by the minimal-index slot rules, in O(k)."""
+    root, kids, up = _slot_pass(pair.mu, pair.sgn)
+
+    def fill(slots):
+        return tuple(c if type(c) is int else FLeaf(*c) for c in slots)
+
+    return DTree(
+        pair.k,
+        pair.sgn,
+        fill(root),
+        {2 * j: fill(slots) for j, slots in enumerate(kids, 1)},
+        {2 * j: p for j, p in enumerate(up, 1)},
+    )
 
 
 def mark_dtree(dtree: DTree) -> DTree:

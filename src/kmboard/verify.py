@@ -216,7 +216,8 @@ def _check_mass(k, run, lines) -> bool:
                 lines.append(f"k={kk}: wild class of {reference} != its orbit FAIL")
                 return False
             whole = domains.tr_domain(reference)
-            mass = domains.count_linear_extensions(whole)
+            # T_R's label-ordered map lists parents first, as _hook_count needs
+            mass = domains._hook_count(dict(zip(whole.elements, whole.parent)))
             failure = _partition_failure(reference, whole, mass, orbit)
             if failure:
                 lines.append(f"k={kk}: {failure} FAIL")

@@ -9,10 +9,11 @@ from kmboard.domains import TimePoset, linear_extensions
 from kmboard.duhamel import (
     Atom,
     Conj,
+    DTree,
     Evolve,
+    FLeaf,
     Prod,
     _merge_evolve,
-    build_dtree,
     conj,
     evolve,
     prod,
@@ -183,9 +184,79 @@ def set_partition_holds(reference, whole, orbit) -> bool:
     return seen == linear_extensions(whole)
 
 
+def scan_build_dtree(pair) -> DTree:
+    """The minimal-index slot rules, each slot found by a forward scan (O(k^2))."""
+    k = pair.k
+
+    def minimal(lo: int, value: int, sign: str):
+        for m in range(lo, k + 1):
+            if pair.mu[m - 1] == value and pair.sgn[m - 1] == sign:
+                return 2 * m
+        return None
+
+    parent = {}
+    left = minimal(1, 1, "+")
+    right = minimal(1, 1, "-")
+    root = (
+        left if left is not None else FLeaf(1, "+"),
+        right if right is not None else FLeaf(1, "-"),
+    )
+    for c in root:
+        if not isinstance(c, FLeaf):
+            parent[c] = 0
+    kids = {}
+    for j in range(1, k + 1):
+        targets = (
+            (pair.mu[j - 1], pair.sgn[j - 1]),
+            (2 * j, "+"),
+            (2 * j, "-"),
+            (2 * j + 1, "+"),
+            (2 * j + 1, "-"),
+        )
+        slots = []
+        for value, sign in targets:
+            hit = minimal(j + 1, value, sign)
+            if hit is None:
+                slots.append(FLeaf(value, sign))
+            else:
+                slots.append(hit)
+                parent[hit] = 2 * j
+        kids[2 * j] = tuple(slots)
+    return DTree(k, pair.sgn, root, kids, parent)
+
+
+def recursive_dtree_dot(dtree, marked=False) -> str:
+    """DOT text of a Duhamel tree by one recursive preorder visit."""
+    lines = ["digraph dtree {", '  d0 [label="D(0)"];']
+    names = {0: "d0"}
+    order = []
+
+    def visit(x, parent_name):
+        if isinstance(x, FLeaf):
+            leaf = f"f{len(order)}"
+            order.append(leaf)
+            lines.append(f'  {leaf} [label="F({x.index},{x.sign})" shape=none];')
+            lines.append(f"  {parent_name} -> {leaf};")
+            return
+        tag = f"D({x})"
+        if marked and dtree.marks.get(x):
+            tag += "[" + ",".join(sorted(dtree.marks[x])) + "]"
+        names[x] = f"d{x}"
+        order.append(names[x])
+        lines.append(f'  d{x} [label="{tag}"];')
+        lines.append(f"  {parent_name} -> d{x};")
+        for c in dtree.kids[x]:
+            visit(c, names[x])
+
+    for child in dtree.root:
+        visit(child, "d0")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def tc_relations(pair) -> list:
-    """One relation per Duhamel-tree edge; the root contributes t_1."""
-    dtree = build_dtree(pair)
+    """One relation per Duhamel-tree edge (the scanned tree); the root contributes t_1."""
+    dtree = scan_build_dtree(pair)
     return [(1 if p == 0 else p + 1, x + 1) for x, p in sorted(dtree.parent.items())]
 
 

@@ -1,11 +1,14 @@
+import decimal
 import hashlib
 import json
 import math
 import random
+import sys
 
 import pytest
 
 from kmboard.cli import main
+from kmboard.domains import count_linear_extensions, tc_domain, td_domain
 from kmboard.pairs import CollapsingPair, random_pair
 from kmboard.trees import tree_from_pair
 
@@ -72,6 +75,22 @@ def test_domain_json_counts_extensions_exactly_at_k40(capsys):
     )
     assert code == 0
     assert json.loads(out)["extensions"] == expected
+
+
+@pytest.mark.parametrize("kind", ["td", "tc"])
+def test_domain_json_prints_a_count_past_the_digit_limit(capsys, kind):
+    pair = random_pair(2000, random.Random(2000))
+    limit = sys.get_int_max_str_digits()
+    code, out = run(
+        capsys, "domain", "--mu", ",".join(map(str, pair.mu)), "--sgn", ",".join(pair.sgn),
+        "--kind", kind, "--format", "json",
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    expected = count_linear_extensions((td_domain if kind == "td" else tc_domain)(pair))
+    assert expected > 10**limit
+    # Decimal reads and compares the digits exactly, whatever the limit
+    assert json.loads(out, parse_int=decimal.Decimal)["extensions"] == decimal.Decimal(expected)
 
 
 def test_tree_dot_and_json(capsys):
@@ -264,6 +283,14 @@ def middle_chain(k):
 def test_too_deep_input_exits_2_without_a_traceback(capsys):
     line = input_error(capsys, "dtree", *middle_chain(600), "--format", "json")
     assert line == "error: input nests too deeply for this command"
+
+
+@pytest.mark.parametrize("marked", [(), ("--marked",)])
+def test_dtree_dot_draws_a_deep_chain(capsys, marked):
+    code, out = run(capsys, "dtree", *middle_chain(1200), *marked, "--format", "dot")
+    assert code == 0
+    assert out.count(" -> ") == 5 * 1200 + 2  # one edge per slot
+    assert "  d2398 -> d2400;\n" in out
 
 
 @pytest.mark.parametrize("form", ["tamed", "echelon"])

@@ -210,6 +210,21 @@ def test_domains_match_relation_builders_exhaustively():
             _assert_domains_match_relation_builders(p)
 
 
+def test_domains_built_unchecked_pass_the_checks():
+    """td, tc and tr skip ``from_parents``' checks: each map must pass them
+    and hang every label but t_1 under a smaller one."""
+    for k in range(1, 6):
+        for p in enumerate_pairs(k, signed=True):
+            posets = [td_domain(p), tc_domain(p)]
+            if is_reference(p):
+                posets.append(tr_domain(p))
+            for poset in posets:
+                parent = dict(zip(poset.elements, poset.parent))
+                assert poset == TimePoset.from_parents(k, parent)
+                assert parent[1] is None
+                assert all(parent[x] < x for x in poset.elements[1:])
+
+
 def test_domains_match_relation_builders_on_large_reference_pairs():
     rng = random.Random(41)
     for _ in range(200):

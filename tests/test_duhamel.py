@@ -37,6 +37,8 @@ from kmboard.pairs import (
 from oracles import (
     literal_expr_key,
     literal_substitute_times,
+    recursive_dtree_dot,
+    scan_build_dtree,
     signed_pairs,
     two_pass_normalize,
 )
@@ -62,6 +64,36 @@ def test_dtree_of_quintic_example():
         FLeaf(1, "+"), FLeaf(4, "+"), FLeaf(4, "-"), FLeaf(5, "+"), FLeaf(5, "-"),
     )
     assert dt.parent[14] == 6 and dt.parent[2] == 0
+
+
+def _assert_matches_the_scan(p):
+    got, want = build_dtree(p), scan_build_dtree(p)
+    assert got.root == want.root
+    assert list(got.kids.items()) == list(want.kids.items())  # labels and slots in order
+    assert got.parent == want.parent
+
+
+def test_build_dtree_matches_the_scan_exhaustively():
+    for k in range(1, 6):
+        for p in enumerate_pairs(k, signed=True):
+            _assert_matches_the_scan(p)
+
+
+def test_build_dtree_matches_the_scan_on_random_pairs():
+    for k in (18, 60, 300):
+        rng = random.Random(k)
+        for _ in range(50):
+            _assert_matches_the_scan(random_pair(k, rng, signed=True))
+
+
+def test_dtree_dot_matches_the_recursive_drawing():
+    for k in range(1, 5):
+        for p in enumerate_pairs(k, signed=True):
+            dt = build_dtree(p)
+            marked = mark_dtree(dt)
+            assert dt.to_dot() == recursive_dtree_dot(dt)
+            assert marked.to_dot() == recursive_dtree_dot(marked)
+            assert marked.to_dot(marked=True) == recursive_dtree_dot(marked, marked=True)
 
 
 def test_dtree_smallest():
