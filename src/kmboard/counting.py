@@ -1,9 +1,14 @@
 """Exact counting: generalized Catalan numbers and the class census.
 
-The census folds every (map, sign array) pair of a coupling order into
-one table keyed by signed skeleton, walking each map's tree once, and
-cross-checks every counting claim against that table: class totals
-against the Catalan numbers, one tamed pair per class, the
+The census folds every map of a coupling order into one table keyed by
+unsigned skeleton shape, walking each map's tree once.  The preorder
+that reads a signed skeleton off a sign array is a permutation of the
+sign indices, so each map of a shape meets each of the shape's 2^k
+signed classes exactly once: a signed class holds as many pairs as its
+shape has maps, and only the tamed pairs need a per-pair look.  Every
+counting claim is cross-checked against that table: class totals
+against the Catalan numbers, one tamed pair per signed class, each
+class as large as the hook count of its tamed member's td, the
 linear-extension mass identity.  Unsigned mode is the same fold over
 the all-plus sign array alone.  All integers are exact.
 """
@@ -23,7 +28,7 @@ from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
 from .trees import _preorder
 
-CENSUS_CAP = 6
+CENSUS_CAP = 7
 
 
 def catalan_ternary(k: int) -> int:
@@ -66,41 +71,70 @@ class CensusReport:
 
 
 def _census_chunk(mus, sign_arrays) -> tuple[dict, dict]:
-    """Fold every (map, sign array) pair into one class table.
+    """Fold a run of maps into one table entry per unsigned shape.
 
-    The table maps each signed skeleton key ``(shape, signs in
-    preorder)`` to ``[size, tamed members, first member]``; the second
-    dict maps each reference pair to its extension count.
+    ``_preorder``'s sign order is a permutation, so each map of a shape
+    meets each signed class of that shape exactly once: a signed class
+    holds as many pairs as its shape has maps.  The table maps each
+    shape to ``[maps, Counter of its tamed members' signs in preorder,
+    first map, [(map, a tamed sign array, td hook count)]]``, one
+    triple per map that holds a tamed pair; the second dict maps each
+    reference pair to its extension count.  A map failing a
+    sign-independent clause holds no tamed pair and skips the sign loop.
     """
-    table: dict[tuple, list] = {}
+    table: dict[str, list] = {}
     masses: dict[str, int] = {}
     for mu in mus:
         shape, order = _preorder(mu)
-        signs_in_preorder = itemgetter(*order)  # a bare sign when k = 1
+        entry = table.get(shape)
+        if entry is None:
+            entry = table[shape] = [0, Counter(), mu, []]
+        entry[0] += 1
         profile = _MapProfile(mu)
+        if not profile.static_ok:
+            continue
+        signs_in_preorder = itemgetter(*order)  # a bare sign when k = 1
+        tamed_signs = entry[1]
+        mu_text = f"mu={','.join(map(str, mu))} sgn="
+        held = None
         for sgn in sign_arrays:
-            skey = (shape, signs_in_preorder(sgn))
-            entry = table.get(skey)
-            if entry is None:
-                entry = table[skey] = [0, 0, (mu, sgn)]
-            entry[0] += 1
             if profile.tamed(sgn):
-                entry[1] += 1
+                tamed_signs[signs_in_preorder(sgn)] += 1
+                if held is None:
+                    held = sgn
                 if profile.blocks_ordered(sgn):
-                    ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
-                    masses[ref_key] = _hook_count(_attached_parents(mu, zip(mu, sgn)))
+                    masses[mu_text + ",".join(sgn)] = _hook_count(
+                        _attached_parents(mu, zip(mu, sgn))
+                    )
+        if held is not None:
+            entry[3].append((mu, held, _hook_count(_attached_parents(mu, mu))))
     return table, masses
 
 
 def _merge_chunks(parts: list[tuple[dict, dict]]) -> tuple[dict, dict]:
     table, masses = parts[0]
     for part_table, part_masses in parts[1:]:
-        for skey, (size, tamed, first) in part_table.items():
-            entry = table.setdefault(skey, [0, 0, first])
-            entry[0] += size
-            entry[1] += tamed
+        for shape, (maps, tamed_signs, first, held) in part_table.items():
+            entry = table.setdefault(shape, [0, Counter(), first, []])
+            entry[0] += maps
+            entry[1].update(tamed_signs)
+            entry[3] += held
         masses.update(part_masses)
     return table, masses
+
+
+def _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays) -> None:
+    """Raise naming the first class of ``first``'s shape, in the order
+    the fold met them, whose tamed-pair count is not 1."""
+    signs_in_preorder = itemgetter(*_preorder(first)[1])
+    for sgn in sign_arrays:
+        n = tamed_signs[signs_in_preorder(sgn)]
+        if n != 1:
+            raise CensusViolation(f"class of mu={first} sgn={''.join(sgn)} holds {n} tamed pairs")
+    raise CensusViolation(
+        f"shape of mu={first} has {len(tamed_signs)} signed classes with a tamed pair, "
+        f"not {len(sign_arrays)}"
+    )
 
 
 def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1) -> CensusReport:
@@ -118,9 +152,9 @@ def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1)
     start = time.monotonic()
     sign_arrays = list(product("+-", repeat=k)) if signed else [("+",) * k]
     mode, times = ("signed", "2^k") if signed else ("unsigned", "2^0")
+    n_signs = len(sign_arrays)
     cat = catalan_ternary(k)
-    expected_classes = cat * len(sign_arrays)
-    expected_total = double_factorial_odd(k) * len(sign_arrays)
+    expected_total = double_factorial_odd(k) * n_signs
 
     mus = list(enumerate_mus(k))
     if threads > 1:
@@ -132,36 +166,40 @@ def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1)
     else:
         table, masses = _census_chunk(mus, sign_arrays)
 
-    total = sum(size for size, _, _ in table.values())
+    total = sum(maps for maps, _, _, _ in table.values()) * n_signs
     if total != expected_total:
         raise CensusViolation(f"{mode} total {total} != (2k-1)!! {times} = {expected_total}")
-    if len(table) != expected_classes:
-        raise CensusViolation(
-            f"{mode} class count {len(table)} != catalan*{times} = {expected_classes}"
-        )
-    shapes = {shape for shape, _ in table}
-    if len(shapes) != cat:
-        raise CensusViolation(f"unsigned class count {len(shapes)} != {cat}")
-    for _, tamed, (mu, sgn) in table.values():
-        if tamed != 1:
-            raise CensusViolation(
-                f"class of mu={mu} sgn={''.join(sgn)} holds {tamed} tamed pairs"
-            )
+    if len(table) != cat:
+        raise CensusViolation(f"unsigned class count {len(table)} != {cat}")
+    for _, tamed_signs, first, _ in table.values():
+        # the keys are k-sign tuples: n_signs keys are every signed class
+        if not sum(tamed_signs.values()) == len(tamed_signs) == n_signs:
+            _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays)
+    for maps, _, _, held in table.values():
+        for mu, sgn, td in held:
+            if td != maps:
+                raise CensusViolation(
+                    f"class of mu={mu} sgn={''.join(sgn)} holds {maps} pairs "
+                    f"!= td hook count {td}"
+                )
     mass_total = sum(masses.values())
     if mass_total != expected_total:
         raise CensusViolation(
             f"extension mass {mass_total} over {len(masses)} reference pairs "
             f"!= {expected_total}"
         )
+    signed_classes = cat * n_signs
     return CensusReport(
         k=k,
         signed=signed,
         total_pairs=total,
-        unsigned_classes=len(shapes),
-        signed_classes=len(table),
-        tamed_count=len(table),  # exactly one per class, checked above
+        unsigned_classes=len(table),
+        signed_classes=signed_classes,
+        tamed_count=signed_classes,  # exactly one per class, checked above
         wild_classes=len(masses),
-        class_size_histogram=dict(Counter(size for size, _, _ in table.values())),
+        class_size_histogram={
+            maps: n * n_signs for maps, n in Counter(e[0] for e in table.values()).items()
+        },
         mass_total=mass_total,
         reference_masses=masses,
         elapsed=time.monotonic() - start,

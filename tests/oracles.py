@@ -2,10 +2,14 @@
 and the Hypothesis strategy for pairs that the property tests draw from."""
 
 import itertools
+from collections import Counter
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
-from kmboard.domains import TimePoset, linear_extensions
+from kmboard.canonical import _MapProfile
+from kmboard.counting import CensusReport, catalan_ternary
+from kmboard.domains import TimePoset, _attached_parents, _hook_count, linear_extensions
 from kmboard.duhamel import (
     Atom,
     Conj,
@@ -18,17 +22,19 @@ from kmboard.duhamel import (
     evolve,
     prod,
 )
-from kmboard.errors import CapExceeded
+from kmboard.errors import CapExceeded, CensusViolation
 from kmboard.moves import MoveState, _act, apply_signed_km, groups_of
 from kmboard.pairs import (
     ENUMERATION_CAP,
     CollapsingPair,
     TimePermutation,
+    double_factorial_odd,
     enumerate_mus,
     enumerate_pairs,
 )
 from kmboard.trees import (
     SignedTree,
+    _preorder,
     _slots_from_mu,
     pair_from_tree,
     skeleton_key,
@@ -361,6 +367,72 @@ def literal_unsigned_census(k) -> dict:
         key = literal_skeleton_key(mu)
         buckets[key] = buckets.get(key, 0) + 1
     return buckets
+
+
+def signed_class_table_census(k, signed=True) -> CensusReport:
+    """The census by one table entry per signed class, every pair looked up.
+
+    Each (map, sign array) pair is folded into its signed skeleton key
+    ``(shape, signs in preorder)`` -> ``[size, tamed members, first
+    member]``, and every claim is read off that table.  The elapsed
+    field is left 0.
+    """
+    sign_arrays = list(itertools.product("+-", repeat=k)) if signed else [("+",) * k]
+    mode, times = ("signed", "2^k") if signed else ("unsigned", "2^0")
+    cat = catalan_ternary(k)
+    expected_classes = cat * len(sign_arrays)
+    expected_total = double_factorial_odd(k) * len(sign_arrays)
+
+    table, masses = {}, {}
+    for mu in enumerate_mus(k):
+        shape, order = _preorder(mu)
+        signs_in_preorder = itemgetter(*order)
+        profile = _MapProfile(mu)
+        for sgn in sign_arrays:
+            skey = (shape, signs_in_preorder(sgn))
+            entry = table.get(skey)
+            if entry is None:
+                entry = table[skey] = [0, 0, (mu, sgn)]
+            entry[0] += 1
+            if profile.tamed(sgn):
+                entry[1] += 1
+                if profile.blocks_ordered(sgn):
+                    ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
+                    masses[ref_key] = _hook_count(_attached_parents(mu, zip(mu, sgn)))
+
+    total = sum(size for size, _, _ in table.values())
+    if total != expected_total:
+        raise CensusViolation(f"{mode} total {total} != (2k-1)!! {times} = {expected_total}")
+    if len(table) != expected_classes:
+        raise CensusViolation(
+            f"{mode} class count {len(table)} != catalan*{times} = {expected_classes}"
+        )
+    shapes = {shape for shape, _ in table}
+    if len(shapes) != cat:
+        raise CensusViolation(f"unsigned class count {len(shapes)} != {cat}")
+    for _, tamed, (mu, sgn) in table.values():
+        if tamed != 1:
+            raise CensusViolation(
+                f"class of mu={mu} sgn={''.join(sgn)} holds {tamed} tamed pairs"
+            )
+    mass_total = sum(masses.values())
+    if mass_total != expected_total:
+        raise CensusViolation(
+            f"extension mass {mass_total} over {len(masses)} reference pairs "
+            f"!= {expected_total}"
+        )
+    return CensusReport(
+        k=k,
+        signed=signed,
+        total_pairs=total,
+        unsigned_classes=len(shapes),
+        signed_classes=len(table),
+        tamed_count=len(table),
+        wild_classes=len(masses),
+        class_size_histogram=dict(Counter(size for size, _, _ in table.values())),
+        mass_total=mass_total,
+        reference_masses=masses,
+    )
 
 
 def _permuted_value(rho, v):

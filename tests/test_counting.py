@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from kmboard.counting import CENSUS_CAP, catalan_ternary, census
 from kmboard.domains import count_linear_extensions, td_domain
 from kmboard.errors import CapExceeded, CensusViolation
-from kmboard.pairs import double_factorial_odd, enumerate_pairs
+from kmboard.pairs import double_factorial_odd, enumerate_mus, enumerate_pairs
 from kmboard.canonical import is_tamed
 
 
@@ -86,9 +88,97 @@ def test_census_cap():
 
 def test_census_threads_match_sequential():
     for signed in (True, False):
-        threaded, sequential = census(4, signed, threads=2), census(4, signed)
+        threaded, sequential = census(5, signed, threads=2), census(5, signed)
         assert threaded.to_json() == sequential.to_json()
         assert threaded.reference_masses == sequential.reference_masses
+
+
+def _fields(report) -> dict:
+    """Every report field but the elapsed time, dicts as ordered item lists."""
+    fields = dataclasses.asdict(report)
+    del fields["elapsed"]
+    for name in ("class_size_histogram", "reference_masses"):
+        fields[name] = list(fields[name].items())
+    return fields
+
+
+def test_census_matches_signed_class_table_oracle():
+    # one table entry per shape must report what one entry per signed
+    # class reports, field for field and in the same order
+    from oracles import signed_class_table_census
+
+    for k in range(1, 6):
+        for signed in (True, False):
+            assert _fields(census(k, signed)) == _fields(signed_class_table_census(k, signed))
+
+
+def test_census_rejects_a_preorder_that_repeats_a_sign_index(monkeypatch):
+    from kmboard import counting
+
+    real = counting._preorder
+
+    def repeating(mu):
+        shape, order = real(mu)
+        return shape, order[:-1] + order[:1]
+
+    monkeypatch.setattr(counting, "_preorder", repeating)
+    with pytest.raises(CensusViolation):
+        census(3)
+
+
+def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monkeypatch):
+    # drop one tamed pair whose map is not the first of its shape: the
+    # census must name its class by the class's first member, as the
+    # per-signed-class fold does
+    import oracles
+    from kmboard import counting
+    from kmboard.trees import skeleton_key
+
+    firsts = {}
+    for mu in enumerate_mus(4):
+        firsts.setdefault(skeleton_key(mu), mu)
+    target = next(
+        (p.mu, p.sgn)
+        for p in enumerate_pairs(4, signed=True)
+        if p.mu not in firsts.values() and is_tamed(p)
+    )
+
+    class OneUntamed(counting._MapProfile):
+        def __init__(self, mu):
+            super().__init__(mu)
+            self.mu = mu
+
+        def tamed(self, sgn):
+            return (self.mu, tuple(sgn)) != target and super().tamed(sgn)
+
+    monkeypatch.setattr(counting, "_MapProfile", OneUntamed)
+    monkeypatch.setattr(oracles, "_MapProfile", OneUntamed)
+    with pytest.raises(CensusViolation) as expected:
+        oracles.signed_class_table_census(4)
+    with pytest.raises(CensusViolation) as got:
+        census(4)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith("holds 0 tamed pairs")
+    assert f"mu={target[0]} " not in str(got.value)
+
+
+def test_census_checks_class_sizes_against_td(monkeypatch):
+    # td without its left-branch chains: every other clause still holds,
+    # so only the size check can fail
+    import oracles
+    from kmboard import counting
+
+    real = counting._attached_parents
+
+    def chainless(mu, keys):
+        return real(mu, range(len(mu)) if keys is mu else keys)
+
+    monkeypatch.setattr(counting, "_attached_parents", chainless)
+    monkeypatch.setattr(oracles, "_attached_parents", chainless)
+    oracles.signed_class_table_census(3)
+    size_message = r"class of mu=\(.*\) sgn=[+-]{3} holds \d+ pairs != td hook count \d+"
+    with pytest.raises(CensusViolation, match=size_message):
+        census(3)
 
 
 def test_census_tamedness_agrees_with_literal_predicate():
