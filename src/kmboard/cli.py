@@ -2,8 +2,9 @@
 
 One executable, deterministic output: identical invocations produce
 byte-identical stdout.  ``verify`` runs the checks of
-:mod:`kmboard.verify` and prints no timings yet.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+:mod:`kmboard.verify`, prints their report lines (a failed check's last
+line ends in FAIL) and no timings yet.  Exit codes: 0 success, 1
+verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -93,20 +94,13 @@ def cmd_dtree(args) -> int:
 def cmd_canon(args) -> int:
     pair = _pair_from_args(args)
     out: dict = {"input": pair.to_json(), "form": args.form}
-    if args.form == "echelon":
-        canon, move_seq = canonical.to_echelon(pair)
-        out["canonical"] = canon.to_json()
-        out["moves"] = [[2 * j, 2 * j + 2] for j in move_seq]
-    elif args.form == "tamed":
-        canon, move_seq = canonical.to_tamed(pair)
-        out["canonical"] = canon.to_json()
-        out["moves"] = [[2 * j, 2 * j + 2] for j in move_seq]
-    else:
-        tamed, move_seq = canonical.to_tamed(pair)
-        reference, rho = canonical.to_reference(tamed)
-        out["canonical"] = reference.to_json()
-        out["moves"] = [[2 * j, 2 * j + 2] for j in move_seq]
+    reduce = canonical.to_echelon if args.form == "echelon" else canonical.to_tamed
+    canon, move_seq = reduce(pair)
+    if args.form == "reference":
+        canon, rho = canonical.to_reference(canon)
         out["permutation"] = rho.to_json()
+    out["canonical"] = canon.to_json()
+    out["moves"] = [[2 * j, 2 * j + 2] for j in move_seq]
     _emit(args, _dumps(out) + "\n")
     return 0
 

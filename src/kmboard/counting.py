@@ -16,6 +16,7 @@ the all-plus sign array alone.  All integers are exact.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -145,7 +146,9 @@ def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1)
     an all-plus pair all-plus, so its classes are the unsigned classes
     and every claim holds with 2^k replaced by 1: catalan(k) classes,
     one tamed pair in each, reference masses summing to (2k-1)!!.
-    Raises :class:`CensusViolation` naming a witness if any claim fails.
+    ``threads`` worker processes fold the maps, at most one per CPU and
+    per map.  Raises :class:`CensusViolation` naming a witness if any
+    claim fails.
     """
     if k > cap:
         raise CapExceeded(f"census k={k} exceeds cap {cap}")
@@ -157,11 +160,12 @@ def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1)
     expected_total = double_factorial_odd(k) * n_signs
 
     mus = list(enumerate_mus(k))
-    if threads > 1:
+    workers = min(threads, len(mus), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        chunks = [(mus[i::threads], sign_arrays) for i in range(threads)]
-        with multiprocessing.Pool(threads) as pool:
+        chunks = [(mus[i::workers], sign_arrays) for i in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
             table, masses = _merge_chunks(pool.starmap(_census_chunk, chunks))
     else:
         table, masses = _census_chunk(mus, sign_arrays)

@@ -1,22 +1,30 @@
 """The structure checks behind ``kmboard verify``.
 
 Each check takes the order k, the :class:`VerifyRun` it belongs to and
-the report lines, appends its lines and returns whether it passed.
-Reference-unique, compat and mass read one :class:`WildSweep` per order,
-built by whichever of them runs first and dropped with the run, so every
-verify call does the sweep's work again.  Mass proves each reference's
-simplex partition by containment, branch signatures and hook counts
-(:func:`_partition_failure`), so it lists no linear extension.
+the report lines, and appends its OK lines.  At its first failure it
+raises :class:`CheckFailed` with the failure line, which
+:func:`run_checks` alone marks FAIL.  A :class:`VerifyRun` builds each
+order's signed census and :class:`WildSweep` once, for whichever check
+asks first, and drops them with the run: catalan and tamed-unique read
+the census, reference-unique, compat and mass the sweep.  Mass proves
+each reference's simplex partition by containment, branch signatures
+and hook counts (:func:`_partition_failure`), so it lists no linear
+extension.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from . import canonical, counting, domains, duhamel, moves
 from .errors import CensusViolation
 from .pairs import double_factorial_odd, enumerate_pairs, random_pair
+
+
+class CheckFailed(Exception):
+    """A check failed; the message is its report line without ``FAIL``."""
 
 
 @dataclass
@@ -25,15 +33,12 @@ class WildSweep:
 
     ``classes`` maps each reference pair to the witness images of its
     class members and ``hits`` to the number of members that
-    ``canonical.is_reference`` accepts, both in enumeration order.  The
-    walk stops at the first member that its witness does not carry back
-    from the reference, and ``failure`` holds that report line.
+    ``canonical.is_reference`` accepts, both in enumeration order.
     """
 
     n_tamed: int
     classes: dict
     hits: dict
-    failure: str | None
 
 
 def wild_sweep(k: int) -> WildSweep:
@@ -42,6 +47,8 @@ def wild_sweep(k: int) -> WildSweep:
     ``to_reference`` guards its input (tamed) and its output (reference,
     witness allowable), so the round trip applies the wild move directly
     rather than through ``apply_wild``, which would repeat both guards.
+    Raises :class:`CheckFailed` at the first pair that its witness does
+    not carry back from the reference.
     """
     classes: dict = {}
     hits: dict = {}
@@ -50,88 +57,82 @@ def wild_sweep(k: int) -> WildSweep:
         n_tamed += 1
         reference, rho = canonical.to_reference(pair)
         if moves._act(reference, rho, conjugate=False) != pair:
-            return WildSweep(n_tamed, classes, hits, f"k={k}: witness failed for {pair} FAIL")
+            raise CheckFailed(f"k={k}: witness failed for {pair}")
         witnesses = classes.get(reference)
         if witnesses is None:
             witnesses = classes[reference] = []
             hits[reference] = 0
         witnesses.append(rho.image)
         hits[reference] += canonical.is_reference(pair)
-    return WildSweep(n_tamed, classes, hits, None)
+    return WildSweep(n_tamed, classes, hits)
+
+
+def _signed_census(k: int, threads: int) -> counting.CensusReport:
+    """The signed census of order k; a violation fails the check that asked."""
+    try:
+        return counting.census(k, signed=True, threads=threads)
+    except CensusViolation as exc:
+        raise CheckFailed(f"k={k}: {exc}") from exc
 
 
 class VerifyRun:
-    """The options of one verify call and the wild sweeps its checks share."""
+    """The options of one verify call and the per-order folds its checks share.
+
+    ``census(k)`` and ``sweep(k)`` build the signed census and the wild
+    sweep of order k on first use and keep them for the rest of the run.
+    """
 
     def __init__(self, seed: int, threads: int):
         self.seed = seed
-        self.threads = threads
-        self._sweeps: dict[int, WildSweep] = {}
-
-    def sweep(self, k: int) -> WildSweep:
-        if k not in self._sweeps:
-            self._sweeps[k] = wild_sweep(k)
-        return self._sweeps[k]
+        self.census = cache(lambda k: _signed_census(k, threads))
+        self.sweep = cache(wild_sweep)
 
 
-def _check_catalan(k, run, lines) -> bool:
+def _check_catalan(k, run, lines) -> None:
+    # the signed census checks every unsigned claim on its all-plus classes
     for kk in range(1, k + 1):
-        try:
-            report = counting.census(kk, signed=False)
-        except CensusViolation as exc:
-            lines.append(f"k={kk}: {exc} FAIL")
-            return False
         lines.append(
-            f"unsigned classes: {report.unsigned_classes} == "
+            f"unsigned classes: {run.census(kk).unsigned_classes} == "
             f"catalan({kk}): {counting.catalan_ternary(kk)} OK"
         )
-    return True
 
 
-def _check_tamed_unique(k, run, lines) -> bool:
+def _check_tamed_unique(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        try:
-            report = counting.census(kk, signed=True, threads=run.threads)
-        except CensusViolation as exc:
-            lines.append(f"k={kk}: {exc} FAIL")
-            return False
+        report = run.census(kk)
         lines.append(
             f"k={kk}: {report.signed_classes} signed classes, {report.tamed_count} "
             "tamed pairs, one per class OK"
         )
-    return True
 
 
-def _check_reference_unique(k, run, lines) -> bool:
+def _check_reference_unique(k, run, lines) -> None:
     for kk in range(1, k + 1):
         sweep = run.sweep(kk)
-        if sweep.failure:
-            lines.append(sweep.failure)
-            return False
         if not sweep.classes:
-            lines.append(f"k={kk}: no tamed pairs FAIL")
-            return False
+            raise CheckFailed(f"k={kk}: no tamed pairs")
         for reference, n in sweep.hits.items():
             if n != 1:
-                lines.append(f"k={kk}: wild class of {reference} holds {n} reference pairs FAIL")
-                return False
+                raise CheckFailed(f"k={kk}: wild class of {reference} holds {n} reference pairs")
         lines.append(
             f"k={kk}: {sweep.n_tamed} tamed pairs in {len(sweep.classes)} wild classes, "
             "each with a verified reference witness OK"
         )
-    return True
 
 
-def _check_domain_bijection(k, run, lines) -> bool:
+def _check_domain_bijection(k, run, lines) -> None:
     for kk in range(1, k + 1):
         for pair in enumerate_pairs(kk, signed=False):
             orders = [domains.induced_order(rho) for rho in domains.sigma_set(pair)]
             if len(set(orders)) != len(orders):
-                lines.append(f"k={kk}: duplicate induced order for {pair} FAIL")
-                return False
-            if set(orders) != domains.linear_extensions(domains.td_domain(pair)):
-                lines.append(f"k={kk}: order sets differ for {pair} FAIL")
-                return False
+                raise CheckFailed(f"k={kk}: duplicate induced order for {pair}")
+            # distinct orders of td, as many as its hook count, are all of them
+            td = domains.td_domain(pair)
+            covers = td.reduction()
+            if len(orders) != domains.count_linear_extensions(td) or not all(
+                order.index(p) < order.index(x) for order in orders for p, x in covers
+            ):
+                raise CheckFailed(f"k={kk}: order sets differ for {pair}")
         lines.append(f"k={kk}: relabelings <-> linear extensions, exhaustively OK")
     rng = random.Random(run.seed)
     for _ in range(200):
@@ -139,24 +140,17 @@ def _check_domain_bijection(k, run, lines) -> bool:
         if len(domains.sigma_set(pair)) != domains.count_linear_extensions(
             domains.td_domain(pair)
         ):
-            lines.append(f"random k=7: count mismatch for {pair} FAIL")
-            return False
+            raise CheckFailed(f"random k=7: count mismatch for {pair}")
     lines.append("random k=7 (200 maps): relabeling count == extension count OK")
-    return True
 
 
-def _check_compat(k, run, lines) -> bool:
+def _check_compat(k, run, lines) -> None:
     for kk in range(1, k + 1):
         sweep = run.sweep(kk)
-        if sweep.failure:
-            lines.append(sweep.failure)
-            return False
         for reference in sweep.classes:
             if domains.tr_domain(reference) != domains.tc_domain(reference):
-                lines.append(f"k={kk}: T_R != T_C for {reference} FAIL")
-                return False
+                raise CheckFailed(f"k={kk}: T_R != T_C for {reference}")
         lines.append(f"k={kk}: T_R == T_C for all {len(sweep.classes)} reference pairs OK")
-    return True
 
 
 def _partition_failure(reference, whole, mass, orbit) -> str | None:
@@ -203,53 +197,42 @@ def _partition_failure(reference, whole, mass, orbit) -> str | None:
     return None
 
 
-def _check_mass(k, run, lines) -> bool:
+def _check_mass(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        sweep = run.sweep(kk)
-        if sweep.failure:
-            lines.append(sweep.failure)
-            return False
         total = 0
-        for reference, witnesses in sweep.classes.items():
+        for reference, witnesses in run.sweep(kk).classes.items():
             orbit = moves.allowable_permutations(reference)
             if sorted(witnesses) != [rho.image for rho in orbit]:
-                lines.append(f"k={kk}: wild class of {reference} != its orbit FAIL")
-                return False
+                raise CheckFailed(f"k={kk}: wild class of {reference} != its orbit")
             whole = domains.tr_domain(reference)
             # T_R's label-ordered map lists parents first, as _hook_count needs
             mass = domains._hook_count(dict(zip(whole.elements, whole.parent)))
             failure = _partition_failure(reference, whole, mass, orbit)
             if failure:
-                lines.append(f"k={kk}: {failure} FAIL")
-                return False
+                raise CheckFailed(f"k={kk}: {failure}")
             total += mass
         expected = double_factorial_odd(kk) * 2**kk
         if total != expected:
-            lines.append(f"k={kk}: mass {total} != {expected} FAIL")
-            return False
+            raise CheckFailed(f"k={kk}: mass {total} != {expected}")
         lines.append(f"k={kk}: disjoint partition, mass {total} == (2k-1)!!2^k OK")
-    return True
 
 
-def _check_duhamel(k, run, lines) -> bool:
+def _expansion_matches_oracle(pair) -> bool:
+    return duhamel.expand(pair) == tuple(map(duhamel.normalize, duhamel.expand_oracle(pair)))
+
+
+def _check_duhamel(k, run, lines) -> None:
     for kk in range(1, min(k, 3) + 1):
         for pair in enumerate_pairs(kk, signed=True):
-            if duhamel.expand(pair) != tuple(
-                map(duhamel.normalize, duhamel.expand_oracle(pair))
-            ):
-                lines.append(f"k={kk}: expansion != oracle for {pair} FAIL")
-                return False
+            if not _expansion_matches_oracle(pair):
+                raise CheckFailed(f"k={kk}: expansion != oracle for {pair}")
         lines.append(f"k={kk}: tree expansion == operator oracle, exhaustively OK")
     rng = random.Random(run.seed)
     for _ in range(50):
         pair = random_pair(5, rng, signed=True)
-        if duhamel.expand(pair) != tuple(
-            map(duhamel.normalize, duhamel.expand_oracle(pair))
-        ):
-            lines.append(f"random k=5: expansion != oracle for {pair} FAIL")
-            return False
+        if not _expansion_matches_oracle(pair):
+            raise CheckFailed(f"random k=5: expansion != oracle for {pair}")
     lines.append("random k=5 (50 pairs): tree expansion == operator oracle OK")
-    return True
 
 
 #: The checks in report order.  Benchmarks wrap the entries in place, so
@@ -266,8 +249,19 @@ CHECKS = {
 
 
 def run_checks(names, k: int, seed: int, threads: int) -> tuple[list[str], dict]:
-    """Run the named checks in order; return the report lines and name -> passed."""
+    """Run the named checks in order; return the report lines and name -> passed.
+
+    A check that raises :class:`CheckFailed` ends with its line marked
+    FAIL and the next check runs; any other exception propagates.
+    """
     run = VerifyRun(seed, threads)
     lines: list[str] = []
-    results = {name: CHECKS[name](k, run, lines) for name in names}
+    results = {}
+    for name in names:
+        try:
+            CHECKS[name](k, run, lines)
+            results[name] = True
+        except CheckFailed as exc:
+            lines.append(f"{exc} FAIL")
+            results[name] = False
     return lines, results

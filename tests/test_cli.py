@@ -211,6 +211,36 @@ def test_census_violation_fails_the_check_with_exit_1(capsys, monkeypatch, check
     assert json.loads(out.strip().splitlines()[-1]) == {check: "fail"}
 
 
+def test_census_cap_in_verify_exits_2(capsys, monkeypatch):
+    from kmboard import counting
+    from kmboard.errors import CapExceeded
+
+    def capped(k, **kwargs):
+        raise CapExceeded(f"census k={k} exceeds cap 0")
+
+    monkeypatch.setattr(counting, "census", capped)
+    assert input_error(capsys, "verify", "--k", "2", "--check", "catalan") == (
+        "error: census k=1 exceeds cap 0"
+    )
+
+
+def test_verify_folds_each_census_once_per_call(capsys, monkeypatch):
+    from kmboard import counting
+
+    calls = []
+    original = counting.census
+
+    def counted(k, **kwargs):
+        calls.append(k)
+        return original(k, **kwargs)
+
+    monkeypatch.setattr(counting, "census", counted)
+    assert run(capsys, "verify", "--k", "3")[0] == 0
+    assert calls == [1, 2, 3]
+    assert run(capsys, "verify", "--k", "3")[0] == 0
+    assert calls == [1, 2, 3] * 2
+
+
 def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkeypatch):
     from kmboard import canonical
 
@@ -419,6 +449,55 @@ def _single_fail_line(out):
     fails = [line for line in out.splitlines() if "FAIL" in line]
     assert len(fails) == 1, out
     return fails[0]
+
+
+def _drop_last_order(original):
+    def dropped(parent):
+        orders = list(original(parent))
+        return orders[:-1] if len(orders) > 1 else orders
+
+    return dropped
+
+
+def _repeat_first_relabeling(original):
+    def repeated(pair):
+        perms = original(pair)
+        return perms[:-1] + perms[:1] if len(perms) > 1 else perms
+
+    return repeated
+
+
+@pytest.mark.parametrize(
+    "attr, defect, line",
+    [
+        # sigma_set and linear_extensions share this generator, so the check
+        # must not compare the two
+        (
+            "_forest_orders",
+            _drop_last_order,
+            "k=3: order sets differ for mu=1,1,2 sgn=+,+,+ FAIL",
+        ),
+        (
+            "induced_order",
+            lambda original: lambda rho: (1,) + original(rho)[:0:-1],
+            "k=2: order sets differ for mu=1,1 sgn=+,+ FAIL",
+        ),
+        (
+            "sigma_set",
+            _repeat_first_relabeling,
+            "k=3: duplicate induced order for mu=1,1,2 sgn=+,+,+ FAIL",
+        ),
+    ],
+    ids=["generator-drops-an-order", "orders-break-covers", "repeated-relabeling"],
+)
+def test_domain_bijection_names_the_clause_that_fails(capsys, monkeypatch, attr, defect, line):
+    from kmboard import domains
+
+    monkeypatch.setattr(domains, attr, defect(getattr(domains, attr)))
+    code, out = run(capsys, "verify", "--k", "3", "--check", "domain-bijection")
+    assert code == 1
+    assert _single_fail_line(out) == line
+    assert json.loads(out.strip().splitlines()[-1]) == {"domain-bijection": "fail"}
 
 
 def test_mass_fails_when_a_wild_class_is_not_its_orbit(capsys, monkeypatch):

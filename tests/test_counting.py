@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -91,6 +92,56 @@ def test_census_threads_match_sequential():
         threaded, sequential = census(5, signed, threads=2), census(5, signed)
         assert threaded.to_json() == sequential.to_json()
         assert threaded.reference_masses == sequential.reference_masses
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, [3]), (2, [2]), (None, [])])
+def test_census_starts_at_most_one_worker_per_cpu_and_per_map(monkeypatch, cpus, workers):
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size it is asked for and runs the chunks here."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def starmap(self, fn, args):
+            return list(itertools.starmap(fn, args))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pooled = dataclasses.asdict(census(2, threads=10_000))
+    sequential = dataclasses.asdict(census(2))
+    del pooled["elapsed"], sequential["elapsed"]
+    assert pooled == sequential
+    assert sizes == workers  # k=2 has 3 maps
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_unsigned_census_is_the_all_plus_slice_of_the_signed_census(k):
+    # verify's catalan check reads the signed census alone
+    signed, unsigned = census(k), census(k, signed=False)
+    assert unsigned.total_pairs == signed.total_pairs >> k
+    assert unsigned.unsigned_classes == signed.unsigned_classes
+    assert (
+        unsigned.signed_classes
+        == unsigned.tamed_count
+        == unsigned.wild_classes
+        == catalan_ternary(k)
+    )
+    assert unsigned.class_size_histogram == {
+        size: n >> k for size, n in signed.class_size_histogram.items()
+    }
+    assert unsigned.mass_total == unsigned.total_pairs
+    assert unsigned.reference_masses.items() <= signed.reference_masses.items()
 
 
 def _fields(report) -> dict:
