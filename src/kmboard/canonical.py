@@ -16,7 +16,7 @@ import itertools
 from typing import Iterator
 
 from .errors import NotAcceptable, NotReference, NotTamed, OutOfRange
-from .moves import _act, _km_acceptable, groups_of, is_allowable
+from .moves import _act, _act_arrays, _allowable, _km_acceptable
 from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
 from .trees import echelon_labeling, tamed_labeling, tree_from_pair
 
@@ -210,29 +210,39 @@ def echelon_pair(pair: CollapsingPair) -> CollapsingPair:
     return _act(pair.unsigned(), echelon_labeling(tree_from_pair(pair)), conjugate=True)
 
 
+def _reference_arrays(mu, sgn, groups) -> tuple[tuple, tuple, tuple]:
+    """The reference arrays of a tamed pair's wild class and the witness image, unguarded.
+
+    ``groups`` lists the sign indices of each left branch
+    (:attr:`_MapProfile.groups`).  Per branch, the witness rho sends the
+    block-leading labels to the + members (in order) and the rest to the
+    - members (in order); the reference arrays are those of
+    W(rho)^-1 applied to the input.
+    """
+    image = [0] * len(mu)  # image[j-1] = rho(2j)
+    back = [0] * len(mu)  # rho^-1 likewise
+    for g in groups:
+        for src, dst in zip(g, [i for i in g if sgn[i] == "+"] + [i for i in g if sgn[i] == "-"]):
+            image[src] = 2 * dst + 2
+            back[dst] = 2 * src + 2
+    return (*_act_arrays(mu, sgn, back, conjugate=False), tuple(image))
+
+
 def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]:
     """Reference pair of the wild class and the allowable witness.
 
-    Per left branch, the witness rho sends the block-leading labels to
-    the + members (in order) and the rest to the - members (in order);
-    then reference = W(rho)^-1 applied to the input, i.e.
+    The witness rho is that of :func:`_reference_arrays`, and
     input = W(rho)(reference).
     """
-    if not is_tamed(pair):
+    profile = _profile(tuple(pair.mu))
+    if not profile.tamed(pair.sgn):
         raise NotTamed(f"reference reduction needs a tamed pair: {pair}")
-    k, sgn = pair.k, pair.sgn
-    image = [0] * k  # image[j-1] = rho(2j)
-    for members in groups_of(pair).values():
-        signs = [sgn[(x - 2) >> 1] for x in members]
-        plus = [x for x, s in zip(members, signs) if s == "+"]
-        minus = [x for x, s in zip(members, signs) if s == "-"]
-        for src, dst in zip(members, plus + minus):
-            image[(src - 2) >> 1] = dst
-    rho = TimePermutation(k, tuple(image))
-    reference = _act(pair, rho.inverse(), conjugate=False)
+    mu, sgn, image = _reference_arrays(pair.mu, pair.sgn, profile.groups)
+    reference = CollapsingPair(pair.k, mu, sgn)
+    rho = TimePermutation(pair.k, image)
     if not is_reference(reference):
         raise NotReference(f"constructed pair is not a reference pair: {reference}")
-    if not is_allowable(reference, rho):
+    if not _allowable(mu, sgn, image):
         raise NotReference(f"witness {rho.image} is not allowable for {reference}")
     return reference, rho
 

@@ -232,23 +232,33 @@ def tc_domain(pair: CollapsingPair) -> TimePoset:
     return TimePoset(pair.k, (None, *(1 if p == 0 else p + 1 for p in up)))
 
 
-def _wild_piece(mu, image) -> dict:
-    """td(W(rho)(R)) relabeled by rho^-1, as a parent map listing parents first.
+def _wild_piece(mu, image) -> tuple[list, list]:
+    """td(W(rho)(R)) relabeled by rho^-1, as arrays.
 
-    The attachment rule runs on the moved map v -> rho(v) of the
-    reference map ``mu``; then every label is renamed by rho^-1.
+    The attachment rule of :func:`_attached_parents` runs on the moved
+    map v -> rho(v) of the reference map ``mu``, in the moved pair's
+    label order, which lists parents first; every label is then renamed
+    by rho^-1.  Returns the renamed labels in that order and a
+    label-indexed parent array: ``parent[x >> 1]`` is the upper cover of
+    t_x, None for t_1.
     """
-    rho = [0, 1]  # rho[v] for v in 1..2k+1, with rho(2l+1) = rho(2l) + 1
-    for w in image:
+    k = len(mu)
+    rho = [0, 1]  # rho on the labels 1..2k+1, with rho(2l+1) = rho(2l) + 1
+    back = [0, 1] + [0] * (2 * k)  # rho^-1 likewise
+    for i, w in enumerate(image):
         rho += (w, w + 1)
-    back = rho[:]  # rho^-1
-    for v, w in enumerate(rho):
-        back[w] = v
-    moved = [rho[v] for v in mu]
-    return {
-        back[x]: None if p is None else back[p]
-        for x, p in _attached_parents(moved, moved).items()
-    }
+        back[w], back[w + 1] = 2 * i + 2, 2 * i + 3
+    order = [1]
+    parent = [None] * (k + 1)
+    last = [0] * (2 * k + 2)  # moved value -> latest label hung under it so far
+    for x, v in zip(range(3, 2 * k + 2, 2), mu):
+        w = rho[v]
+        p = last[w] or w - w % 2 + 1
+        last[w] = x
+        y = back[x]
+        parent[y >> 1] = back[p]
+        order.append(y)
+    return order, parent
 
 
 def tr_domain(reference: CollapsingPair) -> TimePoset:

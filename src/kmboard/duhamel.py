@@ -314,12 +314,21 @@ def _slot_pass(mu, sgn):
     return root, kids, up
 
 
+#: Every leaf built so far, by (index, sign); leaves compare by value and
+#: never change, so all trees share one leaf per key.
+_LEAVES: dict = {}
+
+
 def build_dtree(pair: CollapsingPair) -> DTree:
     """Place every coupling by the minimal-index slot rules, in O(k)."""
     root, kids, up = _slot_pass(pair.mu, pair.sgn)
+    leaves = _LEAVES
 
     def fill(slots):
-        return tuple(c if type(c) is int else FLeaf(*c) for c in slots)
+        return tuple(
+            c if type(c) is int else leaves.get(c) or leaves.setdefault(c, FLeaf(*c))
+            for c in slots
+        )
 
     return DTree(
         pair.k,

@@ -47,24 +47,25 @@ def km_admissible_indices(pair: CollapsingPair) -> list[int]:
     return [j for j in range(2, pair.k) if _km_acceptable(pair.mu, j)]
 
 
-def _act(pair: CollapsingPair, rho: TimePermutation, conjugate: bool) -> CollapsingPair:
-    """mu' = rho.mu.rho^-1 (KM, conjugate) or rho.mu (wild); sgn' = sgn.rho^-1.
+def _act_arrays(mu, sgn, image, conjugate: bool) -> tuple[tuple, tuple]:
+    """The arrays of :func:`_act`, from the arrays of the pair and of rho.
 
-    Indexes ``pair.mu``, ``pair.sgn`` and ``rho.image`` directly: mu
-    values live in 1..2k-1, rho fixes 1 and sends the odd label 2l+1 to
-    rho(2l) + 1.
+    ``ext`` is rho on the labels 1..2k+1 (rho fixes 1 and sends the odd
+    label 2l+1 to rho(2l) + 1), indexed by label.
     """
-    image = rho.image
     src = [0] * len(image)  # src[j-1] = i-1 where rho(2i) = 2j
+    ext = [0, 1]
     for i, v in enumerate(image):
         src[(v - 2) >> 1] = i
-    values = [pair.mu[i] for i in src] if conjugate else pair.mu
-    mu = tuple(
-        1 if v == 1 else image[(v - 2) >> 1] if v % 2 == 0 else image[(v - 3) >> 1] + 1
-        for v in values
-    )
-    sgn = tuple(pair.sgn[i] for i in src)
-    return CollapsingPair(pair.k, mu, sgn)
+        ext.append(v)
+        ext.append(v + 1)
+    values = [mu[i] for i in src] if conjugate else mu
+    return tuple([ext[v] for v in values]), tuple([sgn[i] for i in src])
+
+
+def _act(pair: CollapsingPair, rho: TimePermutation, conjugate: bool) -> CollapsingPair:
+    """mu' = rho.mu.rho^-1 (KM, conjugate) or rho.mu (wild); sgn' = sgn.rho^-1."""
+    return CollapsingPair(pair.k, *_act_arrays(pair.mu, pair.sgn, rho.image, conjugate))
 
 
 def apply_signed_km(state: MoveState, j: int) -> MoveState:
@@ -104,26 +105,17 @@ def km_class(
     return seen if with_moves else frozenset(seen)
 
 
-def groups_of(pair: CollapsingPair) -> dict[int, list[int]]:
-    """The left-branch partition: value i -> sorted labels with mu = i."""
-    groups: dict[int, list[int]] = {}
-    for j in range(1, pair.k + 1):
-        groups.setdefault(pair.mu[j - 1], []).append(2 * j)
-    return groups
-
-
-def is_allowable(pair: CollapsingPair, rho: TimePermutation) -> bool:
-    """Group-preserving and same-sign order-preserving for this pair.
+def _allowable(mu, sgn, image) -> bool:
+    """Is ``image`` a permutation of the even labels allowable for ``mu``, ``sgn``?
 
     Same-sign members of a left branch keep their order exactly when
     each one's image exceeds that of the previous one, so one pass over
-    the labels decides both conditions.
+    the labels decides both conditions; the labels it meets must be
+    2, 4, ..., 2k, each once.
     """
-    if rho.k != pair.k:
-        raise KMismatch(f"permutation of order {rho.k} acts on a pair of order {pair.k}")
-    mu, sgn = pair.mu, pair.sgn
     last: dict[tuple, int] = {}  # (mu value, sign) -> image of the previous such label
-    for i, v in enumerate(rho.image):
+    seen = 0
+    for i, v in enumerate(image):
         m = mu[i]
         if mu[(v - 2) >> 1] != m:
             return False
@@ -131,41 +123,62 @@ def is_allowable(pair: CollapsingPair, rho: TimePermutation) -> bool:
         if last.get(key, 0) > v:
             return False
         last[key] = v
-    return True
+        seen |= 1 << v
+    return seen == ((1 << 2 * len(image) + 2) - 4) // 3  # bits 2, 4, ..., 2k
+
+
+def is_allowable(pair: CollapsingPair, rho: TimePermutation) -> bool:
+    """Group-preserving and same-sign order-preserving for this pair."""
+    if rho.k != pair.k:
+        raise KMismatch(f"permutation of order {rho.k} acts on a pair of order {pair.k}")
+    return _allowable(pair.mu, pair.sgn, rho.image)
+
+
+def _interleavings(groups, sgn) -> list[tuple[int, ...]]:
+    """The images of every allowable permutation, in lexicographic order.
+
+    ``groups`` lists the sign indices of each left branch (see
+    ``canonical._MapProfile.groups``).  Per branch, every interleaving
+    keeps the ``+`` members and the ``-`` members in their own order;
+    the branch choices multiply.
+    """
+    per_group = []
+    for g in groups:
+        plus = [i for i in g if sgn[i] == "+"]
+        if not 0 < len(plus) < len(g):
+            continue  # one sign: the branch's only interleaving fixes it
+        members = plus + [i for i in g if sgn[i] == "-"]
+        options = []
+        for plus_slots in itertools.combinations(g, len(plus)):
+            slots = plus_slots + tuple(i for i in g if i not in plus_slots)
+            options.append(tuple(zip(members, [2 * i + 2 for i in slots])))
+        per_group.append(options)
+    identity = list(range(2, 2 * len(sgn) + 1, 2))
+    images = []
+    for combo in itertools.product(*per_group):
+        image = identity[:]
+        for mapping in combo:
+            for i, y in mapping:
+                image[i] = y
+        images.append(tuple(image))
+    images.sort()
+    return images
 
 
 def allowable_permutations(pair: CollapsingPair) -> list[TimePermutation]:
     """All permutations allowable for a tamed pair, identity included.
 
-    Constructive: per left branch, every interleaving that keeps the
-    ``+`` members and the ``-`` members in their own order; the branch
-    choices multiply.  Listed in lexicographic image order.
+    Constructive (:func:`_interleavings`), in lexicographic image order.
     """
-    from .canonical import is_tamed  # deferred: canonical builds on moves
+    from .canonical import _profile, is_tamed  # deferred: canonical builds on moves
 
     if not is_tamed(pair):
         raise NotTamed(f"allowable permutations are defined on tamed pairs: {pair}")
-    sgn = pair.sgn
-    per_group = []
-    for members in groups_of(pair).values():
-        plus = [x for x in members if sgn[x // 2 - 1] == "+"]
-        minus = [x for x in members if sgn[x // 2 - 1] == "-"]
-        if not plus or not minus:
-            continue  # one sign: the branch's only interleaving fixes it
-        options = []
-        for plus_slots in itertools.combinations(members, len(plus)):
-            minus_slots = [x for x in members if x not in plus_slots]
-            options.append(tuple(zip(plus, plus_slots)) + tuple(zip(minus, minus_slots)))
-        per_group.append(options)
-    perms = []
-    for combo in itertools.product(*per_group):
-        image = list(range(2, 2 * pair.k + 1, 2))
-        for mapping in combo:
-            for x, y in mapping:
-                image[x // 2 - 1] = y
-        # each branch goes onto itself, so the image is a permutation
-        perms.append(TimePermutation._unchecked(pair.k, tuple(image)))
-    return sorted(perms, key=lambda p: p.image)
+    # each branch goes onto itself, so every image is a permutation
+    return [
+        TimePermutation._unchecked(pair.k, image)
+        for image in _interleavings(_profile(tuple(pair.mu)).groups, pair.sgn)
+    ]
 
 
 def apply_wild(state: MoveState, rho: TimePermutation) -> MoveState:

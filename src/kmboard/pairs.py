@@ -45,6 +45,15 @@ class CollapsingPair:
     def __post_init__(self):
         _check_pair(self.k, self.mu, self.sgn)
 
+    @classmethod
+    def _unchecked(cls, k: int, mu: tuple, sgn: tuple) -> "CollapsingPair":
+        """A pair built without the legality checks, to look up pairs already built."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "k", k)
+        object.__setattr__(pair, "mu", mu)
+        object.__setattr__(pair, "sgn", sgn)
+        return pair
+
     def mu_of(self, label: int) -> int:
         """Extended collapsing map on labels ``2..2k+1``."""
         if not 2 <= label <= 2 * self.k + 1:

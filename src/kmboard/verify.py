@@ -6,25 +6,41 @@ raises :class:`CheckFailed` with the failure line, which
 :func:`run_checks` alone marks FAIL.  A :class:`VerifyRun` builds each
 order's signed census and :class:`WildSweep` once, for whichever check
 asks first, and drops them with the run: catalan and tamed-unique read
-the census, reference-unique, compat and mass the sweep.  Mass proves
-each reference's simplex partition by containment, branch signatures
-and hook counts (:func:`_partition_failure`), so it lists no linear
+the census, reference-unique, compat and mass the sweep.  The sweep and
+mass run on map, sign and image arrays through the private kernels
+that the public reduction and move functions wrap, so they validate
+no pair or permutation per tamed pair.  Mass proves each
+reference's simplex partition by containment, branch signatures and
+hook counts (:func:`_partition_failure`), so it lists no linear
 extension.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cache
 
 from . import canonical, counting, domains, duhamel, moves
 from .errors import CensusViolation
-from .pairs import double_factorial_odd, enumerate_pairs, random_pair
+from .pairs import (
+    SIGNS,
+    CollapsingPair,
+    double_factorial_odd,
+    enumerate_mus,
+    enumerate_pairs,
+    random_pair,
+)
 
 
 class CheckFailed(Exception):
     """A check failed; the message is its report line without ``FAIL``."""
+
+
+def _rho_text(image) -> str:
+    return f"rho={','.join(map(str, image))}"
 
 
 @dataclass
@@ -32,8 +48,8 @@ class WildSweep:
     """One walk over the tamed pairs of an order, grouped by wild class.
 
     ``classes`` maps each reference pair to the witness images of its
-    class members and ``hits`` to the number of members that
-    ``canonical.is_reference`` accepts, both in enumeration order.
+    class members and ``hits`` to the number of members that are
+    reference pairs themselves, both in enumeration order.
     """
 
     n_tamed: int
@@ -44,26 +60,51 @@ class WildSweep:
 def wild_sweep(k: int) -> WildSweep:
     """Reduce every tamed pair of order k to its reference and check the witness.
 
-    ``to_reference`` guards its input (tamed) and its output (reference,
-    witness allowable), so the round trip applies the wild move directly
-    rather than through ``apply_wild``, which would repeat both guards.
-    Raises :class:`CheckFailed` at the first pair that its witness does
-    not carry back from the reference.
+    The walk runs on the map and sign arrays: one profile per map finds
+    its tamed sign arrays, and ``canonical._reference_arrays`` reduces
+    each.  Per tamed pair it checks that the reduced arrays are tamed
+    and block-ordered (a reference pair), that the witness is
+    allowable, and that the wild move by the witness carries them back
+    to the pair; a pair is a hit when its own branches are
+    block-ordered.  Raises :class:`CheckFailed` at the first pair that
+    fails.  Each distinct reference is built once, as a validated
+    :class:`CollapsingPair`.
     """
     classes: dict = {}
     hits: dict = {}
     n_tamed = 0
-    for pair in canonical.tamed_pairs(k):
-        n_tamed += 1
-        reference, rho = canonical.to_reference(pair)
-        if moves._act(reference, rho, conjugate=False) != pair:
-            raise CheckFailed(f"k={k}: witness failed for {pair}")
-        witnesses = classes.get(reference)
-        if witnesses is None:
-            witnesses = classes[reference] = []
-            hits[reference] = 0
-        witnesses.append(rho.image)
-        hits[reference] += canonical.is_reference(pair)
+    for mu in enumerate_mus(k):
+        profile = canonical._profile(mu)
+        if not profile.static_ok:
+            continue
+        for sgn in itertools.product(SIGNS, repeat=k):
+            if not profile.tamed(sgn):
+                continue
+            n_tamed += 1
+            ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, profile.groups)
+            # an unchecked pair finds the class; a new class keys a validated one
+            reference = CollapsingPair._unchecked(k, ref_mu, ref_sgn)
+            images = classes.get(reference)
+            if images is None:
+                reference = CollapsingPair(k, ref_mu, ref_sgn)
+                images = classes[reference] = []
+                hits[reference] = 0
+            ref_profile = canonical._profile(ref_mu)
+            if not (ref_profile.tamed(ref_sgn) and ref_profile.blocks_ordered(ref_sgn)):
+                raise CheckFailed(
+                    f"k={k}: {CollapsingPair(k, mu, sgn)} reduces to {reference}, "
+                    "not a reference pair"
+                )
+            if not moves._allowable(ref_mu, ref_sgn, image):
+                raise CheckFailed(
+                    f"k={k}: witness {_rho_text(image)} of {CollapsingPair(k, mu, sgn)} "
+                    f"is not allowable for {reference}"
+                )
+            if moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) != (mu, sgn):
+                raise CheckFailed(f"k={k}: witness failed for {CollapsingPair(k, mu, sgn)}")
+            images.append(image)
+            if profile.blocks_ordered(sgn):
+                hits[reference] += 1
     return WildSweep(n_tamed, classes, hits)
 
 
@@ -79,13 +120,27 @@ class VerifyRun:
     """The options of one verify call and the per-order folds its checks share.
 
     ``census(k)`` and ``sweep(k)`` build the signed census and the wild
-    sweep of order k on first use and keep them for the rest of the run.
+    sweep of order k on first use and keep them for the rest of the run;
+    a failed sweep is kept as its :class:`CheckFailed`, raised again for
+    each later reader.
     """
 
     def __init__(self, seed: int, threads: int):
         self.seed = seed
         self.census = cache(lambda k: _signed_census(k, threads))
-        self.sweep = cache(wild_sweep)
+        self._sweeps: dict = {}  # order -> its WildSweep, or the CheckFailed it raised
+
+    def sweep(self, k: int) -> WildSweep:
+        """The wild sweep of order k; a failed sweep fails every reader alike."""
+        if k not in self._sweeps:
+            try:
+                self._sweeps[k] = wild_sweep(k)
+            except CheckFailed as exc:
+                self._sweeps[k] = exc
+        result = self._sweeps[k]
+        if isinstance(result, CheckFailed):
+            raise result
+        return result
 
 
 def _check_catalan(k, run, lines) -> None:
@@ -156,40 +211,52 @@ def _check_compat(k, run, lines) -> None:
 def _partition_failure(reference, whole, mass, orbit) -> str | None:
     """Do the orbit's relabeled simplexes partition T_R?  Say what fails, or None.
 
-    ``whole`` is T_R, with ``mass`` orders.  Each piece is td(W(rho)(R))
-    relabeled by rho^-1, built from the arrays.  Containment (every cover
-    of T_R holds in each piece) puts each piece inside T_R; signatures
-    (each left branch is a chain in each piece, and no two pieces chain
-    all branches alike) make the pieces disjoint; counts (the pieces'
-    hook counts sum to ``mass``) make them cover T_R.
+    ``whole`` is T_R as a parent map listing parents first, with
+    ``mass`` orders; ``orbit`` lists the images of the allowable
+    permutations.  Each piece is td(W(rho)(R)) relabeled by rho^-1
+    (``domains._wild_piece``), kept as a label-indexed array of the
+    labels above each label.  Containment (every cover of T_R holds in
+    each piece) puts each piece inside T_R; signatures (each left branch
+    is a chain in each piece, and no two pieces chain all branches
+    alike) make the pieces disjoint; counts (the pieces' hook counts sum
+    to ``mass``) make them cover T_R.
     """
-    covers = [(1 << p, x) for x, p in zip(whole.elements, whole.parent) if p is not None]
+    k = reference.k
+    covers = [(1 << p, x >> 1) for x, p in whole.items() if p is not None]
     branches = []  # (mu value, time labels, their bitmask) per left branch
-    for v, evens in moves.groups_of(reference).items():
-        if len(evens) > 1:  # a one-label branch is a chain in every piece and tells none apart
-            xs = [x + 1 for x in evens]
-            branches.append((v, xs, sum(1 << x for x in xs)))
+    for g in canonical._profile(reference.mu).groups:
+        if len(g) > 1:  # a one-label branch is a chain in every piece and tells none apart
+            xs = [2 * i + 3 for i in g]
+            branches.append((reference.mu[g[0]], xs, sum(1 << x for x in xs)))
+    n_orders = math.factorial(k + 1)
     signatures = set()
     count = 0
-    for rho in orbit:
-        piece = domains._wild_piece(reference.mu, rho.image)
-        above = {}  # label -> bitmask of the labels above it in the piece
-        for x, p in piece.items():
-            above[x] = 0 if p is None else above[p] | 1 << p
-        where = f"rho={','.join(map(str, rho.image))}"
+    for image in orbit:
+        order, parent = domains._wild_piece(reference.mu, image)
+        above = [0] * (k + 1)  # above[x >> 1]: bitmask of the labels above t_x
+        for x in order[1:]:
+            p = parent[x >> 1]
+            above[x >> 1] = above[p >> 1] | 1 << p
         if not all(above[x] & bit for bit, x in covers):
-            return f"simplex of {where} leaves T_R of {reference}"
+            return f"simplex of {_rho_text(image)} leaves T_R of {reference}"
         signature = []
         for v, xs, m in branches:
             # a chain: its lowest label has all the others above it
-            if not any((above[x] | 1 << x) & m == m for x in xs):
-                return f"branch at {v} is not a chain in the simplex of {where} for {reference}"
-            signature += (above[x] & m for x in xs)  # fixes the chain's order
+            if not any((above[x >> 1] | 1 << x) & m == m for x in xs):
+                return (
+                    f"branch at {v} is not a chain in the simplex of {_rho_text(image)} "
+                    f"for {reference}"
+                )
+            signature += (above[x >> 1] & m for x in xs)  # fixes the chain's order
         signature = tuple(signature)
         if signature in signatures:
-            return f"overlapping simplexes for {reference} at {where}"
+            return f"overlapping simplexes for {reference} at {_rho_text(image)}"
         signatures.add(signature)
-        count += domains._hook_count(piece)
+        # the hook-length formula of domains._hook_count, on the arrays
+        size = [1] * (k + 1)  # subtree sizes, children before parents
+        for x in reversed(order[1:]):
+            size[parent[x >> 1] >> 1] += size[x >> 1]
+        count += n_orders // math.prod(size)
     if count != mass:
         return (
             f"partition misses extensions for {reference}: the pieces hold {count} of {mass} orders"
@@ -201,12 +268,12 @@ def _check_mass(k, run, lines) -> None:
     for kk in range(1, k + 1):
         total = 0
         for reference, witnesses in run.sweep(kk).classes.items():
-            orbit = moves.allowable_permutations(reference)
-            if sorted(witnesses) != [rho.image for rho in orbit]:
+            mu, sgn = reference.mu, reference.sgn
+            orbit = moves._interleavings(canonical._profile(mu).groups, sgn)
+            if sorted(witnesses) != orbit:
                 raise CheckFailed(f"k={kk}: wild class of {reference} != its orbit")
-            whole = domains.tr_domain(reference)
-            # T_R's label-ordered map lists parents first, as _hook_count needs
-            mass = domains._hook_count(dict(zip(whole.elements, whole.parent)))
+            whole = domains._attached_parents(mu, zip(mu, sgn))  # T_R, parents first
+            mass = domains._hook_count(whole)
             failure = _partition_failure(reference, whole, mass, orbit)
             if failure:
                 raise CheckFailed(f"k={kk}: {failure}")

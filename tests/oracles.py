@@ -7,7 +7,7 @@ from operator import itemgetter
 
 from hypothesis import strategies as st
 
-from kmboard.canonical import _MapProfile
+from kmboard.canonical import _MapProfile, is_reference, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
 from kmboard.domains import TimePoset, _attached_parents, _hook_count, linear_extensions
 from kmboard.duhamel import (
@@ -23,7 +23,7 @@ from kmboard.duhamel import (
     prod,
 )
 from kmboard.errors import CapExceeded, CensusViolation
-from kmboard.moves import MoveState, _act, apply_signed_km, groups_of
+from kmboard.moves import MoveState, _act, apply_signed_km
 from kmboard.pairs import (
     ENUMERATION_CAP,
     CollapsingPair,
@@ -98,6 +98,14 @@ def literal_is_tamed(pair) -> bool:
             if _required_before(keys[b], keys[a]):
                 return False
     return True
+
+
+def groups_of(pair) -> dict[int, list[int]]:
+    """The left-branch partition: value i -> sorted labels with mu = i."""
+    groups: dict[int, list[int]] = {}
+    for j in range(1, pair.k + 1):
+        groups.setdefault(pair.mu[j - 1], []).append(2 * j)
+    return groups
 
 
 def literal_is_reference(pair) -> bool:
@@ -482,6 +490,26 @@ def literal_to_reference(pair):
     )
     sgn = tuple(pair.sgn_of(rho.of(2 * j)) for j in range(1, k + 1))
     return CollapsingPair(k, mu, sgn), rho
+
+
+def object_wild_sweep(k):
+    """The wild sweep on validated objects: ``(n_tamed, classes, hits)``.
+
+    Every tamed pair from ``tamed_pairs`` goes through the guarded
+    ``to_reference``; its witness must carry the reference back through
+    ``_act``, and ``is_reference`` counts the hits.  Both dicts are
+    keyed by reference pair in enumeration order.
+    """
+    classes: dict = {}
+    hits: dict = {}
+    n_tamed = 0
+    for pair in tamed_pairs(k):
+        n_tamed += 1
+        reference, rho = to_reference(pair)
+        assert _act(reference, rho, conjugate=False) == pair
+        classes.setdefault(reference, []).append(rho.image)
+        hits[reference] = hits.get(reference, 0) + is_reference(pair)
+    return n_tamed, classes, hits
 
 
 # -- canonical labelings through a skeleton copy and slot paths ----------------

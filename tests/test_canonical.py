@@ -113,7 +113,7 @@ def test_predicates_match_literal_definitions_exhaustively():
 def test_reference_equals_tamed_when_sign_blocks_are_trivial():
     # branches that are singletons, or already a +block then -block,
     # leave nothing for the reference condition to add
-    from kmboard.moves import groups_of
+    from oracles import groups_of
 
     checked = 0
     for p in enumerate_pairs(4, signed=True):

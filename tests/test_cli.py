@@ -244,7 +244,8 @@ def test_verify_folds_each_census_once_per_call(capsys, monkeypatch):
 def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkeypatch):
     from kmboard import canonical
 
-    monkeypatch.setattr(canonical, "is_reference", lambda pair: True)
+    # the sweep counts a class member as a reference when its branches are block-ordered
+    monkeypatch.setattr(canonical._MapProfile, "blocks_ordered", lambda self, sgn: True)
     code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
     assert code == 1
     assert out.splitlines()[-2].endswith("reference pairs FAIL")
@@ -415,13 +416,13 @@ def test_wild_sweep_does_not_outlive_a_verify_call(capsys, monkeypatch):
     from kmboard import canonical
 
     calls = []
-    original = canonical.to_reference
+    original = canonical._reference_arrays
 
-    def counted(pair):
-        calls.append(pair)
-        return original(pair)
+    def counted(mu, sgn, groups):
+        calls.append((mu, sgn))
+        return original(mu, sgn, groups)
 
-    monkeypatch.setattr(canonical, "to_reference", counted)
+    monkeypatch.setattr(canonical, "_reference_arrays", counted)
     made = []
     for _ in range(2):
         calls.clear()
@@ -503,8 +504,8 @@ def test_domain_bijection_names_the_clause_that_fails(capsys, monkeypatch, attr,
 def test_mass_fails_when_a_wild_class_is_not_its_orbit(capsys, monkeypatch):
     from kmboard import moves
 
-    original = moves.allowable_permutations
-    monkeypatch.setattr(moves, "allowable_permutations", lambda pair: original(pair)[:-1])
+    original = moves._interleavings
+    monkeypatch.setattr(moves, "_interleavings", lambda groups, sgn: original(groups, sgn)[:-1])
     code, out = run(capsys, "verify", "--k", "3", "--check", "mass")
     assert code == 1
     assert _single_fail_line(out) == "k=1: wild class of mu=1 sgn=+ != its orbit FAIL"
@@ -514,8 +515,72 @@ def test_mass_fails_when_a_wild_class_is_not_its_orbit(capsys, monkeypatch):
 def test_mass_alone_fails_when_a_witness_does_not_round_trip(capsys, monkeypatch):
     from kmboard import moves
 
-    monkeypatch.setattr(moves, "_act", lambda pair, rho, conjugate: pair)
+    monkeypatch.setattr(moves, "_act_arrays", lambda mu, sgn, image, conjugate: (mu, sgn))
     code, out = run(capsys, "verify", "--k", "3", "--check", "mass")
     assert code == 1
     assert _single_fail_line(out) == "k=2: witness failed for mu=1,1 sgn=-,+ FAIL"
     assert json.loads(out.strip().splitlines()[-1]) == {"mass": "fail"}
+
+
+def test_a_failed_sweep_is_walked_once_and_fails_every_reader(monkeypatch):
+    from kmboard import canonical, moves, verify
+
+    calls = []
+    original = canonical._reference_arrays
+
+    def counted(mu, sgn, groups):
+        calls.append((mu, sgn))
+        return original(mu, sgn, groups)
+
+    monkeypatch.setattr(canonical, "_reference_arrays", counted)
+    monkeypatch.setattr(moves, "_act_arrays", lambda mu, sgn, image, conjugate: (mu, sgn))
+    names = ["reference-unique", "compat", "mass"]
+    lines, results = verify.run_checks(names, 3, 0, 1)
+    # two tamed pairs at k=1, then k=2 fails at its third: once, not once per reader
+    assert len(calls) == 2 + 3
+    fail = "k=2: witness failed for mu=1,1 sgn=-,+ FAIL"
+    assert lines == [
+        "k=1: 2 tamed pairs in 2 wild classes, each with a verified reference witness OK",
+        fail,
+        "k=1: T_R == T_C for all 2 reference pairs OK",
+        fail,
+        "k=1: disjoint partition, mass 2 == (2k-1)!!2^k OK",
+        fail,
+    ]
+    assert results == dict.fromkeys(names, False)
+
+
+def _identity_witness(original):
+    return lambda mu, sgn, groups: (mu, sgn, tuple(range(2, 2 * len(mu) + 1, 2)))
+
+
+def _reversed_witness(original):
+    def reversed_image(mu, sgn, groups):
+        ref_mu, ref_sgn, image = original(mu, sgn, groups)
+        return ref_mu, ref_sgn, image[::-1]
+
+    return reversed_image
+
+
+@pytest.mark.parametrize(
+    "defect, line",
+    [
+        (
+            _identity_witness,
+            "k=2: mu=1,1 sgn=-,+ reduces to mu=1,1 sgn=-,+, not a reference pair FAIL",
+        ),
+        (
+            _reversed_witness,
+            "k=2: witness rho=4,2 of mu=1,1 sgn=+,+ is not allowable for mu=1,1 sgn=+,+ FAIL",
+        ),
+    ],
+    ids=["reduction-gives-a-non-reference", "witness-not-allowable"],
+)
+def test_sweep_names_the_pair_whose_reduction_fails(capsys, monkeypatch, defect, line):
+    from kmboard import canonical
+
+    monkeypatch.setattr(canonical, "_reference_arrays", defect(canonical._reference_arrays))
+    code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
+    assert code == 1
+    assert _single_fail_line(out) == line
+    assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}

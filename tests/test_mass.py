@@ -6,7 +6,7 @@ from kmboard import domains, moves, verify
 from kmboard.canonical import is_reference
 from kmboard.cli import main
 from kmboard.domains import TimePoset, count_linear_extensions, td_domain, tr_domain
-from kmboard.pairs import TimePermutation, enumerate_pairs
+from kmboard.pairs import TimePermutation, enumerate_pairs, validate_pair
 from oracles import relabel_domain, set_partition_holds, tree_td_domain
 
 
@@ -17,7 +17,8 @@ def _reference_orbits(max_k):
             if is_reference(pair):
                 whole = tr_domain(pair)
                 orbit = moves.allowable_permutations(pair)
-                yield pair, whole, count_linear_extensions(whole), orbit
+                parents = dict(zip(whole.elements, whole.parent))
+                yield pair, parents, count_linear_extensions(whole), orbit
 
 
 def test_td_domain_matches_the_tree_route_on_every_map():
@@ -33,8 +34,9 @@ def test_array_built_piece_is_the_relabeled_td_of_the_moved_pair():
     n = 0
     for reference, _, _, orbit in _reference_orbits(5):
         for rho in orbit:
-            piece = domains._wild_piece(reference.mu, rho.image)
-            place = {x: i for i, x in enumerate(piece)}
+            order, parent = domains._wild_piece(reference.mu, rho.image)
+            piece = {x: parent[x >> 1] for x in order}
+            place = {x: i for i, x in enumerate(order)}
             assert all(p is None or place[p] < place[x] for x, p in piece.items())
             moved = moves._act(reference, rho, conjugate=False)
             expected = relabel_domain(td_domain(moved), rho.inverse())
@@ -46,12 +48,15 @@ def test_array_built_piece_is_the_relabeled_td_of_the_moved_pair():
 def test_mass_verdict_matches_the_set_oracle():
     n = 0
     for reference, whole, mass, orbit in _reference_orbits(5):
-        holds = verify._partition_failure(reference, whole, mass, orbit) is None
-        assert holds == set_partition_holds(reference, whole, orbit) is True
+        whole_poset = tr_domain(reference)
+        images = [rho.image for rho in orbit]
+        holds = verify._partition_failure(reference, whole, mass, images) is None
+        assert holds == set_partition_holds(reference, whole_poset, orbit) is True
         if reference.k <= 4 and len(orbit) > 1:
             for broken in (orbit[1:], orbit[:-1], orbit + orbit[:1], orbit[:1] + orbit):
-                assert verify._partition_failure(reference, whole, mass, broken) is not None
-                assert not set_partition_holds(reference, whole, broken)
+                broken_images = [rho.image for rho in broken]
+                assert verify._partition_failure(reference, whole, mass, broken_images) is not None
+                assert not set_partition_holds(reference, whole_poset, broken)
         n += 1
     assert n == 6738
 
@@ -69,15 +74,29 @@ def test_pieces_renamed_by_rho_fail_containment(capsys, monkeypatch):
     def renamed_by_rho(mu, image):
         rho = TimePermutation(len(image), image)
         moved = [rho.of(v) for v in mu]
-        return {
-            rho.of(x): None if p is None else rho.of(p)
-            for x, p in domains._attached_parents(moved, moved).items()
-        }
+        order, parent = [], [None] * (len(mu) + 1)
+        for x, p in domains._attached_parents(moved, moved).items():
+            order.append(rho.of(x))
+            parent[rho.of(x) >> 1] = None if p is None else rho.of(p)
+        return order, parent
 
     monkeypatch.setattr(domains, "_wild_piece", renamed_by_rho)
     code, line = _run_mass(capsys)
     assert code == 1
     assert line == "k=3: simplex of rho=4,6,2 leaves T_R of mu=1,1,1 sgn=+,+,- FAIL"
+
+
+def test_pieces_that_leave_a_branch_unchained_fail_the_chain_clause(monkeypatch):
+    # T_R itself holds every cover of T_R, but hangs the + and - members of
+    # a branch side by side
+    reference = validate_pair(2, (1, 1), "+-")
+    whole = domains._attached_parents(reference.mu, zip(reference.mu, reference.sgn))
+    parent = [whole[x] for x in sorted(whole)]
+    monkeypatch.setattr(domains, "_wild_piece", lambda mu, image: (list(whole), parent))
+    orbit = [rho.image for rho in moves.allowable_permutations(reference)]
+    assert verify._partition_failure(reference, whole, 2, orbit) == (
+        "branch at 1 is not a chain in the simplex of rho=2,4 for mu=1,1 sgn=+,-"
+    )
 
 
 def test_a_repeated_orbit_member_fails_signatures(capsys, monkeypatch):

@@ -9,10 +9,10 @@ from kmboard.errors import ConstraintViolation, KMismatch, NotAcceptable, NotAll
 from kmboard.moves import (
     MoveState,
     _act,
+    _allowable,
     allowable_permutations,
     apply_signed_km,
     apply_wild,
-    groups_of,
     is_allowable,
     km_admissible_indices,
     km_class,
@@ -27,6 +27,7 @@ from kmboard.pairs import (
 from kmboard.trees import skeleton_key
 from oracles import (
     all_permutations,
+    groups_of,
     literal_act,
     literal_is_allowable,
     signed_pairs,
@@ -202,7 +203,8 @@ def test_allowable_matches_bruteforce_and_count_formula():
     cases += [to_tamed(random_pair(rng.choice([5, 6]), rng))[0] for _ in range(60)]
     for p in cases:
         perms = allowable_permutations(p)
-        assert {t.image for t in perms} == {t.image for t in _allowable_bruteforce(p)}
+        # the brute force walks every permutation in lexicographic order
+        assert [t.image for t in perms] == [t.image for t in _allowable_bruteforce(p)]
         expected = 1
         for members in groups_of(p).values():
             plus = sum(1 for x in members if p.sgn_of(x) == "+")
@@ -289,6 +291,15 @@ def test_indexed_kernels_match_their_oracles_exhaustively():
 def test_is_allowable_rejects_a_permutation_of_another_order():
     with pytest.raises(KMismatch):
         is_allowable(validate_pair(2, (1, 1), "++"), TimePermutation.identity(3))
+
+
+@pytest.mark.parametrize("image", [(2, 2), (4, 4), (2, 3)])
+def test_allowable_kernel_rejects_an_image_that_is_not_a_permutation(image):
+    # one branch of two opposite signs: every image passes the group and
+    # same-sign tests, so only the labels met can tell these apart
+    mu, sgn = (1, 1), ("+", "-")
+    assert _allowable(mu, sgn, (2, 4)) and _allowable(mu, sgn, (4, 2))
+    assert not _allowable(mu, sgn, image)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
