@@ -5,7 +5,7 @@ tree rooted at t_1, so a poset here is a forest, compared and hashed by
 its cover map; a total order is a tuple of the odd labels from largest
 time to smallest.  The discrete semantics ignores boundary ties, so
 unions and disjointness of simplexes become exact statements about
-sets of total orders.
+sets of total orders, which one Varol-Rotem walker lists.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .canonical import is_reference
+from .duhamel import _slot_pass
 from .errors import CapExceeded, CyclicRelations, NotAForest, NotReference, OutOfRange
 from .pairs import CollapsingPair, TimePermutation
 from .trees import tree_from_pair
@@ -154,31 +156,47 @@ def _hook_count(parent: dict) -> int:
     return math.factorial(len(size)) // math.prod(size.values())
 
 
-def _forest_orders(parent: dict) -> Iterator[tuple]:
-    """Every linear extension of a forest, each exactly once.
+def _extension_walk(up) -> Iterator[list]:
+    """Every linear extension of a forest as a position array, each once.
 
-    ``parent`` is as for :func:`_hook_count`.  Starting from the roots,
-    pick any available node and make its children available; each
-    choice sequence is one extension.  O(n) tuple work per prefix, not
-    loopless (Varol-Rotem 1981, Pruesse-Ruskey 1994); an explicit stack
-    keeps deep chains off the recursion limit.
+    Nodes are numbered parents first: ``up[j] < j`` is node j's parent,
+    0 for a root, and node 0 stays first.  Yields one live list ``pos``,
+    ``pos[j]`` the position of node j.  Varol-Rotem (Knuth, TAOCP 4A,
+    7.2.1.2, Algorithm V), constant amortized time per extension: move
+    the largest node one place left unless its parent is there; else
+    rotate it back home and try the next node down.
     """
-    children: dict = {x: () for x in parent}
-    roots = []
-    for x, p in parent.items():
-        if p is None:
-            roots.append(x)
+    n = len(up) - 1
+    at = list(range(n + 1))  # at[i]: the node at position i
+    pos = at[:]
+    while True:
+        yield pos
+        k = n
+        while k:
+            j = pos[k]
+            left = at[j - 1]
+            if left != up[k]:
+                at[j - 1], at[j] = k, left
+                pos[k], pos[left] = j - 1, j
+                break
+            while j < k:  # rotate k back to position k
+                at[j] = left = at[j + 1]
+                pos[left] = j
+                j += 1
+            at[k] = pos[k] = k
+            k -= 1
         else:
-            children[p] += (x,)
-    n = len(parent)
-    stack = [((), tuple(roots))]
-    while stack:
-        prefix, free = stack.pop()
-        if len(prefix) == n:
-            yield prefix
-            continue
-        for i, x in enumerate(free):
-            stack.append((prefix + (x,), free[:i] + free[i + 1 :] + children[x]))
+            return
+
+
+def _forest_orders(parent: dict) -> Iterator[tuple]:
+    """Every linear extension of a forest as a tuple of labels; ``parent`` as
+    for :func:`_hook_count`, numbered in its order for the walk."""
+    labels = list(parent)
+    number = {x: j for j, x in enumerate(labels, 1)}
+    up = [0] + [0 if p is None else number[p] for p in parent.values()]
+    for pos in _extension_walk(up):
+        yield tuple(sorted(labels, key=lambda x: pos[number[x]]))
 
 
 def count_linear_extensions(poset: TimePoset) -> int:
@@ -224,12 +242,14 @@ def td_domain(pair: CollapsingPair) -> TimePoset:
     return TimePoset(pair.k, tuple(_attached_parents(pair.mu, pair.mu).values()))
 
 
+def _tc_parents(mu, sgn) -> tuple:
+    """T_C as the parent tuple of :func:`tc_domain`, indexed by label >> 1."""
+    return (None, *(1 if p == 0 else p + 1 for p in _slot_pass(mu, sgn)[2]))
+
+
 def tc_domain(pair: CollapsingPair) -> TimePoset:
     """One cover per Duhamel-tree edge; the top node contributes t_1."""
-    from .duhamel import _slot_pass  # one-way: duhamel never imports domains
-
-    up = _slot_pass(pair.mu, pair.sgn)[2]
-    return TimePoset(pair.k, (None, *(1 if p == 0 else p + 1 for p in up)))
+    return TimePoset(pair.k, _tc_parents(pair.mu, pair.sgn))
 
 
 def _wild_piece(mu, image) -> tuple[list, list]:
@@ -268,8 +288,6 @@ def tr_domain(reference: CollapsingPair) -> TimePoset:
     below its M/R attachment point; the branch at value 1 sits under
     t_1.
     """
-    from .canonical import is_reference
-
     if not is_reference(reference):
         raise NotReference(f"not a reference pair: {reference}")
     mu = reference.mu

@@ -12,7 +12,8 @@ that the public reduction and move functions wrap, so they validate
 no pair or permutation per tamed pair.  Mass proves each
 reference's simplex partition by containment, branch signatures and
 hook counts (:func:`_partition_failure`), so it lists no linear
-extension.
+extension.  Domain-bijection walks each map's relabelings as position
+arrays, and compat compares T_R and T_C as parent tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from . import canonical, counting, domains, duhamel, moves
+from . import canonical, counting, domains, duhamel, moves, trees
 from .errors import CensusViolation
 from .pairs import (
     SIGNS,
@@ -175,35 +176,67 @@ def _check_reference_unique(k, run, lines) -> None:
         )
 
 
+def _tree_parents(k, mu) -> list:
+    """The admissible tree as a parent array: node 2j is j, node 1 is 0."""
+    up = [0] * (k + 1)
+    for x, children in trees._slots_from_mu(k, mu).items():
+        for c in children:
+            if c:
+                up[c >> 1] = x >> 1
+    return up
+
+
+def _bijection_failure(k, mu) -> str | None:
+    """Which clause fails between the relabelings and td of the map, or None.
+
+    rho in Sigma ranks the tree's nodes topologically, and its simplex
+    puts t_{2j+1} where rho puts node 2j, so each walked position array
+    is one simplex, indexed by td label >> 1.
+    """
+    td = domains._attached_parents(mu, mu)
+    covers = [(p >> 1, x >> 1) for x, p in td.items() if p is not None]
+    orders = set()
+    n = 0
+    holds = True
+    for pos in domains._extension_walk(_tree_parents(k, mu)):
+        orders.add(tuple(pos))
+        n += 1
+        for p, x in covers:
+            if pos[p] > pos[x]:
+                holds = False
+    if len(orders) != n:
+        return "duplicate induced order"
+    # distinct orders of td, as many as its hook count, are all of them
+    if not holds or n != domains._hook_count(td):
+        return "order sets differ"
+    return None
+
+
 def _check_domain_bijection(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        for pair in enumerate_pairs(kk, signed=False):
-            orders = [domains.induced_order(rho) for rho in domains.sigma_set(pair)]
-            if len(set(orders)) != len(orders):
-                raise CheckFailed(f"k={kk}: duplicate induced order for {pair}")
-            # distinct orders of td, as many as its hook count, are all of them
-            td = domains.td_domain(pair)
-            covers = td.reduction()
-            if len(orders) != domains.count_linear_extensions(td) or not all(
-                order.index(p) < order.index(x) for order in orders for p, x in covers
-            ):
-                raise CheckFailed(f"k={kk}: order sets differ for {pair}")
+        for mu in enumerate_mus(kk):
+            failure = _bijection_failure(kk, mu)
+            if failure:
+                raise CheckFailed(f"k={kk}: {failure} for {CollapsingPair(kk, mu, ('+',) * kk)}")
         lines.append(f"k={kk}: relabelings <-> linear extensions, exhaustively OK")
     rng = random.Random(run.seed)
     for _ in range(200):
         pair = random_pair(7, rng, signed=False)
-        if len(domains.sigma_set(pair)) != domains.count_linear_extensions(
-            domains.td_domain(pair)
-        ):
+        walked = sum(1 for _ in domains._extension_walk(_tree_parents(7, pair.mu)))
+        if walked != domains._hook_count(domains._attached_parents(pair.mu, pair.mu)):
             raise CheckFailed(f"random k=7: count mismatch for {pair}")
     lines.append("random k=7 (200 maps): relabeling count == extension count OK")
 
 
 def _check_compat(k, run, lines) -> None:
+    # the sweep has checked that every key is a reference pair
     for kk in range(1, k + 1):
         sweep = run.sweep(kk)
         for reference in sweep.classes:
-            if domains.tr_domain(reference) != domains.tc_domain(reference):
+            mu, sgn = reference.mu, reference.sgn
+            if domains._tc_parents(mu, sgn) != tuple(
+                domains._attached_parents(mu, zip(mu, sgn)).values()
+            ):
                 raise CheckFailed(f"k={kk}: T_R != T_C for {reference}")
         lines.append(f"k={kk}: T_R == T_C for all {len(sweep.classes)} reference pairs OK")
 

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from kmboard.canonical import _MapProfile, is_reference, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
-from kmboard.domains import TimePoset, _attached_parents, _hook_count, linear_extensions
+from kmboard.domains import (
+    TimePoset,
+    _attached_parents,
+    _hook_count,
+    induced_order,
+    linear_extensions,
+)
 from kmboard.duhamel import (
     Atom,
     Conj,
@@ -142,6 +148,49 @@ def brute_force_extensions(poset) -> frozenset:
         if all(place[a] < place[b] for a, b in poset.closure):
             orders.append(order)
     return frozenset(orders)
+
+
+def stack_forest_orders(parent: dict):
+    """Every linear extension of a forest, each exactly once, by choice sequences.
+
+    ``parent[x]`` is the upper cover of ``x`` (None for a root), parents
+    listed before children.  Starting from the roots, pick any available
+    node and make its children available; each choice sequence is one
+    extension.  An explicit stack keeps deep chains off the recursion
+    limit.
+    """
+    children: dict = {x: () for x in parent}
+    roots = []
+    for x, p in parent.items():
+        if p is None:
+            roots.append(x)
+        else:
+            children[p] += (x,)
+    n = len(parent)
+    stack = [((), tuple(roots))]
+    while stack:
+        prefix, free = stack.pop()
+        if len(prefix) == n:
+            yield prefix
+            continue
+        for i, x in enumerate(free):
+            stack.append((prefix + (x,), free[:i] + free[i + 1 :] + children[x]))
+
+
+def relabeling_orders(pair) -> list:
+    """The simplex of every rho in Sigma(pair), in lexicographic image order.
+
+    Each topological order of the tree's nodes gives a validated
+    permutation rho (the i-th node goes to 2(i+1)), and ``induced_order``
+    reads its simplex through rho^-1.
+    """
+    tree = tree_from_pair(pair)
+    parent = {x: None if tree.parent_of(x) == 1 else tree.parent_of(x) for x in tree.labels}
+    perms = []
+    for topo in stack_forest_orders(parent):
+        image = {x: 2 * (i + 1) for i, x in enumerate(topo)}
+        perms.append(TimePermutation(pair.k, tuple(image[x] for x in tree.labels)))
+    return [induced_order(rho) for rho in sorted(perms, key=lambda p: p.image)]
 
 
 # -- the domains as relation sets, before they were built from parent maps ----

@@ -453,52 +453,64 @@ def _single_fail_line(out):
 
 
 def _drop_last_order(original):
-    def dropped(parent):
-        orders = list(original(parent))
+    def dropped(up):
+        orders = [tuple(pos) for pos in original(up)]
         return orders[:-1] if len(orders) > 1 else orders
 
     return dropped
 
 
-def _repeat_first_relabeling(original):
-    def repeated(pair):
-        perms = original(pair)
-        return perms[:-1] + perms[:1] if len(perms) > 1 else perms
+def _reverse_positions(original):
+    def flipped(up):
+        n = len(up)
+        return ([0] + [n - i for i in pos[1:]] for pos in original(up))
+
+    return flipped
+
+
+def _repeat_first_order(original):
+    def repeated(up):
+        orders = [tuple(pos) for pos in original(up)]
+        return orders[:-1] + orders[:1] if len(orders) > 1 else orders
 
     return repeated
 
 
 @pytest.mark.parametrize(
-    "attr, defect, line",
+    "defect, line",
     [
-        # sigma_set and linear_extensions share this generator, so the check
-        # must not compare the two
-        (
-            "_forest_orders",
-            _drop_last_order,
-            "k=3: order sets differ for mu=1,1,2 sgn=+,+,+ FAIL",
-        ),
-        (
-            "induced_order",
-            lambda original: lambda rho: (1,) + original(rho)[:0:-1],
-            "k=2: order sets differ for mu=1,1 sgn=+,+ FAIL",
-        ),
-        (
-            "sigma_set",
-            _repeat_first_relabeling,
-            "k=3: duplicate induced order for mu=1,1,2 sgn=+,+,+ FAIL",
-        ),
+        # the walker feeds sigma_set and linear_extensions alike, so the check
+        # reads td from the attachment rule instead
+        (_drop_last_order, "k=3: order sets differ for mu=1,1,2 sgn=+,+,+ FAIL"),
+        (_reverse_positions, "k=2: order sets differ for mu=1,1 sgn=+,+ FAIL"),
+        (_repeat_first_order, "k=3: duplicate induced order for mu=1,1,2 sgn=+,+,+ FAIL"),
     ],
     ids=["generator-drops-an-order", "orders-break-covers", "repeated-relabeling"],
 )
-def test_domain_bijection_names_the_clause_that_fails(capsys, monkeypatch, attr, defect, line):
+def test_domain_bijection_names_the_clause_that_fails(capsys, monkeypatch, defect, line):
     from kmboard import domains
 
-    monkeypatch.setattr(domains, attr, defect(getattr(domains, attr)))
+    monkeypatch.setattr(domains, "_extension_walk", defect(domains._extension_walk))
     code, out = run(capsys, "verify", "--k", "3", "--check", "domain-bijection")
     assert code == 1
     assert _single_fail_line(out) == line
     assert json.loads(out.strip().splitlines()[-1]) == {"domain-bijection": "fail"}
+
+
+def test_compat_fails_when_t_c_hangs_a_node_elsewhere(capsys, monkeypatch):
+    from kmboard import domains
+
+    original = domains._tc_parents
+
+    def misplaced(mu, sgn):
+        parent = original(mu, sgn)
+        return parent[:-1] + (1,) if len(mu) > 1 else parent  # the last label under t_1
+
+    monkeypatch.setattr(domains, "_tc_parents", misplaced)
+    code, out = run(capsys, "verify", "--k", "3", "--check", "compat")
+    assert code == 1
+    assert _single_fail_line(out) == "k=2: T_R != T_C for mu=1,1 sgn=+,+ FAIL"
+    assert json.loads(out.strip().splitlines()[-1]) == {"compat": "fail"}
 
 
 def test_mass_fails_when_a_wild_class_is_not_its_orbit(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmboard import domains
+from kmboard import domains, verify
 from kmboard.domains import (
     TimePoset,
     count_linear_extensions,
@@ -26,6 +26,8 @@ from oracles import (
     fixpoint_closure,
     relabel_by_reduction,
     relabel_domain,
+    relabeling_orders,
+    stack_forest_orders,
     tc_relations,
     td_relations,
     tr_relations,
@@ -168,12 +170,34 @@ def _parent_maps(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_parent_maps())
 def test_forest_generator_lists_each_extension_once(parent):
+    # the labels are not increasing, so this goes through the renumbering
     orders = list(domains._forest_orders(parent))
     assert len(set(orders)) == len(orders) == domains._hook_count(parent)
+    assert set(orders) == set(stack_forest_orders(parent))
     for order in orders:
         assert sorted(order) == sorted(parent)
         place = {x: i for i, x in enumerate(order)}
         assert all(place[p] < place[x] for p, x in _parent_edges(parent))
+
+
+def test_walker_orders_are_the_relabelings_simplexes():
+    # verify's domain-bijection reads t_{2j+1} at the walked position of node 2j
+    for k in range(1, 6):
+        labels = range(1, 2 * k + 2, 2)
+        for p in enumerate_pairs(k, signed=False):
+            expected = relabeling_orders(p)
+            walked = [
+                tuple(sorted(labels, key=lambda x: pos[x >> 1]))
+                for pos in domains._extension_walk(verify._tree_parents(k, p.mu))
+            ]
+            assert len(walked) == len(expected)
+            assert set(walked) == set(expected)
+            assert [induced_order(rho) for rho in sigma_set(p)] == expected
+
+
+def test_extensions_of_a_larger_label_above_a_smaller_one():
+    poset = TimePoset.from_parents(3, {1: None, 7: 1, 3: 7, 5: 1})
+    assert linear_extensions(poset) == {(1, 7, 3, 5), (1, 7, 5, 3), (1, 5, 7, 3)}
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
