@@ -9,9 +9,6 @@ the counting and structure claims.
 from .canonical import (
     is_reference,
     is_tamed,
-    is_upper_echelon,
-    tier,
-    tier_table,
     to_reference,
     to_tamed,
 )

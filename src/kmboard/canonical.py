@@ -1,4 +1,4 @@
-"""Tier values, the three canonical-form predicates, and the reductions.
+"""Tier values, the tamed and reference predicates, and the reductions.
 
 Tier t(2j) is the number of mu-iterations from 2j down to 1 (equal to
 the count of M/R edges on the tree path to node 1, the root edge
@@ -15,7 +15,7 @@ import functools
 import itertools
 from typing import Iterator
 
-from .errors import NotAcceptable, NotReference, NotTamed, OutOfRange
+from .errors import NotAcceptable, NotReference, NotTamed
 from .moves import _act, _act_arrays, _allowable, _km_acceptable
 from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
 from .trees import echelon_labeling, tamed_labeling, tree_from_pair
@@ -31,22 +31,6 @@ def _tiers(mu) -> list[int]:
     for v in mu:
         tiers.append(1 if v == 1 else tiers[(v - 2) // 2] + 1)
     return tiers
-
-
-def tier(pair: CollapsingPair, label: int) -> int:
-    """Minimal q with mu^q(label) = 1, the extension applied per step."""
-    if label % 2 or not 2 <= label <= 2 * pair.k:
-        raise OutOfRange(f"tier is defined on even labels 2..{2 * pair.k}")
-    return _tiers(pair.mu)[label // 2 - 1]
-
-
-def tier_table(pair: CollapsingPair) -> dict[int, int]:
-    """t(2j) for every even label (t(2) = 1 by convention)."""
-    return dict(zip(pair.even_labels, _tiers(pair.mu)))
-
-
-def is_upper_echelon(pair: CollapsingPair) -> bool:
-    return all(pair.mu[j - 1] <= pair.mu[j] for j in range(1, pair.k))
 
 
 class _MapProfile:
@@ -248,9 +232,6 @@ def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]
 
 
 __all__ = [
-    "tier",
-    "tier_table",
-    "is_upper_echelon",
     "is_tamed",
     "is_reference",
     "tamed_pairs",

@@ -71,7 +71,7 @@ class CensusReport:
         }
 
 
-def _census_chunk(mus, sign_arrays) -> tuple[dict, dict]:
+def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
     ``_preorder``'s sign order is a permutation, so each map of a shape
@@ -80,41 +80,47 @@ def _census_chunk(mus, sign_arrays) -> tuple[dict, dict]:
     shape to ``[maps, Counter of its tamed members' signs in preorder,
     first map, [(map, a tamed sign array, td hook count)]]``, one
     triple per map that holds a tamed pair; the second dict maps each
-    reference pair to its extension count.  A map failing a
-    sign-independent clause holds no tamed pair and skips the sign loop.
+    reference pair to its extension count; the int counts the tamed
+    pairs.  A map failing a sign-independent clause holds no tamed pair
+    and skips the sign loop.  ``wild.reference(mu, profile, sgn, T_R,
+    mass)`` sees each reference pair (``kmboard.verify`` walks its
+    orbit there); ``census=False`` leaves both dicts empty.
     """
     table: dict[str, list] = {}
     masses: dict[str, int] = {}
+    n_tamed = 0
     for mu in mus:
-        shape, order = _preorder(mu)
-        entry = table.get(shape)
-        if entry is None:
-            entry = table[shape] = [0, Counter(), mu, []]
-        entry[0] += 1
+        if census:
+            shape, order = _preorder(mu)
+            entry = table.get(shape)
+            if entry is None:
+                entry = table[shape] = [0, Counter(), mu, []]
+            entry[0] += 1
         profile = _MapProfile(mu)
         if not profile.static_ok:
             continue
-        signs_in_preorder = itemgetter(*order)  # a bare sign when k = 1
-        tamed_signs = entry[1]
-        mu_text = f"mu={','.join(map(str, mu))} sgn="
-        held = None
-        for sgn in sign_arrays:
-            if profile.tamed(sgn):
-                tamed_signs[signs_in_preorder(sgn)] += 1
-                if held is None:
-                    held = sgn
-                if profile.blocks_ordered(sgn):
-                    masses[mu_text + ",".join(sgn)] = _hook_count(
-                        _attached_parents(mu, zip(mu, sgn))
-                    )
-        if held is not None:
-            entry[3].append((mu, held, _hook_count(_attached_parents(mu, mu))))
-    return table, masses
+        tamed = [sgn for sgn in sign_arrays if profile.tamed(sgn)]
+        if not tamed:
+            continue
+        n_tamed += len(tamed)
+        if census:
+            entry[1].update(map(itemgetter(*order), tamed))  # a bare sign when k = 1
+            entry[3].append((mu, tamed[0], _hook_count(_attached_parents(mu, mu))))
+            mu_text = f"mu={','.join(map(str, mu))} sgn="
+        for sgn in tamed:
+            if profile.blocks_ordered(sgn):
+                whole = _attached_parents(mu, zip(mu, sgn))
+                mass = _hook_count(whole)
+                if census:
+                    masses[mu_text + ",".join(sgn)] = mass
+                if wild is not None:
+                    wild.reference(mu, profile, sgn, whole, mass)
+    return table, masses, n_tamed
 
 
-def _merge_chunks(parts: list[tuple[dict, dict]]) -> tuple[dict, dict]:
-    table, masses = parts[0]
-    for part_table, part_masses in parts[1:]:
+def _merge_chunks(parts: list[tuple[dict, dict, int]]) -> tuple[dict, dict]:
+    table, masses, _ = parts[0]
+    for part_table, part_masses, _ in parts[1:]:
         for shape, (maps, tamed_signs, first, held) in part_table.items():
             entry = table.setdefault(shape, [0, Counter(), first, []])
             entry[0] += maps
@@ -138,7 +144,9 @@ def _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays) -> None:
     )
 
 
-def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1) -> CensusReport:
+def census(
+    k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1, chunks=None
+) -> CensusReport:
     """Fold all pairs of order k into their skeleton classes and verify.
 
     Signed mode folds every map with every sign array; unsigned mode
@@ -147,8 +155,10 @@ def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1)
     and every claim holds with 2^k replaced by 1: catalan(k) classes,
     one tamed pair in each, reference masses summing to (2k-1)!!.
     ``threads`` worker processes fold the maps, at most one per CPU and
-    per map.  Raises :class:`CensusViolation` naming a witness if any
-    claim fails.
+    per map.  ``chunks`` hands over the :func:`_census_chunk` folds of a
+    walk over every map that the caller has made (``kmboard.verify``
+    makes one per order), and only the claims are checked here.  Raises
+    :class:`CensusViolation` naming a witness if any claim fails.
     """
     if k > cap:
         raise CapExceeded(f"census k={k} exceeds cap {cap}")
@@ -159,16 +169,18 @@ def census(k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1)
     cat = catalan_ternary(k)
     expected_total = double_factorial_odd(k) * n_signs
 
-    mus = list(enumerate_mus(k))
-    workers = min(threads, len(mus), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
+    if chunks is None:
+        mus = list(enumerate_mus(k))
+        workers = min(threads, len(mus), os.cpu_count() or 1)
+        if workers > 1:
+            import multiprocessing
 
-        chunks = [(mus[i::workers], sign_arrays) for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            table, masses = _merge_chunks(pool.starmap(_census_chunk, chunks))
-    else:
-        table, masses = _census_chunk(mus, sign_arrays)
+            args = [(mus[i::workers], sign_arrays) for i in range(workers)]
+            with multiprocessing.Pool(workers) as pool:
+                chunks = pool.starmap(_census_chunk, args)
+        else:
+            chunks = [_census_chunk(mus, sign_arrays)]
+    table, masses = _merge_chunks(chunks)
 
     total = sum(maps for maps, _, _, _ in table.values()) * n_signs
     if total != expected_total:

@@ -284,38 +284,40 @@ def _slot_pass(mu, sgn):
 
     Coupling j's slots seek (mu(2j), sgn(2j)), (2j, +), (2j, -),
     (2j+1, +) and (2j+1, -); each takes the least label 2m with m > j
-    whose (mu(2m), sgn(2m)) is the sought key.  ``first`` maps each key
-    to the least such label seen so far, so coupling j fills its slots
-    before recording its own key.  Returns the two top slots, each
-    coupling's five slots (in label order), and each coupling's parent
-    label (0 for the top node); a missed slot holds its key.
+    whose (mu(2m), sgn(2m)) is the sought key.  A key (v, s) is coded as
+    the int 2v + (s == "-").  ``first`` maps each code to the least
+    such label seen so far, so coupling j fills its slots before
+    recording its own.  Returns the two top slots, each coupling's five
+    slots (in label order), and each coupling's parent label (0 for the
+    top node); a missed slot holds ~code of its key, a negative int.
     """
     k = len(mu)
     first: dict = {}
+    get, pop = first.get, first.pop
     kids = [()] * k
     up = [0] * k  # one slot finds each coupling; those no coupling's slot finds sit at the top
     for j in range(k, 0, -1):
         x = 2 * j
-        own = (mu[j - 1], sgn[j - 1])
-        # values 2j and 2j+1 are sought by coupling j alone, so their keys leave
+        own = 2 * mu[j - 1] + (sgn[j - 1] == "-")
+        b = 2 * x  # the code of (2j, +)
+        # values 2j and 2j+1 are sought by coupling j alone, so their codes leave
         slots = (
-            first.get(own, own),
-            first.pop((x, "+"), (x, "+")),
-            first.pop((x, "-"), (x, "-")),
-            first.pop((x + 1, "+"), (x + 1, "+")),
-            first.pop((x + 1, "-"), (x + 1, "-")),
+            get(own, ~own),
+            pop(b, ~b),
+            pop(b + 1, ~b - 1),
+            pop(b + 2, ~b - 2),
+            pop(b + 3, ~b - 3),
         )
         for c in slots:
-            if type(c) is int:
-                up[c // 2 - 1] = x
+            if c > 0:
+                up[(c >> 1) - 1] = x
         kids[j - 1] = slots
         first[own] = x
-    root = (first.get((1, "+"), (1, "+")), first.get((1, "-"), (1, "-")))
-    return root, kids, up
+    return (get(2, ~2), get(3, ~3)), kids, up
 
 
-#: Every leaf built so far, by (index, sign); leaves compare by value and
-#: never change, so all trees share one leaf per key.
+#: Every leaf built so far, by ~code of its key; leaves compare by value
+#: and never change, so all trees share one leaf per key.
 _LEAVES: dict = {}
 
 
@@ -326,7 +328,9 @@ def build_dtree(pair: CollapsingPair) -> DTree:
 
     def fill(slots):
         return tuple(
-            c if type(c) is int else leaves.get(c) or leaves.setdefault(c, FLeaf(*c))
+            c
+            if c > 0
+            else leaves.get(c) or leaves.setdefault(c, FLeaf(~c >> 1, "-" if ~c & 1 else "+"))
             for c in slots
         )
 

@@ -3,30 +3,32 @@
 Each check takes the order k, the :class:`VerifyRun` it belongs to and
 the report lines, and appends its OK lines.  At its first failure it
 raises :class:`CheckFailed` with the failure line, which
-:func:`run_checks` alone marks FAIL.  A :class:`VerifyRun` builds each
-order's signed census and :class:`WildSweep` once, for whichever check
-asks first, and drops them with the run: catalan and tamed-unique read
-the census, reference-unique, compat and mass the sweep.  The sweep and
-mass run on map, sign and image arrays through the private kernels
-that the public reduction and move functions wrap, so they validate
-no pair or permutation per tamed pair.  Mass proves each
+:func:`run_checks` alone marks FAIL.  Catalan, tamed-unique,
+reference-unique, compat and mass read one :class:`_Fold` per order: a
+walk over the map and sign arrays that builds the census table, counts
+the tamed pairs and walks the orbit of each reference pair, whose
+members must reduce back to it.  The orbits then cover the tamed pairs
+exactly when their sizes sum to the count.  Mass proves each
 reference's simplex partition by containment, branch signatures and
-hook counts (:func:`_partition_failure`), so it lists no linear
-extension.  Domain-bijection walks each map's relabelings as position
-arrays, and compat compares T_R and T_C as parent tuples.
+hook counts (:func:`_partition_failure`), on pieces built once per
+map and image, so it lists no linear extension.  Domain-bijection
+walks each map's relabelings as position arrays, and compat compares
+T_R and T_C as parent tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
-from dataclasses import dataclass
 from functools import cache
 
 from . import canonical, counting, domains, duhamel, moves, trees
-from .errors import CensusViolation
+from .canonical import _MapProfile
+from .errors import CapExceeded, CensusViolation
 from .pairs import (
+    ENUMERATION_CAP,
     SIGNS,
     CollapsingPair,
     double_factorial_odd,
@@ -44,118 +46,204 @@ def _rho_text(image) -> str:
     return f"rho={','.join(map(str, image))}"
 
 
-@dataclass
-class WildSweep:
-    """One walk over the tamed pairs of an order, grouped by wild class.
+def _orbit_failure(reference, orbit, members) -> str | None:
+    """Is the orbit of a reference pair its whole wild class?  Say what
+    fails, or None.
 
-    ``classes`` maps each reference pair to the witness images of its
-    class members and ``hits`` to the number of members that are
-    reference pairs themselves, both in enumeration order.
+    ``orbit`` lists the allowable images: it starts at the identity and
+    repeats none.  Each is allowable, its member tamed, and the member
+    reduces to exactly the reference and that image; one member is
+    block-ordered.  ``members`` keeps each image's member map profile.
     """
+    k, mu, sgn = reference.k, reference.mu, reference.sgn
+    if not orbit or orbit[0] != tuple(range(2, 2 * k + 1, 2)):
+        return f"wild class of {reference} != its orbit"
+    if len(set(orbit)) != len(orbit):
+        repeated = next(image for i, image in enumerate(orbit) if image in orbit[:i])
+        return f"orbit of {reference} repeats {_rho_text(repeated)}"
+    hits = 0
+    for image in orbit:
+        if not moves._allowable(mu, sgn, image):
+            return f"{_rho_text(image)} is not allowable for {reference}"
+        member_mu, member_sgn = moves._act_arrays(mu, sgn, image, conjugate=False)
+        member = members.get(image) or members.setdefault(image, _MapProfile(member_mu))
+        if not member.tamed(member_sgn):
+            pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
+            return f"{_rho_text(image)} carries {reference} to {pair}, not a tamed pair"
+        got = canonical._reference_arrays(member_mu, member_sgn, member.groups)
+        if got != (mu, sgn, image):
+            pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
+            back = CollapsingPair._unchecked(k, got[0], got[1])
+            if not canonical.is_reference(back):
+                return f"{pair} reduces to {back}, not a reference pair"
+            if not moves._allowable(*got):
+                return f"witness {_rho_text(got[2])} of {pair} is not allowable for {back}"
+            return f"witness failed for {pair}"
+        hits += member.blocks_ordered(member_sgn)
+    return None if hits == 1 else f"wild class of {reference} holds {hits} reference pairs"
 
-    n_tamed: int
-    classes: dict
-    hits: dict
 
-
-def wild_sweep(k: int) -> WildSweep:
-    """Reduce every tamed pair of order k to its reference and check the witness.
-
-    The walk runs on the map and sign arrays: one profile per map finds
-    its tamed sign arrays, and ``canonical._reference_arrays`` reduces
-    each.  Per tamed pair it checks that the reduced arrays are tamed
-    and block-ordered (a reference pair), that the witness is
-    allowable, and that the wild move by the witness carries them back
-    to the pair; a pair is a hit when its own branches are
-    block-ordered.  Raises :class:`CheckFailed` at the first pair that
-    fails.  Each distinct reference is built once, as a validated
-    :class:`CollapsingPair`.
-    """
-    classes: dict = {}
-    hits: dict = {}
-    n_tamed = 0
+def _uncovered(k) -> str | None:
+    """Name the first tamed pair of order k that no reference's orbit holds."""
     for mu in enumerate_mus(k):
         profile = canonical._profile(mu)
-        if not profile.static_ok:
-            continue
         for sgn in itertools.product(SIGNS, repeat=k):
-            if not profile.tamed(sgn):
-                continue
-            n_tamed += 1
-            ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, profile.groups)
-            # an unchecked pair finds the class; a new class keys a validated one
-            reference = CollapsingPair._unchecked(k, ref_mu, ref_sgn)
-            images = classes.get(reference)
-            if images is None:
-                reference = CollapsingPair(k, ref_mu, ref_sgn)
-                images = classes[reference] = []
-                hits[reference] = 0
-            ref_profile = canonical._profile(ref_mu)
-            if not (ref_profile.tamed(ref_sgn) and ref_profile.blocks_ordered(ref_sgn)):
-                raise CheckFailed(
-                    f"k={k}: {CollapsingPair(k, mu, sgn)} reduces to {reference}, "
-                    "not a reference pair"
-                )
-            if not moves._allowable(ref_mu, ref_sgn, image):
-                raise CheckFailed(
-                    f"k={k}: witness {_rho_text(image)} of {CollapsingPair(k, mu, sgn)} "
-                    f"is not allowable for {reference}"
-                )
-            if moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) != (mu, sgn):
-                raise CheckFailed(f"k={k}: witness failed for {CollapsingPair(k, mu, sgn)}")
-            images.append(image)
-            if profile.blocks_ordered(sgn):
-                hits[reference] += 1
-    return WildSweep(n_tamed, classes, hits)
+            if profile.tamed(sgn):
+                ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, profile.groups)
+                ref = canonical._profile(ref_mu)
+                if not (
+                    ref.tamed(ref_sgn)
+                    and ref.blocks_ordered(ref_sgn)
+                    and image in moves._interleavings(ref.groups, ref_sgn)
+                    and moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) == (mu, sgn)
+                ):
+                    return f"no reference's orbit holds {CollapsingPair(k, mu, sgn)}"
+    return None
 
 
-def _signed_census(k: int, threads: int) -> counting.CensusReport:
-    """The signed census of order k; a violation fails the check that asked."""
-    try:
-        return counting.census(k, signed=True, threads=threads)
-    except CensusViolation as exc:
-        raise CheckFailed(f"k={k}: {exc}") from exc
+class _Fold:
+    """A walk over maps of order k for the named clause groups.
+
+    ``counting._census_chunk`` counts the tamed pairs, builds the census
+    table if ``census`` is named, and hands each reference pair R to
+    :meth:`reference` in enumeration order.  There R's orbit is listed
+    once for the orbit, compat and partition clauses; member profiles
+    and pieces are kept per image until the next map.  ``failures``
+    keeps each group's first failure as (mu, sgn, line); an orbit
+    failure fails every wild check, so the walk skips them after one.
+    """
+
+    def __init__(self, k, groups):
+        self.k, self.groups = k, groups
+        self.census = None  # the census chunk, then the order's CensusReport
+        self.n_tamed = self.covered = self.references = self.mass = 0
+        self.failures: dict = {}
+        self._mu = None
+
+    def reference(self, mu, profile, sgn, whole, mass) -> None:
+        failures, k = self.failures, self.k
+        if "orbit" in failures:
+            return
+        if mu is not self._mu:
+            self._mu, self._members, self._pieces = mu, {}, {}
+        reference = CollapsingPair._unchecked(k, mu, sgn)
+        orbit = moves._interleavings(profile.groups, sgn)
+        failure = _orbit_failure(reference, orbit, self._members)
+        if failure:
+            failures["orbit"] = (mu, sgn, f"k={k}: {failure}")
+            return
+        self.covered += len(orbit)
+        self.references += 1
+        self.mass += mass
+        if "compat" in self.groups and "compat" not in failures:
+            if domains._tc_parents(mu, sgn) != tuple(whole.values()):
+                failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {reference}")
+        if "partition" in self.groups and "partition" not in failures:
+            failure = _partition_failure(reference, whole, mass, orbit, self._pieces)
+            if failure:
+                failures["partition"] = (mu, sgn, f"k={k}: {failure}")
+
+    def passed(self, *groups) -> "_Fold":
+        """Raise the first failure among ``groups``; else return self."""
+        for group in groups:
+            if group in self.failures:
+                raise CheckFailed(self.failures[group][2])
+        return self
+
+
+def _walk(k, groups, mus) -> _Fold:
+    """Fold a run of maps of order k (a chunk) for the clause groups."""
+    fold = _Fold(k, groups)
+    wild = fold if groups - {"census"} else None
+    sign_arrays = list(itertools.product(SIGNS, repeat=k))
+    fold.census = counting._census_chunk(mus, sign_arrays, wild, "census" in groups)
+    fold.n_tamed = fold.census[2]
+    fold._mu = fold._members = fold._pieces = None  # the memo stays in the worker
+    return fold
+
+
+#: The clause groups each check reads from the per-order fold.
+GROUPS = {
+    "catalan": ("census",),
+    "tamed-unique": ("census",),
+    "reference-unique": ("orbit",),
+    "compat": ("orbit", "compat"),
+    "mass": ("orbit", "partition"),
+}
 
 
 class VerifyRun:
     """The options of one verify call and the per-order folds its checks share.
 
-    ``census(k)`` and ``sweep(k)`` build the signed census and the wild
-    sweep of order k on first use and keep them for the rest of the run;
-    a failed sweep is kept as its :class:`CheckFailed`, raised again for
-    each later reader.
+    ``fold(k)`` walks the maps of order k once, on first use, for every
+    clause group the run's checks read, and keeps the result for the
+    run.  With several workers the maps are split as ``counting.census``
+    splits them, over one pool per call; :meth:`close` stops it.
     """
 
-    def __init__(self, seed: int, threads: int):
+    def __init__(self, names, seed: int, threads: int):
         self.seed = seed
-        self.census = cache(lambda k: _signed_census(k, threads))
-        self._sweeps: dict = {}  # order -> its WildSweep, or the CheckFailed it raised
+        self.groups = frozenset(g for name in names for g in GROUPS.get(name, ()))
+        self.workers = min(threads, os.cpu_count() or 1)
+        self._pool = None
+        self.fold = cache(self._fold)
 
-    def sweep(self, k: int) -> WildSweep:
-        """The wild sweep of order k; a failed sweep fails every reader alike."""
-        if k not in self._sweeps:
+    def _fold(self, k: int) -> _Fold:
+        mus = list(enumerate_mus(k))
+        n = min(self.workers, len(mus))
+        if n > 1:
+            if self._pool is None:
+                import multiprocessing
+
+                # as counting.census: forked workers share the parent's code as it stands
+                self._pool = multiprocessing.Pool(self.workers)
+            parts = self._pool.starmap(_walk, [(k, self.groups, mus[i::n]) for i in range(n)])
+        else:
+            parts = [_walk(k, self.groups, mus)]
+        fold = parts[0]
+        chunks = [part.census for part in parts]
+        for part in parts[1:]:
+            fold.n_tamed += part.n_tamed
+            fold.covered += part.covered
+            fold.references += part.references
+            fold.mass += part.mass
+            for group, failure in part.failures.items():  # the earliest in enumeration order
+                fold.failures[group] = min(fold.failures.get(group, failure), failure)
+        if "census" in self.groups:
             try:
-                self._sweeps[k] = wild_sweep(k)
-            except CheckFailed as exc:
-                self._sweeps[k] = exc
-        result = self._sweeps[k]
-        if isinstance(result, CheckFailed):
-            raise result
-        return result
+                fold.census = counting.census(k, signed=True, chunks=chunks)
+            except CensusViolation as exc:
+                fold.failures["census"] = (None, None, f"k={k}: {exc}")
+        if "orbit" in self.groups and "orbit" not in fold.failures:
+            # reduction is a function, so the orbits that passed are disjoint;
+            # if they hold as many pairs as were counted tamed, they hold all
+            if not fold.references:
+                fold.failures["orbit"] = (None, None, f"k={k}: no tamed pairs")
+            elif fold.covered != fold.n_tamed:
+                line = _uncovered(k) or f"the orbits hold {fold.covered} of {fold.n_tamed} pairs"
+                fold.failures["orbit"] = (None, None, f"k={k}: {line}")
+        return fold
+
+    def close(self) -> None:
+        self.fold.cache_clear()  # the cache refers back to the run
+        if self._pool is not None:
+            self._pool.close()
+            self._pool.join()
 
 
 def _check_catalan(k, run, lines) -> None:
     # the signed census checks every unsigned claim on its all-plus classes
     for kk in range(1, k + 1):
+        report = run.fold(kk).passed("census").census
         lines.append(
-            f"unsigned classes: {run.census(kk).unsigned_classes} == "
+            f"unsigned classes: {report.unsigned_classes} == "
             f"catalan({kk}): {counting.catalan_ternary(kk)} OK"
         )
 
 
 def _check_tamed_unique(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        report = run.census(kk)
+        report = run.fold(kk).passed("census").census
         lines.append(
             f"k={kk}: {report.signed_classes} signed classes, {report.tamed_count} "
             "tamed pairs, one per class OK"
@@ -164,14 +252,9 @@ def _check_tamed_unique(k, run, lines) -> None:
 
 def _check_reference_unique(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        sweep = run.sweep(kk)
-        if not sweep.classes:
-            raise CheckFailed(f"k={kk}: no tamed pairs")
-        for reference, n in sweep.hits.items():
-            if n != 1:
-                raise CheckFailed(f"k={kk}: wild class of {reference} holds {n} reference pairs")
+        fold = run.fold(kk).passed("orbit")
         lines.append(
-            f"k={kk}: {sweep.n_tamed} tamed pairs in {len(sweep.classes)} wild classes, "
+            f"k={kk}: {fold.n_tamed} tamed pairs in {fold.references} wild classes, "
             "each with a verified reference witness OK"
         )
 
@@ -229,67 +312,66 @@ def _check_domain_bijection(k, run, lines) -> None:
 
 
 def _check_compat(k, run, lines) -> None:
-    # the sweep has checked that every key is a reference pair
     for kk in range(1, k + 1):
-        sweep = run.sweep(kk)
-        for reference in sweep.classes:
-            mu, sgn = reference.mu, reference.sgn
-            if domains._tc_parents(mu, sgn) != tuple(
-                domains._attached_parents(mu, zip(mu, sgn)).values()
-            ):
-                raise CheckFailed(f"k={kk}: T_R != T_C for {reference}")
-        lines.append(f"k={kk}: T_R == T_C for all {len(sweep.classes)} reference pairs OK")
+        fold = run.fold(kk).passed("orbit", "compat")
+        lines.append(f"k={kk}: T_R == T_C for all {fold.references} reference pairs OK")
 
 
-def _partition_failure(reference, whole, mass, orbit) -> str | None:
+def _partition_failure(reference, whole, mass, orbit, pieces=None) -> str | None:
     """Do the orbit's relabeled simplexes partition T_R?  Say what fails, or None.
 
     ``whole`` is T_R as a parent map listing parents first, with
-    ``mass`` orders; ``orbit`` lists the images of the allowable
-    permutations.  Each piece is td(W(rho)(R)) relabeled by rho^-1
-    (``domains._wild_piece``), kept as a label-indexed array of the
-    labels above each label.  Containment (every cover of T_R holds in
-    each piece) puts each piece inside T_R; signatures (each left branch
-    is a chain in each piece, and no two pieces chain all branches
-    alike) make the pieces disjoint; counts (the pieces' hook counts sum
-    to ``mass``) make them cover T_R.
+    ``mass`` orders; ``orbit`` lists the allowable images.  Each image's
+    piece is td(W(rho)(R)) relabeled by rho^-1 (``domains._wild_piece``);
+    it depends on the map and the image, not the signs, so ``pieces``
+    keeps per image of the map the labels above each label as bitmasks,
+    the first left branch that is not a chain in it (or None), how it
+    orders the branches, and its hook count.  Containment (every cover
+    of T_R holds in each piece) puts each piece inside T_R; signatures
+    (each branch is a chain in each piece, and no two pieces chain all
+    alike) make the pieces disjoint; counts (the hook counts sum to
+    ``mass``) make them cover T_R.
     """
-    k = reference.k
+    mu, k = reference.mu, reference.k
+    pieces = {} if pieces is None else pieces
     covers = [(1 << p, x >> 1) for x, p in whole.items() if p is not None]
-    branches = []  # (mu value, time labels, their bitmask) per left branch
-    for g in canonical._profile(reference.mu).groups:
-        if len(g) > 1:  # a one-label branch is a chain in every piece and tells none apart
-            xs = [2 * i + 3 for i in g]
-            branches.append((reference.mu[g[0]], xs, sum(1 << x for x in xs)))
-    n_orders = math.factorial(k + 1)
     signatures = set()
     count = 0
     for image in orbit:
-        order, parent = domains._wild_piece(reference.mu, image)
-        above = [0] * (k + 1)  # above[x >> 1]: bitmask of the labels above t_x
-        for x in order[1:]:
-            p = parent[x >> 1]
-            above[x >> 1] = above[p >> 1] | 1 << p
+        if image not in pieces:
+            order, parent = domains._wild_piece(mu, image)
+            above = [0] * (k + 1)  # above[x >> 1]: bitmask of the labels above t_x
+            for x in order[1:]:
+                p = parent[x >> 1]
+                above[x >> 1] = above[p >> 1] | 1 << p
+            unchained, signature = None, []
+            for g in canonical._profile(mu).groups:
+                if len(g) > 1:  # a one-label branch is a chain in every piece and tells none apart
+                    xs = [2 * i + 3 for i in g]
+                    m = sum(1 << x for x in xs)
+                    # a chain: its lowest label has all the others above it
+                    if not any((above[x >> 1] | 1 << x) & m == m for x in xs):
+                        unchained = mu[g[0]]
+                        break
+                    signature += (above[x >> 1] & m for x in xs)  # fixes the chain's order
+            # the hook-length formula of domains._hook_count, on the arrays
+            size = [1] * (k + 1)  # subtree sizes, children before parents
+            for x in reversed(order[1:]):
+                size[parent[x >> 1] >> 1] += size[x >> 1]
+            hooks = math.factorial(k + 1) // math.prod(size)
+            pieces[image] = above, unchained, tuple(signature), hooks
+        above, unchained, signature, hooks = pieces[image]
         if not all(above[x] & bit for bit, x in covers):
             return f"simplex of {_rho_text(image)} leaves T_R of {reference}"
-        signature = []
-        for v, xs, m in branches:
-            # a chain: its lowest label has all the others above it
-            if not any((above[x >> 1] | 1 << x) & m == m for x in xs):
-                return (
-                    f"branch at {v} is not a chain in the simplex of {_rho_text(image)} "
-                    f"for {reference}"
-                )
-            signature += (above[x >> 1] & m for x in xs)  # fixes the chain's order
-        signature = tuple(signature)
+        if unchained is not None:
+            return (
+                f"branch at {unchained} is not a chain in the simplex of {_rho_text(image)} "
+                f"for {reference}"
+            )
         if signature in signatures:
             return f"overlapping simplexes for {reference} at {_rho_text(image)}"
         signatures.add(signature)
-        # the hook-length formula of domains._hook_count, on the arrays
-        size = [1] * (k + 1)  # subtree sizes, children before parents
-        for x in reversed(order[1:]):
-            size[parent[x >> 1] >> 1] += size[x >> 1]
-        count += n_orders // math.prod(size)
+        count += hooks
     if count != mass:
         return (
             f"partition misses extensions for {reference}: the pieces hold {count} of {mass} orders"
@@ -299,18 +381,7 @@ def _partition_failure(reference, whole, mass, orbit) -> str | None:
 
 def _check_mass(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        total = 0
-        for reference, witnesses in run.sweep(kk).classes.items():
-            mu, sgn = reference.mu, reference.sgn
-            orbit = moves._interleavings(canonical._profile(mu).groups, sgn)
-            if sorted(witnesses) != orbit:
-                raise CheckFailed(f"k={kk}: wild class of {reference} != its orbit")
-            whole = domains._attached_parents(mu, zip(mu, sgn))  # T_R, parents first
-            mass = domains._hook_count(whole)
-            failure = _partition_failure(reference, whole, mass, orbit)
-            if failure:
-                raise CheckFailed(f"k={kk}: {failure}")
-            total += mass
+        total = run.fold(kk).passed("orbit", "partition").mass
         expected = double_factorial_odd(kk) * 2**kk
         if total != expected:
             raise CheckFailed(f"k={kk}: mass {total} != {expected}")
@@ -352,16 +423,26 @@ def run_checks(names, k: int, seed: int, threads: int) -> tuple[list[str], dict]
     """Run the named checks in order; return the report lines and name -> passed.
 
     A check that raises :class:`CheckFailed` ends with its line marked
-    FAIL and the next check runs; any other exception propagates.
+    FAIL and the next check runs; any other exception propagates.  An
+    order past a named check's cap (the census cap, or the enumeration
+    cap of the map walks) raises :class:`CapExceeded` before any work.
     """
-    run = VerifyRun(seed, threads)
+    for name in names:
+        if "census" in GROUPS.get(name, ()) and k > counting.CENSUS_CAP:
+            raise CapExceeded(f"census k={k} exceeds cap {counting.CENSUS_CAP}")
+        if name != "duhamel" and k > ENUMERATION_CAP:
+            raise CapExceeded(f"k={k} exceeds enumeration cap {ENUMERATION_CAP}")
+    run = VerifyRun(names, seed, threads)
     lines: list[str] = []
     results = {}
-    for name in names:
-        try:
-            CHECKS[name](k, run, lines)
-            results[name] = True
-        except CheckFailed as exc:
-            lines.append(f"{exc} FAIL")
-            results[name] = False
+    try:
+        for name in names:
+            try:
+                CHECKS[name](k, run, lines)
+                results[name] = True
+            except CheckFailed as exc:
+                lines.append(f"{exc} FAIL")
+                results[name] = False
+    finally:
+        run.close()
     return lines, results

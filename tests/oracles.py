@@ -2,11 +2,13 @@
 and the Hypothesis strategy for pairs that the property tests draw from."""
 
 import itertools
+import math
 from collections import Counter
 from operator import itemgetter
 
 from hypothesis import strategies as st
 
+from kmboard import canonical, domains, moves
 from kmboard.canonical import _MapProfile, is_reference, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
 from kmboard.domains import (
@@ -28,10 +30,11 @@ from kmboard.duhamel import (
     evolve,
     prod,
 )
-from kmboard.errors import CapExceeded, CensusViolation
+from kmboard.errors import CapExceeded, CensusViolation, OutOfRange
 from kmboard.moves import MoveState, _act, apply_signed_km
 from kmboard.pairs import (
     ENUMERATION_CAP,
+    SIGNS,
     CollapsingPair,
     TimePermutation,
     double_factorial_odd,
@@ -46,6 +49,7 @@ from kmboard.trees import (
     skeleton_key,
     tree_from_pair,
 )
+from kmboard.verify import CheckFailed
 
 
 @st.composite
@@ -55,6 +59,22 @@ def signed_pairs(draw, max_k=12):
     mu = tuple(draw(st.integers(1, 2 * j - 1)) for j in range(1, k + 1))
     sgn = tuple(draw(st.sampled_from("+-")) for _ in range(k))
     return CollapsingPair(k, mu, sgn)
+
+
+def tier(pair, label):
+    """Minimal q with mu^q(label) = 1, the extension applied per step."""
+    if label % 2 or not 2 <= label <= 2 * pair.k:
+        raise OutOfRange(f"tier is defined on even labels 2..{2 * pair.k}")
+    return canonical._tiers(pair.mu)[label // 2 - 1]
+
+
+def tier_table(pair):
+    """t(2j) for every even label (t(2) = 1 by convention)."""
+    return dict(zip(pair.even_labels, canonical._tiers(pair.mu)))
+
+
+def is_upper_echelon(pair):
+    return all(pair.mu[j - 1] <= pair.mu[j] for j in range(1, pair.k))
 
 
 def literal_tiers(pair):
@@ -559,6 +579,108 @@ def object_wild_sweep(k):
         classes.setdefault(reference, []).append(rho.image)
         hits[reference] = hits.get(reference, 0) + is_reference(pair)
     return n_tamed, classes, hits
+
+
+def wild_sweep(k):
+    """The forward wild sweep on map and sign arrays: ``(n_tamed, classes, hits)``.
+
+    ``kmboard.verify`` ran it before its per-map fold walked each
+    reference's orbit.  One profile per map finds its tamed sign arrays
+    and ``canonical._reference_arrays`` reduces each.  Per tamed pair it
+    checks that the reduced arrays are tamed and block-ordered (a
+    reference pair), that the witness is allowable, and that the wild
+    move by the witness carries them back to the pair; a pair is a hit
+    when its own branches are block-ordered.  Raises ``CheckFailed`` at
+    the first pair that fails.  ``classes`` maps each reference pair to
+    its members' witness images and ``hits`` to its number of hits,
+    both in enumeration order.
+    """
+    classes: dict = {}
+    hits: dict = {}
+    n_tamed = 0
+    for mu in enumerate_mus(k):
+        profile = canonical._profile(mu)
+        if not profile.static_ok:
+            continue
+        for sgn in itertools.product(SIGNS, repeat=k):
+            if not profile.tamed(sgn):
+                continue
+            n_tamed += 1
+            ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, profile.groups)
+            # an unchecked pair finds the class; a new class keys a validated one
+            reference = CollapsingPair._unchecked(k, ref_mu, ref_sgn)
+            images = classes.get(reference)
+            if images is None:
+                reference = CollapsingPair(k, ref_mu, ref_sgn)
+                images = classes[reference] = []
+                hits[reference] = 0
+            ref_profile = canonical._profile(ref_mu)
+            if not (ref_profile.tamed(ref_sgn) and ref_profile.blocks_ordered(ref_sgn)):
+                raise CheckFailed(
+                    f"k={k}: {CollapsingPair(k, mu, sgn)} reduces to {reference}, "
+                    "not a reference pair"
+                )
+            if not moves._allowable(ref_mu, ref_sgn, image):
+                raise CheckFailed(
+                    f"k={k}: witness rho={','.join(map(str, image))} of "
+                    f"{CollapsingPair(k, mu, sgn)} is not allowable for {reference}"
+                )
+            if moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) != (mu, sgn):
+                raise CheckFailed(f"k={k}: witness failed for {CollapsingPair(k, mu, sgn)}")
+            images.append(image)
+            if profile.blocks_ordered(sgn):
+                hits[reference] += 1
+    return n_tamed, classes, hits
+
+
+def unmemoised_partition_failure(reference, whole, mass, orbit):
+    """The partition verdict of ``kmboard.verify._partition_failure``, with
+    each piece's arrays, chains and hook count rebuilt per reference.
+
+    Containment, branch signatures and counts, in that order per image;
+    see the verify function for what each clause proves.
+    """
+    k = reference.k
+    rho = lambda image: f"rho={','.join(map(str, image))}"  # noqa: E731
+    covers = [(1 << p, x >> 1) for x, p in whole.items() if p is not None]
+    branches = []  # (mu value, time labels, their bitmask) per left branch
+    for g in canonical._profile(reference.mu).groups:
+        if len(g) > 1:  # a one-label branch is a chain in every piece and tells none apart
+            xs = [2 * i + 3 for i in g]
+            branches.append((reference.mu[g[0]], xs, sum(1 << x for x in xs)))
+    n_orders = math.factorial(k + 1)
+    signatures = set()
+    count = 0
+    for image in orbit:
+        order, parent = domains._wild_piece(reference.mu, image)
+        above = [0] * (k + 1)  # above[x >> 1]: bitmask of the labels above t_x
+        for x in order[1:]:
+            p = parent[x >> 1]
+            above[x >> 1] = above[p >> 1] | 1 << p
+        if not all(above[x] & bit for bit, x in covers):
+            return f"simplex of {rho(image)} leaves T_R of {reference}"
+        signature = []
+        for v, xs, m in branches:
+            # a chain: its lowest label has all the others above it
+            if not any((above[x >> 1] | 1 << x) & m == m for x in xs):
+                return (
+                    f"branch at {v} is not a chain in the simplex of {rho(image)} for {reference}"
+                )
+            signature += (above[x >> 1] & m for x in xs)  # fixes the chain's order
+        signature = tuple(signature)
+        if signature in signatures:
+            return f"overlapping simplexes for {reference} at {rho(image)}"
+        signatures.add(signature)
+        # the hook-length formula of domains._hook_count, on the arrays
+        size = [1] * (k + 1)  # subtree sizes, children before parents
+        for x in reversed(order[1:]):
+            size[parent[x >> 1] >> 1] += size[x >> 1]
+        count += n_orders // math.prod(size)
+    if count != mass:
+        return (
+            f"partition misses extensions for {reference}: the pieces hold {count} of {mass} orders"
+        )
+    return None
 
 
 # -- canonical labelings through a skeleton copy and slot paths ----------------

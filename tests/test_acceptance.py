@@ -7,7 +7,7 @@ tolerance is exact (structural or integer equality throughout).
 import random
 import time
 
-from kmboard.canonical import is_reference, is_tamed, to_reference, to_tamed, tier_table
+from kmboard.canonical import is_reference, is_tamed, to_reference, to_tamed
 from kmboard.counting import catalan_ternary, census
 from kmboard.domains import (
     TimePoset,
@@ -32,7 +32,7 @@ from kmboard.duhamel import (
 )
 from kmboard.moves import MoveState, allowable_permutations, apply_signed_km, apply_wild
 from kmboard.pairs import double_factorial_odd, enumerate_pairs, random_pair, validate_pair
-from oracles import relabel_domain
+from oracles import relabel_domain, tier_table
 
 
 def report(n, text):

@@ -7,11 +7,8 @@ from kmboard.canonical import (
     echelon_pair,
     is_reference,
     is_tamed,
-    is_upper_echelon,
     reduce_to_labeling,
     tamed_pairs,
-    tier,
-    tier_table,
     to_echelon,
     to_reference,
     to_tamed,
@@ -28,6 +25,7 @@ from kmboard.moves import (
 from kmboard.pairs import TimePermutation, enumerate_pairs, random_pair, validate_pair
 from kmboard.trees import skeleton_key
 from oracles import (
+    is_upper_echelon,
     literal_echelon_pair,
     literal_is_reference,
     literal_is_tamed,
@@ -36,6 +34,8 @@ from oracles import (
     literal_to_reference,
     literal_to_tamed,
     signed_pairs,
+    tier,
+    tier_table,
 )
 
 TAMED13 = validate_pair(

@@ -224,6 +224,27 @@ def test_census_cap_in_verify_exits_2(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--k", "8", "--check", "tamed-unique"), "census k=8 exceeds cap 7"),
+        (("--k", "11", "--check", "reference-unique"), "k=11 exceeds enumeration cap 10"),
+    ],
+    ids=["census-cap", "enumeration-cap"],
+)
+def test_verify_refuses_an_order_past_a_checks_cap_before_any_work(
+    capsys, monkeypatch, argv, message
+):
+    from kmboard import counting
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify walked maps for an order past its cap")
+
+    monkeypatch.setattr(counting, "census", no_work)
+    monkeypatch.setattr(counting, "_census_chunk", no_work)
+    assert input_error(capsys, "verify", *argv) == f"error: {message}"
+
+
 def test_verify_folds_each_census_once_per_call(capsys, monkeypatch):
     from kmboard import counting
 
@@ -530,7 +551,9 @@ def test_mass_alone_fails_when_a_witness_does_not_round_trip(capsys, monkeypatch
     monkeypatch.setattr(moves, "_act_arrays", lambda mu, sgn, image, conjugate: (mu, sgn))
     code, out = run(capsys, "verify", "--k", "3", "--check", "mass")
     assert code == 1
-    assert _single_fail_line(out) == "k=2: witness failed for mu=1,1 sgn=-,+ FAIL"
+    # the member of mu=1,1 sgn=+,- at rho=4,2 comes out as that pair itself,
+    # which reduces back at the identity
+    assert _single_fail_line(out) == "k=2: witness failed for mu=1,1 sgn=+,- FAIL"
     assert json.loads(out.strip().splitlines()[-1]) == {"mass": "fail"}
 
 
@@ -548,9 +571,9 @@ def test_a_failed_sweep_is_walked_once_and_fails_every_reader(monkeypatch):
     monkeypatch.setattr(moves, "_act_arrays", lambda mu, sgn, image, conjugate: (mu, sgn))
     names = ["reference-unique", "compat", "mass"]
     lines, results = verify.run_checks(names, 3, 0, 1)
-    # two tamed pairs at k=1, then k=2 fails at its third: once, not once per reader
+    # two orbit members at k=1, then k=2 fails at its third: once, not once per reader
     assert len(calls) == 2 + 3
-    fail = "k=2: witness failed for mu=1,1 sgn=-,+ FAIL"
+    fail = "k=2: witness failed for mu=1,1 sgn=+,- FAIL"
     assert lines == [
         "k=1: 2 tamed pairs in 2 wild classes, each with a verified reference witness OK",
         fail,

@@ -102,8 +102,8 @@ def test_pieces_that_leave_a_branch_unchained_fail_the_chain_clause(monkeypatch)
 def test_a_repeated_orbit_member_fails_signatures(capsys, monkeypatch):
     original = verify._partition_failure
 
-    def repeated(reference, whole, mass, orbit):
-        return original(reference, whole, mass, orbit + orbit[-1:])
+    def repeated(reference, whole, mass, orbit, pieces=None):
+        return original(reference, whole, mass, orbit + orbit[-1:], pieces)
 
     monkeypatch.setattr(verify, "_partition_failure", repeated)
     code, line = _run_mass(capsys)
@@ -114,8 +114,8 @@ def test_a_repeated_orbit_member_fails_signatures(capsys, monkeypatch):
 def test_a_dropped_orbit_member_fails_counts(capsys, monkeypatch):
     original = verify._partition_failure
 
-    def dropped(reference, whole, mass, orbit):
-        return original(reference, whole, mass, orbit[:-1] if len(orbit) > 1 else orbit)
+    def dropped(reference, whole, mass, orbit, pieces=None):
+        return original(reference, whole, mass, orbit[:-1] if len(orbit) > 1 else orbit, pieces)
 
     monkeypatch.setattr(verify, "_partition_failure", dropped)
     code, line = _run_mass(capsys)

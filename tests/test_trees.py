@@ -141,7 +141,7 @@ def test_echelon_labeling_of_left_chain():
 
 def test_every_k3_skeleton_yields_distinct_echelon_pair():
     # brute-force classification of all 15 maps against the labelings
-    from kmboard.canonical import is_upper_echelon
+    from oracles import is_upper_echelon
 
     by_skeleton = {}
     for p in enumerate_pairs(3, signed=False):
