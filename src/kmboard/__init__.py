@@ -16,9 +16,6 @@ from .counting import catalan_ternary, census
 from .domains import (
     TimePoset,
     count_linear_extensions,
-    induced_order,
-    linear_extensions,
-    sigma_set,
     tc_domain,
     td_domain,
     tr_domain,
@@ -32,17 +29,8 @@ from .duhamel import (
     integrated_expand,
     mark_dtree,
     normalize,
-    substitute_times,
-    unclogged_count,
 )
-from .moves import (
-    MoveState,
-    allowable_permutations,
-    apply_signed_km,
-    apply_wild,
-    km_admissible_indices,
-    km_class,
-)
+from .moves import MoveState, apply_wild
 from .pairs import (
     CollapsingPair,
     TimePermutation,
@@ -52,7 +40,6 @@ from .pairs import (
 from .trees import (
     SignedTree,
     echelon_labeling,
-    pair_from_tree,
     tamed_labeling,
     tree_from_pair,
 )

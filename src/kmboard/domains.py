@@ -2,10 +2,10 @@
 
 A relation pair (a, b) reads "t_a >= t_b".  Every domain comes from a
 tree rooted at t_1, so a poset here is a forest, compared and hashed by
-its cover map; a total order is a tuple of the odd labels from largest
-time to smallest.  The discrete semantics ignores boundary ties, so
+its cover map.  The discrete semantics ignores boundary ties, so
 unions and disjointness of simplexes become exact statements about
-sets of total orders, which one Varol-Rotem walker lists.
+sets of total orders (linear extensions).  The hook-length formula
+counts them, and one Varol-Rotem walker lists them as position arrays.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ from typing import Iterable, Iterator
 
 from .canonical import is_reference
 from .duhamel import _slot_pass
-from .errors import CapExceeded, CyclicRelations, NotAForest, NotReference, OutOfRange
-from .pairs import CollapsingPair, TimePermutation
-from .trees import tree_from_pair
-
-#: Odd labels from largest time to smallest.
-TotalOrder = tuple[int, ...]
-
-EXTENSION_CAP = 10**6
+from .errors import CyclicRelations, NotAForest, NotReference, OutOfRange
+from .pairs import CollapsingPair
 
 
 def _check_labels(k: int, labels) -> None:
@@ -43,30 +37,7 @@ class TimePoset:
     k: int
     parent: tuple
 
-    @classmethod
-    def from_parents(cls, k: int, parent: dict) -> "TimePoset":
-        """Forest order: ``parent[x]`` is the upper cover of ``x``.
-
-        A root maps to ``None`` (a label missing from the map is a root
-        too).  This validates a caller's map: it raises
-        :class:`OutOfRange` for a label that is not odd in 1..2k+1 and
-        :class:`CyclicRelations` if a parent chain returns to itself.
-        """
-        _check_labels(k, parent.keys() | (set(parent.values()) - {None}))
-        poset = cls(k, tuple(parent.get(x) for x in range(1, 2 * k + 2, 2)))
-        reached = poset._top_down()
-        if len(reached) <= k:
-            # an element no root reaches walks up into a cycle
-            x = next(x for x in poset.elements if x not in reached)
-            chain = []
-            while x not in chain:
-                chain.append(x)
-                x = poset.parent[x // 2]
-            cycle = sorted(chain[chain.index(x) :])
-            a, b = cycle[0], cycle[min(1, len(cycle) - 1)]
-            raise CyclicRelations(f"t_{a} and t_{b} are mutually ordered")
-        return poset
-
+    # kmbench wraps this, so moving it is a benchmark change.
     @classmethod
     def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "TimePoset":
         """Close the relations, then read the cover map off the closure.
@@ -189,27 +160,9 @@ def _extension_walk(up) -> Iterator[list]:
             return
 
 
-def _forest_orders(parent: dict) -> Iterator[tuple]:
-    """Every linear extension of a forest as a tuple of labels; ``parent`` as
-    for :func:`_hook_count`, numbered in its order for the walk."""
-    labels = list(parent)
-    number = {x: j for j, x in enumerate(labels, 1)}
-    up = [0] + [0 if p is None else number[p] for p in parent.values()]
-    for pos in _extension_walk(up):
-        yield tuple(sorted(labels, key=lambda x: pos[number[x]]))
-
-
 def count_linear_extensions(poset: TimePoset) -> int:
     """Exact count by the hook-length formula, O(k) at any k."""
     return _hook_count(poset._top_down())
-
-
-def linear_extensions(poset: TimePoset, cap: int = EXTENSION_CAP) -> frozenset:
-    """All total orders refining the poset (largest time first)."""
-    parent = poset._top_down()
-    if _hook_count(parent) > cap:
-        raise CapExceeded(f"more than {cap} linear extensions")
-    return frozenset(_forest_orders(parent))
 
 
 # -- the three domains -------------------------------------------------------
@@ -232,8 +185,7 @@ def _attached_parents(mu, keys) -> dict:
 
 # The attachment rule and the slot rule hang every label under a smaller
 # one, so their maps list parents first and hold no cycle: the domains
-# below build each poset straight from its parent tuple, with none of
-# ``from_parents``' checks.
+# below build each poset straight from its parent tuple, unchecked.
 
 
 def td_domain(pair: CollapsingPair) -> TimePoset:
@@ -252,33 +204,19 @@ def tc_domain(pair: CollapsingPair) -> TimePoset:
     return TimePoset(pair.k, _tc_parents(pair.mu, pair.sgn))
 
 
-def _wild_piece(mu, image) -> tuple[list, list]:
-    """td(W(rho)(R)) relabeled by rho^-1, as arrays.
+def _wild_piece(mu, image) -> dict:
+    """td(W(rho)(R)) relabeled by rho^-1, as a parent map listing parents first.
 
-    The attachment rule of :func:`_attached_parents` runs on the moved
-    map v -> rho(v) of the reference map ``mu``, in the moved pair's
-    label order, which lists parents first; every label is then renamed
-    by rho^-1.  Returns the renamed labels in that order and a
-    label-indexed parent array: ``parent[x >> 1]`` is the upper cover of
-    t_x, None for t_1.
+    :func:`_attached_parents` runs on the moved map rho.mu of the
+    reference map ``mu``, which lists parents first; renaming every
+    label by rho^-1 keeps that order.
     """
-    k = len(mu)
-    rho = [0, 1]  # rho on the labels 1..2k+1, with rho(2l+1) = rho(2l) + 1
-    back = [0, 1] + [0] * (2 * k)  # rho^-1 likewise
+    back = [0, 1] + [0] * (2 * len(mu))  # rho^-1 on the labels 1..2k+1
     for i, w in enumerate(image):
-        rho += (w, w + 1)
         back[w], back[w + 1] = 2 * i + 2, 2 * i + 3
-    order = [1]
-    parent = [None] * (k + 1)
-    last = [0] * (2 * k + 2)  # moved value -> latest label hung under it so far
-    for x, v in zip(range(3, 2 * k + 2, 2), mu):
-        w = rho[v]
-        p = last[w] or w - w % 2 + 1
-        last[w] = x
-        y = back[x]
-        parent[y >> 1] = back[p]
-        order.append(y)
-    return order, parent
+    moved = [1 if v == 1 else image[(v - 2) >> 1] + (v & 1) for v in mu]  # rho(2l+1) = rho(2l) + 1
+    td = _attached_parents(moved, moved)
+    return {back[x]: None if p is None else back[p] for x, p in td.items()}
 
 
 def tr_domain(reference: CollapsingPair) -> TimePoset:
@@ -292,32 +230,3 @@ def tr_domain(reference: CollapsingPair) -> TimePoset:
         raise NotReference(f"not a reference pair: {reference}")
     mu = reference.mu
     return TimePoset(reference.k, tuple(_attached_parents(mu, zip(mu, reference.sgn)).values()))
-
-
-# -- order-preserving relabelings (Sigma sets) -------------------------------
-
-
-def sigma_set(pair: CollapsingPair, cap: int = EXTENSION_CAP) -> list[TimePermutation]:
-    """All rho with rho(parent) < rho(child) along the tree of the map.
-
-    In bijection with the linear extensions of the tree order; listed
-    in lexicographic image order.
-    """
-    tree = tree_from_pair(pair)
-    evens = tuple(tree.labels)
-    parent = {x: None if tree.parent_of(x) == 1 else tree.parent_of(x) for x in evens}
-    if _hook_count(parent) > cap:
-        raise CapExceeded(f"more than {cap} order-preserving relabelings")
-    perms = []
-    for topo in _forest_orders(parent):
-        image = {x: 2 * (i + 1) for i, x in enumerate(topo)}
-        perms.append(
-            TimePermutation(pair.k, tuple(image[2 * j] for j in range(1, pair.k + 1)))
-        )
-    return sorted(perms, key=lambda p: p.image)
-
-
-def induced_order(rho: TimePermutation) -> TotalOrder:
-    """The simplex of rho: t_1 >= t_{rho^-1(3)} >= ... >= t_{rho^-1(2k+1)}."""
-    inv = rho.inverse()
-    return (1,) + tuple(inv.of(2 * l + 1) for l in range(1, rho.k + 1))

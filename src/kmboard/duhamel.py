@@ -16,17 +16,18 @@ flips its orientation: ``conj(U_{a,b} e) = U_{b,a} conj(e)``.
 Two independent routes compute the same kernel: :func:`expand` runs the
 tree recursion, :func:`expand_oracle` replays the operator product
 coordinate by coordinate.  Both leave the profile fixed at the final
-time; :func:`as_flow` rebases a kernel onto a datum that free-evolves
-from time zero, which is the reading under which the wild-move
-relabeling identity holds pointwise.
+time.  Each node computes its serialization ``key`` once and keeps it
+(equal keys <=> equal expressions), so sorting the factors of nested
+products in :func:`normalize` serializes no subtree twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
-from .pairs import CollapsingPair, TimePermutation
+from .pairs import CollapsingPair
 
 # -- symbolic expressions ----------------------------------------------------
 
@@ -134,16 +135,6 @@ def prod(factors) -> SymExpr:
     return Prod(tuple(flat))
 
 
-def expr_key(e: SymExpr) -> str:
-    """Deterministic serialization; equal keys <=> equal expressions.
-
-    Each node computes its key once and keeps it, so sorting the
-    factors of nested products does not serialize a subtree again at
-    every level above it.
-    """
-    return e.key
-
-
 def normalize(e: SymExpr) -> SymExpr:
     """Canonical form: conjugation at atoms, merged propagators, sorted products."""
     return _normal(e, False)
@@ -171,37 +162,7 @@ def _normal(e: SymExpr, flip: bool) -> SymExpr:
             factors.append(nf)
     if len(factors) == 1:
         return factors[0]
-    return Prod(tuple(sorted(factors, key=expr_key)))
-
-
-def _substitute(e: SymExpr, rename, atom: Optional[SymExpr]) -> SymExpr:
-    """Rebuild ``e`` through the eager constructors, time labels renamed
-    and, unless ``atom`` is None, every atom replaced by ``atom``."""
-    if isinstance(e, Atom):
-        return e if atom is None else atom
-    if isinstance(e, Conj):
-        return conj(_substitute(e.body, rename, atom))
-    if isinstance(e, Evolve):
-        return evolve(rename(e.a), rename(e.b), _substitute(e.body, rename, atom))
-    return prod(tuple(_substitute(f, rename, atom) for f in e.factors))
-
-
-def substitute_times(e: SymExpr, sigma: TimePermutation) -> SymExpr:
-    """Relabel times by t_a -> t_{sigma(a)} (t_1 fixed), then normalize.
-
-    All odd labels move, the final time 2k+1 included: the relabeling
-    identities below compare kernels whose datum slot moves with sigma.
-    """
-    return normalize(_substitute(e, lambda a: a if a is None else sigma.of(a), None))
-
-
-def as_flow(e: SymExpr, k: int) -> SymExpr:
-    """Rebase the profile onto a datum free-evolving from time zero.
-
-    Substitutes ``phi = U_{2k+1} phi0``; propagator chains that used to
-    stop at the final time then telescope through it.
-    """
-    return _substitute(e, lambda a: a, Evolve(2 * k + 1, None, Atom()))
+    return Prod(tuple(sorted(factors, key=attrgetter("key"))))
 
 
 # -- Duhamel tree ------------------------------------------------------------
@@ -359,11 +320,6 @@ def mark_dtree(dtree: DTree) -> DTree:
         dtree.parent,
         {x: frozenset(s) for x, s in marks.items()},
     )
-
-
-def unclogged_count(dtree: DTree) -> int:
-    """Couplings l < k whose node has an F child (the decay sources)."""
-    return sum(1 for l in range(1, dtree.k) if dtree.has_f_child(2 * l))
 
 
 # -- estimate schedule -------------------------------------------------------
@@ -541,7 +497,7 @@ def _product_groups(factors) -> list[str]:
     conjd: dict[str, int] = {}
     for f in factors:
         base = f.body if isinstance(f, Conj) else f
-        key = expr_key(base)
+        key = base.key
         if key not in plain and key not in conjd:
             order.append((base, key))
         bucket = conjd if isinstance(f, Conj) else plain
@@ -598,15 +554,6 @@ class IntegratedExpansion:
     pair: CollapsingPair
     bounds: dict
     outer: tuple
-
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        """Every t_a >= t_b the bounds encode (uppers, lowers, outer)."""
-        rels = [(1, self.outer[0])]
-        for x, (lower, upper) in sorted(self.bounds.items()):
-            rels.append((upper, x + 1))
-            if lower:
-                rels.append((x + 1, lower))
-        return rels
 
     def render_text(self) -> str:
         dtree = build_dtree(self.pair)

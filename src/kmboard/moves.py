@@ -3,24 +3,25 @@
 KM acceptable moves conjugate the map by an adjacent double
 transposition ``(2j,2j+2)(2j+1,2j+3)`` subject to an admissibility
 condition; they permute tree labels but fix the (signed) skeleton.
-Wild moves act by allowable permutations; they fix the left-branch
-partition but change the skeleton.  :func:`apply_signed_km` and
-:func:`apply_wild` accumulate a time relabeling ``sigma`` in a
-:class:`MoveState`.  :func:`km_class` needs only the pairs and acts by
-each transposition without composing a ``sigma``; reductions apply KM
-moves to the map directly (see :func:`kmboard.canonical.reduce_to_labeling`).
+Reductions apply them to the map directly (see
+:func:`kmboard.canonical.reduce_to_labeling`).  Wild moves act by
+allowable permutations; they fix the left-branch partition but change
+the skeleton.  The checks run them on map and sign arrays
+(:func:`_act_arrays`, :func:`_allowable`, :func:`_interleavings`);
+:func:`apply_wild` accumulates the time relabeling ``sigma`` in a
+:class:`MoveState`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import CapExceeded, KMismatch, NotAcceptable, NotAllowable, NotTamed
+from .errors import KMismatch, NotAllowable, NotTamed
 from .pairs import CollapsingPair, TimePermutation
 
 
+# kmbench's query workload reaches this, so moving it is a benchmark change.
 @dataclass(frozen=True)
 class MoveState:
     """A pair together with the accumulated time relabeling."""
@@ -42,11 +43,6 @@ def _km_acceptable(mu, j: int) -> bool:
     return 2 <= j < len(mu) and mu[j - 1] != mu[j] and mu[j] < 2 * j
 
 
-def km_admissible_indices(pair: CollapsingPair) -> list[int]:
-    """Indices j in {2..k-1} where the adjacent move is acceptable."""
-    return [j for j in range(2, pair.k) if _km_acceptable(pair.mu, j)]
-
-
 def _act_arrays(mu, sgn, image, conjugate: bool) -> tuple[tuple, tuple]:
     """The arrays of :func:`_act`, from the arrays of the pair and of rho.
 
@@ -66,43 +62,6 @@ def _act_arrays(mu, sgn, image, conjugate: bool) -> tuple[tuple, tuple]:
 def _act(pair: CollapsingPair, rho: TimePermutation, conjugate: bool) -> CollapsingPair:
     """mu' = rho.mu.rho^-1 (KM, conjugate) or rho.mu (wild); sgn' = sgn.rho^-1."""
     return CollapsingPair(pair.k, *_act_arrays(pair.mu, pair.sgn, rho.image, conjugate))
-
-
-def apply_signed_km(state: MoveState, j: int) -> MoveState:
-    """One signed KM acceptable move at index j (an involution)."""
-    pair = state.pair
-    if not _km_acceptable(pair.mu, j):
-        raise NotAcceptable(j)
-    rho = TimePermutation.transposition(pair.k, 2 * j, 2 * j + 2)
-    return MoveState(_act(pair, rho, conjugate=True), rho.compose(state.sigma))
-
-
-def km_class(
-    pair: CollapsingPair,
-    signed: bool = True,
-    cap: int | None = None,
-    with_moves: bool = False,
-):
-    """Closure of the pair under all admissible (signed) moves.
-
-    Breadth-first; unsigned mode forces all signs to ``+`` first.  With
-    ``with_moves`` the result maps each member to a witnessing move
-    sequence (j indices, in application order) from the seed.
-    """
-    seed = pair if signed else pair.unsigned()
-    seen: dict[CollapsingPair, tuple[int, ...]] = {seed: ()}
-    frontier = deque([seed])
-    while frontier:
-        current = frontier.popleft()
-        for j in km_admissible_indices(current):
-            rho = TimePermutation.transposition(current.k, 2 * j, 2 * j + 2)
-            nxt = _act(current, rho, conjugate=True)
-            if nxt not in seen:
-                if cap is not None and len(seen) >= cap:
-                    raise CapExceeded(f"class size exceeds cap {cap}")
-                seen[nxt] = seen[current] + (j,)
-                frontier.append(nxt)
-    return seen if with_moves else frozenset(seen)
 
 
 def _allowable(mu, sgn, image) -> bool:
@@ -165,22 +124,7 @@ def _interleavings(groups, sgn) -> list[tuple[int, ...]]:
     return images
 
 
-def allowable_permutations(pair: CollapsingPair) -> list[TimePermutation]:
-    """All permutations allowable for a tamed pair, identity included.
-
-    Constructive (:func:`_interleavings`), in lexicographic image order.
-    """
-    from .canonical import _profile, is_tamed  # deferred: canonical builds on moves
-
-    if not is_tamed(pair):
-        raise NotTamed(f"allowable permutations are defined on tamed pairs: {pair}")
-    # each branch goes onto itself, so every image is a permutation
-    return [
-        TimePermutation._unchecked(pair.k, image)
-        for image in _interleavings(_profile(tuple(pair.mu)).groups, pair.sgn)
-    ]
-
-
+# kmbench's query workload reaches this, so moving it is a benchmark change.
 def apply_wild(state: MoveState, rho: TimePermutation) -> MoveState:
     """Wild move W(rho): mu' = rho.mu, sigma' = rho.sigma, sgn' = sgn.rho^-1."""
     from .canonical import is_tamed  # deferred: canonical builds on moves

@@ -185,14 +185,6 @@ class TimePermutation:
     def identity(cls, k: int) -> "TimePermutation":
         return cls(k, tuple(range(2, 2 * k + 1, 2)))
 
-    @classmethod
-    def transposition(cls, k: int, a: int, b: int) -> "TimePermutation":
-        """The swap of even labels ``a`` and ``b``."""
-        image = list(range(2, 2 * k + 1, 2))
-        ia, ib = (a - 2) // 2, (b - 2) // 2
-        image[ia], image[ib] = image[ib], image[ia]
-        return cls(k, tuple(image))
-
     def of(self, label: int) -> int:
         """Apply the extended permutation; label 1 is fixed."""
         if label == 1:
@@ -214,10 +206,6 @@ class TimePermutation:
         for j, v in enumerate(self.image):
             image[(v - 2) // 2] = 2 * (j + 1)
         return TimePermutation._unchecked(self.k, tuple(image))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == 2 * (j + 1) for j, v in enumerate(self.image))
 
     def to_json(self) -> dict:
         return {"k": self.k, "image": list(self.image)}

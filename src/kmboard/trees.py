@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NotAdmissible, OutOfRange
+from .errors import OutOfRange
 from .pairs import CollapsingPair, TimePermutation
 
 
@@ -107,30 +107,6 @@ def tree_from_pair(pair: CollapsingPair) -> SignedTree:
     slots = _slots_from_mu(pair.k, pair.mu)
     sign = {2 * j: pair.sgn[j - 1] for j in range(1, pair.k + 1)}
     return SignedTree(pair.k, {x: tuple(c) for x, c in slots.items()}, sign)
-
-
-def pair_from_tree(tree: SignedTree) -> CollapsingPair:
-    """Read the collapsing map back off an admissible tree."""
-    k = tree.k
-    mu = {2: 1}
-    for x in tree.labels:
-        l, m, r = tree.slots[x]
-        for c in (l, m, r):
-            if c is not None and c <= x:
-                raise NotAdmissible(f"child {c} of node {x} is not larger")
-        if l is not None:
-            mu[l] = mu[x]
-        if m is not None:
-            mu[m] = x
-        if r is not None:
-            mu[r] = x + 1
-    if len(mu) != k:
-        raise NotAdmissible("tree is not connected over all labels")
-    return CollapsingPair(
-        k,
-        tuple(mu[2 * j] for j in range(1, k + 1)),
-        tuple(tree.sign[2 * j] for j in range(1, k + 1)),
-    )
 
 
 def _preorder(mu) -> tuple[str, list[int]]:

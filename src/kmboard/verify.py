@@ -19,7 +19,6 @@ T_R and T_C as parent tuples.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 from functools import cache
@@ -339,11 +338,11 @@ def _partition_failure(reference, whole, mass, orbit, pieces=None) -> str | None
     count = 0
     for image in orbit:
         if image not in pieces:
-            order, parent = domains._wild_piece(mu, image)
+            piece = domains._wild_piece(mu, image)
             above = [0] * (k + 1)  # above[x >> 1]: bitmask of the labels above t_x
-            for x in order[1:]:
-                p = parent[x >> 1]
-                above[x >> 1] = above[p >> 1] | 1 << p
+            for x, p in piece.items():
+                if p is not None:
+                    above[x >> 1] = above[p >> 1] | 1 << p
             unchained, signature = None, []
             for g in canonical._profile(mu).groups:
                 if len(g) > 1:  # a one-label branch is a chain in every piece and tells none apart
@@ -354,12 +353,7 @@ def _partition_failure(reference, whole, mass, orbit, pieces=None) -> str | None
                         unchained = mu[g[0]]
                         break
                     signature += (above[x >> 1] & m for x in xs)  # fixes the chain's order
-            # the hook-length formula of domains._hook_count, on the arrays
-            size = [1] * (k + 1)  # subtree sizes, children before parents
-            for x in reversed(order[1:]):
-                size[parent[x >> 1] >> 1] += size[x >> 1]
-            hooks = math.factorial(k + 1) // math.prod(size)
-            pieces[image] = above, unchained, tuple(signature), hooks
+            pieces[image] = above, unchained, tuple(signature), domains._hook_count(piece)
         above, unchained, signature, hooks = pieces[image]
         if not all(above[x] & bit for bit, x in covers):
             return f"simplex of {_rho_text(image)} leaves T_R of {reference}"

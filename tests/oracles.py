@@ -1,22 +1,24 @@
 """Slow literal definitions that the fast predicates in ``kmboard`` are checked against,
-and the Hypothesis strategy for pairs that the property tests draw from."""
+the Hypothesis strategy for pairs that the property tests draw from, and the
+reference API that left ``kmboard`` because only the tests call it: KM moves
+and classes, allowable permutations, extension and relabeling listings,
+validated parent maps, time substitution in kernels, and tree read-back."""
 
 import itertools
-import math
-from collections import Counter
+from collections import Counter, deque
 from operator import itemgetter
 
 from hypothesis import strategies as st
 
 from kmboard import canonical, domains, moves
-from kmboard.canonical import _MapProfile, is_reference, tamed_pairs, to_reference
+from kmboard.canonical import _MapProfile, is_reference, is_tamed, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
 from kmboard.domains import (
     TimePoset,
     _attached_parents,
+    _check_labels,
+    _extension_walk,
     _hook_count,
-    induced_order,
-    linear_extensions,
 )
 from kmboard.duhamel import (
     Atom,
@@ -28,10 +30,19 @@ from kmboard.duhamel import (
     _merge_evolve,
     conj,
     evolve,
+    normalize,
     prod,
 )
-from kmboard.errors import CapExceeded, CensusViolation, OutOfRange
-from kmboard.moves import MoveState, _act, apply_signed_km
+from kmboard.errors import (
+    CapExceeded,
+    CensusViolation,
+    CyclicRelations,
+    NotAcceptable,
+    NotAdmissible,
+    NotTamed,
+    OutOfRange,
+)
+from kmboard.moves import MoveState, _act, _km_acceptable
 from kmboard.pairs import (
     ENUMERATION_CAP,
     SIGNS,
@@ -45,7 +56,6 @@ from kmboard.trees import (
     SignedTree,
     _preorder,
     _slots_from_mu,
-    pair_from_tree,
     skeleton_key,
     tree_from_pair,
 )
@@ -75,6 +85,217 @@ def tier_table(pair):
 
 def is_upper_echelon(pair):
     return all(pair.mu[j - 1] <= pair.mu[j] for j in range(1, pair.k))
+
+
+# -- the reference API that moved out of kmboard -------------------------------
+
+
+def transposition(k, a, b):
+    """The swap of even labels ``a`` and ``b``."""
+    image = list(range(2, 2 * k + 1, 2))
+    ia, ib = (a - 2) // 2, (b - 2) // 2
+    image[ia], image[ib] = image[ib], image[ia]
+    return TimePermutation(k, tuple(image))
+
+
+def is_identity(rho):
+    return all(v == 2 * (j + 1) for j, v in enumerate(rho.image))
+
+
+def km_admissible_indices(pair):
+    """Indices j in {2..k-1} where the adjacent move is acceptable."""
+    return [j for j in range(2, pair.k) if _km_acceptable(pair.mu, j)]
+
+
+def apply_signed_km(state, j):
+    """One signed KM acceptable move at index j (an involution)."""
+    pair = state.pair
+    if not _km_acceptable(pair.mu, j):
+        raise NotAcceptable(j)
+    rho = transposition(pair.k, 2 * j, 2 * j + 2)
+    return MoveState(_act(pair, rho, conjugate=True), rho.compose(state.sigma))
+
+
+def km_class(pair, signed=True, cap=None, with_moves=False):
+    """Closure of the pair under all admissible (signed) moves.
+
+    Breadth-first; unsigned mode forces all signs to ``+`` first.  With
+    ``with_moves`` the result maps each member to a witnessing move
+    sequence (j indices, in application order) from the seed.
+    """
+    seed = pair if signed else pair.unsigned()
+    seen = {seed: ()}
+    frontier = deque([seed])
+    while frontier:
+        current = frontier.popleft()
+        for j in km_admissible_indices(current):
+            rho = transposition(current.k, 2 * j, 2 * j + 2)
+            nxt = _act(current, rho, conjugate=True)
+            if nxt not in seen:
+                if cap is not None and len(seen) >= cap:
+                    raise CapExceeded(f"class size exceeds cap {cap}")
+                seen[nxt] = seen[current] + (j,)
+                frontier.append(nxt)
+    return seen if with_moves else frozenset(seen)
+
+
+def allowable_permutations(pair):
+    """All permutations allowable for a tamed pair, identity included.
+
+    Constructive (``moves._interleavings``), in lexicographic image order.
+    """
+    if not is_tamed(pair):
+        raise NotTamed(f"allowable permutations are defined on tamed pairs: {pair}")
+    # each branch goes onto itself, so every image is a permutation
+    return [
+        TimePermutation._unchecked(pair.k, image)
+        for image in moves._interleavings(canonical._profile(tuple(pair.mu)).groups, pair.sgn)
+    ]
+
+
+def poset_from_parents(k, parent):
+    """Forest order: ``parent[x]`` is the upper cover of ``x``.
+
+    A root maps to ``None`` (a label missing from the map is a root
+    too).  This validates a caller's map: it raises
+    :class:`OutOfRange` for a label that is not odd in 1..2k+1 and
+    :class:`CyclicRelations` if a parent chain returns to itself.
+    """
+    _check_labels(k, parent.keys() | (set(parent.values()) - {None}))
+    poset = TimePoset(k, tuple(parent.get(x) for x in range(1, 2 * k + 2, 2)))
+    reached = poset._top_down()
+    if len(reached) <= k:
+        # an element no root reaches walks up into a cycle
+        x = next(x for x in poset.elements if x not in reached)
+        chain = []
+        while x not in chain:
+            chain.append(x)
+            x = poset.parent[x // 2]
+        cycle = sorted(chain[chain.index(x) :])
+        a, b = cycle[0], cycle[min(1, len(cycle) - 1)]
+        raise CyclicRelations(f"t_{a} and t_{b} are mutually ordered")
+    return poset
+
+
+#: Odd labels from largest time to smallest.
+TotalOrder = tuple[int, ...]
+
+EXTENSION_CAP = 10**6
+
+
+def _forest_orders(parent):
+    """Every linear extension of a forest as a tuple of labels; ``parent`` as
+    for ``domains._hook_count``, numbered in its order for the walk."""
+    labels = list(parent)
+    number = {x: j for j, x in enumerate(labels, 1)}
+    up = [0] + [0 if p is None else number[p] for p in parent.values()]
+    for pos in _extension_walk(up):
+        yield tuple(sorted(labels, key=lambda x: pos[number[x]]))
+
+
+def linear_extensions(poset, cap=EXTENSION_CAP):
+    """All total orders refining the poset (largest time first)."""
+    parent = poset._top_down()
+    if _hook_count(parent) > cap:
+        raise CapExceeded(f"more than {cap} linear extensions")
+    return frozenset(_forest_orders(parent))
+
+
+def sigma_set(pair, cap=EXTENSION_CAP):
+    """All rho with rho(parent) < rho(child) along the tree of the map.
+
+    In bijection with the linear extensions of the tree order; listed
+    in lexicographic image order.
+    """
+    tree = tree_from_pair(pair)
+    evens = tuple(tree.labels)
+    parent = {x: None if tree.parent_of(x) == 1 else tree.parent_of(x) for x in evens}
+    if _hook_count(parent) > cap:
+        raise CapExceeded(f"more than {cap} order-preserving relabelings")
+    perms = []
+    for topo in _forest_orders(parent):
+        image = {x: 2 * (i + 1) for i, x in enumerate(topo)}
+        perms.append(
+            TimePermutation(pair.k, tuple(image[2 * j] for j in range(1, pair.k + 1)))
+        )
+    return sorted(perms, key=lambda p: p.image)
+
+
+def induced_order(rho) -> TotalOrder:
+    """The simplex of rho: t_1 >= t_{rho^-1(3)} >= ... >= t_{rho^-1(2k+1)}."""
+    inv = rho.inverse()
+    return (1,) + tuple(inv.of(2 * l + 1) for l in range(1, rho.k + 1))
+
+
+def _substitute(e, rename, atom):
+    """Rebuild ``e`` through the eager constructors, time labels renamed
+    and, unless ``atom`` is None, every atom replaced by ``atom``."""
+    if isinstance(e, Atom):
+        return e if atom is None else atom
+    if isinstance(e, Conj):
+        return conj(_substitute(e.body, rename, atom))
+    if isinstance(e, Evolve):
+        return evolve(rename(e.a), rename(e.b), _substitute(e.body, rename, atom))
+    return prod(tuple(_substitute(f, rename, atom) for f in e.factors))
+
+
+def substitute_times(e, sigma):
+    """Relabel times by t_a -> t_{sigma(a)} (t_1 fixed), then normalize.
+
+    All odd labels move, the final time 2k+1 included: the relabeling
+    identities compare kernels whose datum slot moves with sigma.
+    """
+    return normalize(_substitute(e, lambda a: a if a is None else sigma.of(a), None))
+
+
+def as_flow(e, k):
+    """Rebase the profile onto a datum free-evolving from time zero.
+
+    Substitutes ``phi = U_{2k+1} phi0``; propagator chains that used to
+    stop at the final time then telescope through it.  This is the
+    reading under which the wild-move relabeling identity holds pointwise.
+    """
+    return _substitute(e, lambda a: a, Evolve(2 * k + 1, None, Atom()))
+
+
+def unclogged_count(dtree):
+    """Couplings l < k whose node has an F child (the decay sources)."""
+    return sum(1 for l in range(1, dtree.k) if dtree.has_f_child(2 * l))
+
+
+def relation_pairs(integrated):
+    """Every t_a >= t_b the bounds of an ``IntegratedExpansion`` encode
+    (uppers, lowers, outer)."""
+    rels = [(1, integrated.outer[0])]
+    for x, (lower, upper) in sorted(integrated.bounds.items()):
+        rels.append((upper, x + 1))
+        if lower:
+            rels.append((x + 1, lower))
+    return rels
+
+
+def pair_from_tree(tree):
+    """Read the collapsing map back off an admissible tree."""
+    k = tree.k
+    mu = {2: 1}
+    for x in tree.labels:
+        l, m, r = tree.slots[x]
+        for c in (l, m, r):
+            if c is not None and c <= x:
+                raise NotAdmissible(f"child {c} of node {x} is not larger")
+        if l is not None:
+            mu[l] = mu[x]
+        if m is not None:
+            mu[m] = x
+        if r is not None:
+            mu[r] = x + 1
+    if len(mu) != k:
+        raise NotAdmissible("tree is not connected over all labels")
+    return CollapsingPair(
+        k,
+        tuple(mu[2 * j] for j in range(1, k + 1)),
+        tuple(tree.sign[2 * j] for j in range(1, k + 1)),
+    )
 
 
 def literal_tiers(pair):
@@ -234,7 +455,7 @@ def tree_td_domain(pair):
     for x in tree.labels:
         p = tree.parent_of(x)
         parent[x + 1] = 1 if p == 1 else p + 1
-    return TimePoset.from_parents(pair.k, parent)
+    return poset_from_parents(pair.k, parent)
 
 
 def relabel_domain(poset: TimePoset, sigma: TimePermutation) -> TimePoset:
@@ -648,15 +869,14 @@ def unmemoised_partition_failure(reference, whole, mass, orbit):
         if len(g) > 1:  # a one-label branch is a chain in every piece and tells none apart
             xs = [2 * i + 3 for i in g]
             branches.append((reference.mu[g[0]], xs, sum(1 << x for x in xs)))
-    n_orders = math.factorial(k + 1)
     signatures = set()
     count = 0
     for image in orbit:
-        order, parent = domains._wild_piece(reference.mu, image)
+        piece = domains._wild_piece(reference.mu, image)
         above = [0] * (k + 1)  # above[x >> 1]: bitmask of the labels above t_x
-        for x in order[1:]:
-            p = parent[x >> 1]
-            above[x >> 1] = above[p >> 1] | 1 << p
+        for x, p in piece.items():
+            if p is not None:
+                above[x >> 1] = above[p >> 1] | 1 << p
         if not all(above[x] & bit for bit, x in covers):
             return f"simplex of {rho(image)} leaves T_R of {reference}"
         signature = []
@@ -671,11 +891,7 @@ def unmemoised_partition_failure(reference, whole, mass, orbit):
         if signature in signatures:
             return f"overlapping simplexes for {reference} at {rho(image)}"
         signatures.add(signature)
-        # the hook-length formula of domains._hook_count, on the arrays
-        size = [1] * (k + 1)  # subtree sizes, children before parents
-        for x in reversed(order[1:]):
-            size[parent[x >> 1] >> 1] += size[x >> 1]
-        count += n_orders // math.prod(size)
+        count += _hook_count(piece)
     if count != mass:
         return (
             f"partition misses extensions for {reference}: the pieces hold {count} of {mass} orders"
@@ -829,7 +1045,7 @@ def literal_echelon_pair(pair):
 
 
 def literal_expr_key(e):
-    """The serialization that ``expr_key`` keeps on each node, rebuilt from
+    """The serialization that each node keeps as ``key``, rebuilt from
     the whole subtree on every call."""
     if isinstance(e, Atom):
         return e.name

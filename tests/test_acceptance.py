@@ -11,15 +11,11 @@ from kmboard.canonical import is_reference, is_tamed, to_reference, to_tamed
 from kmboard.counting import catalan_ternary, census
 from kmboard.domains import (
     TimePoset,
-    induced_order,
-    linear_extensions,
-    sigma_set,
     tc_domain,
     td_domain,
     tr_domain,
 )
 from kmboard.duhamel import (
-    as_flow,
     build_dtree,
     estimate_schedule,
     expand,
@@ -27,12 +23,21 @@ from kmboard.duhamel import (
     expand_text,
     mark_dtree,
     normalize,
+)
+from kmboard.moves import MoveState, apply_wild
+from kmboard.pairs import double_factorial_odd, enumerate_pairs, random_pair, validate_pair
+from oracles import (
+    allowable_permutations,
+    apply_signed_km,
+    as_flow,
+    induced_order,
+    linear_extensions,
+    relabel_domain,
+    sigma_set,
     substitute_times,
+    tier_table,
     unclogged_count,
 )
-from kmboard.moves import MoveState, allowable_permutations, apply_signed_km, apply_wild
-from kmboard.pairs import double_factorial_odd, enumerate_pairs, random_pair, validate_pair
-from oracles import relabel_domain, tier_table
 
 
 def report(n, text):

@@ -500,8 +500,8 @@ def _repeat_first_order(original):
 @pytest.mark.parametrize(
     "defect, line",
     [
-        # the walker feeds sigma_set and linear_extensions alike, so the check
-        # reads td from the attachment rule instead
+        # the walker also feeds the oracles' sigma_set and linear_extensions, so
+        # the check reads td from the attachment rule instead
         (_drop_last_order, "k=3: order sets differ for mu=1,1,2 sgn=+,+,+ FAIL"),
         (_reverse_positions, "k=2: order sets differ for mu=1,1 sgn=+,+ FAIL"),
         (_repeat_first_order, "k=3: duplicate induced order for mu=1,1,2 sgn=+,+,+ FAIL"),

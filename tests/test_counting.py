@@ -267,7 +267,7 @@ def test_census_extension_counter_agrees_with_domain_module():
 
 def test_signed_class_size_equals_relabeling_count():
     # the class of a tamed pair is as large as its relabeling set
-    from kmboard.domains import sigma_set
+    from oracles import sigma_set
     from kmboard.trees import skeleton_key
 
     for k in range(1, 6):

@@ -12,22 +12,18 @@ from kmboard.duhamel import (
     Evolve,
     FLeaf,
     Prod,
-    as_flow,
     build_dtree,
     estimate_schedule,
     expand,
     expand_display,
     expand_oracle,
     expand_text,
-    expr_key,
     integrated_expand,
     mark_dtree,
     normalize,
     render_expr,
-    substitute_times,
-    unclogged_count,
 )
-from kmboard.moves import MoveState, allowable_permutations, apply_signed_km, apply_wild, km_admissible_indices
+from kmboard.moves import MoveState, apply_wild
 from kmboard.pairs import (
     TimePermutation,
     enumerate_pairs,
@@ -35,12 +31,19 @@ from kmboard.pairs import (
     validate_pair,
 )
 from oracles import (
+    allowable_permutations,
+    apply_signed_km,
+    as_flow,
+    km_admissible_indices,
     literal_expr_key,
     literal_substitute_times,
     recursive_dtree_dot,
+    relation_pairs,
     scan_build_dtree,
     signed_pairs,
+    substitute_times,
     two_pass_normalize,
+    unclogged_count,
 )
 
 QUINTIC = validate_pair(7, (1, 1, 1, 2, 3, 6, 6), "++--++-")
@@ -341,7 +344,7 @@ def test_cached_keys_equal_the_literal_serialization():
         substituted = tuple(substitute_times(e, sigma) for e in flows)
         for e in expand(p) + expand_oracle(p) + flows + substituted:
             for node in _nodes(e):
-                assert expr_key(node) == literal_expr_key(node)
+                assert node.key == literal_expr_key(node)
 
 
 def test_reading_a_key_keeps_equality_hash_and_repr():
@@ -352,7 +355,7 @@ def test_reading_a_key_keeps_equality_hash_and_repr():
         nodes = [n for e in read for n in _nodes(e)]
         before = [(repr(n), hash(n)) for n in nodes]
         for e in read:
-            expr_key(e)
+            e.key
         assert all("key" in vars(n) for n in nodes)  # the read was kept on every node
         assert not any("key" in vars(n) for e in unread for n in _nodes(e))
         assert [(repr(n), hash(n)) for n in nodes] == before
@@ -446,7 +449,7 @@ def test_integrated_bounds_graph_matches_compatible_domain():
     for _ in range(100):
         p = random_pair(rng.randint(1, 7), rng)
         integrated = integrated_expand(p)
-        from_bounds = TimePoset.from_relations(p.k, integrated.relation_pairs())
+        from_bounds = TimePoset.from_relations(p.k, relation_pairs(integrated))
         assert from_bounds == TimePoset.from_relations(
             p.k, list(tc_domain(p).reduction()) + [(1, 2 * p.k + 1)]
         )

@@ -5,9 +5,15 @@ import json
 from kmboard import domains, moves, verify
 from kmboard.canonical import is_reference
 from kmboard.cli import main
-from kmboard.domains import TimePoset, count_linear_extensions, td_domain, tr_domain
+from kmboard.domains import count_linear_extensions, td_domain, tr_domain
 from kmboard.pairs import TimePermutation, enumerate_pairs, validate_pair
-from oracles import relabel_domain, set_partition_holds, tree_td_domain
+from oracles import (
+    allowable_permutations,
+    poset_from_parents,
+    relabel_domain,
+    set_partition_holds,
+    tree_td_domain,
+)
 
 
 def _reference_orbits(max_k):
@@ -16,7 +22,7 @@ def _reference_orbits(max_k):
         for pair in enumerate_pairs(k, signed=True):
             if is_reference(pair):
                 whole = tr_domain(pair)
-                orbit = moves.allowable_permutations(pair)
+                orbit = allowable_permutations(pair)
                 parents = dict(zip(whole.elements, whole.parent))
                 yield pair, parents, count_linear_extensions(whole), orbit
 
@@ -34,13 +40,12 @@ def test_array_built_piece_is_the_relabeled_td_of_the_moved_pair():
     n = 0
     for reference, _, _, orbit in _reference_orbits(5):
         for rho in orbit:
-            order, parent = domains._wild_piece(reference.mu, rho.image)
-            piece = {x: parent[x >> 1] for x in order}
-            place = {x: i for i, x in enumerate(order)}
+            piece = domains._wild_piece(reference.mu, rho.image)
+            place = {x: i for i, x in enumerate(piece)}
             assert all(p is None or place[p] < place[x] for x, p in piece.items())
             moved = moves._act(reference, rho, conjugate=False)
             expected = relabel_domain(td_domain(moved), rho.inverse())
-            assert TimePoset.from_parents(reference.k, piece) == expected
+            assert poset_from_parents(reference.k, piece) == expected
             n += 1
     assert n == 9726
 
@@ -74,11 +79,8 @@ def test_pieces_renamed_by_rho_fail_containment(capsys, monkeypatch):
     def renamed_by_rho(mu, image):
         rho = TimePermutation(len(image), image)
         moved = [rho.of(v) for v in mu]
-        order, parent = [], [None] * (len(mu) + 1)
-        for x, p in domains._attached_parents(moved, moved).items():
-            order.append(rho.of(x))
-            parent[rho.of(x) >> 1] = None if p is None else rho.of(p)
-        return order, parent
+        td = domains._attached_parents(moved, moved)
+        return {rho.of(x): None if p is None else rho.of(p) for x, p in td.items()}
 
     monkeypatch.setattr(domains, "_wild_piece", renamed_by_rho)
     code, line = _run_mass(capsys)
@@ -91,9 +93,8 @@ def test_pieces_that_leave_a_branch_unchained_fail_the_chain_clause(monkeypatch)
     # a branch side by side
     reference = validate_pair(2, (1, 1), "+-")
     whole = domains._attached_parents(reference.mu, zip(reference.mu, reference.sgn))
-    parent = [whole[x] for x in sorted(whole)]
-    monkeypatch.setattr(domains, "_wild_piece", lambda mu, image: (list(whole), parent))
-    orbit = [rho.image for rho in moves.allowable_permutations(reference)]
+    monkeypatch.setattr(domains, "_wild_piece", lambda mu, image: whole)
+    orbit = [rho.image for rho in allowable_permutations(reference)]
     assert verify._partition_failure(reference, whole, 2, orbit) == (
         "branch at 1 is not a chain in the simplex of rho=2,4 for mu=1,1 sgn=+,-"
     )

@@ -63,10 +63,10 @@ def _broken_off_identity(original):
     """A piece that hangs the last label under t_1, for every image but the identity."""
 
     def piece(mu, image):
-        order, parent = original(mu, image)
+        parent = original(mu, image)
         if list(image) != sorted(image):
-            parent = parent[:-1] + [1]
-        return order, parent
+            parent = {**parent, 2 * len(mu) + 1: 1}
+        return parent
 
     return piece
 
