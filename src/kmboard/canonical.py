@@ -45,10 +45,10 @@ class _MapProfile:
     Nodes hanging off 1 carry no m2 or s, so clauses 3 and 4 skip them.
     A pair is tamed when no two labels break a clause.
 
-    ``static_ok`` is False when a sign-independent clause already fails,
-    ``sign_checks`` lists (ia, ib, need_equal) sign-array index pairs
-    that must not break clauses 3 and 4, and ``groups`` lists the sign
-    indices of each left branch in label order.
+    ``static_ok`` is False when a sign-independent clause fails, and
+    ``sign_checks`` lists the (ia, ib, need_equal) index pairs that must
+    not break clauses 3 and 4; :meth:`sign_sets` ORs their violation
+    masks.  ``groups`` lists each left branch's sign indices in order.
     """
 
     __slots__ = ("static_ok", "sign_checks", "groups")
@@ -106,6 +106,33 @@ class _MapProfile:
                     return False
         return True
 
+    def sign_sets(self, table) -> tuple[int, int]:
+        """The tamed and the reference arrays of a :func:`_sign_table` list, as bitmasks."""
+        full, masks = table
+        bad = 0 if self.static_ok else full
+        for ia, ib, need_equal in self.sign_checks:
+            bad |= masks[ia][ib][need_equal]
+        tamed = full & ~bad
+        for g in self.groups:  # a branch with a - before a + has a - right before a +
+            for ia, ib in zip(g, g[1:]):
+                bad |= masks[ia][ib][0]
+        return tamed, full & ~bad
+
+
+def _sign_table(sign_arrays) -> tuple[int, list]:
+    """Every array of a sign-array list, bit n for the n-th, and per index
+    pair [ia][ib] the arrays with - at ia and + at ib, then with equal signs."""
+    full = (1 << len(sign_arrays)) - 1
+    plus = [sum(1 << n for n, s in enumerate(column) if s == "+") for column in zip(*sign_arrays)]
+    return full, [[(full & ~pa & pb, full & ~(pa ^ pb)) for pb in plus] for pa in plus]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        yield (low := mask & -mask).bit_length() - 1
+        mask ^= low
+
 
 #: Profiles kept by :func:`_profile`; sweeps visit a map's sign arrays
 #: together, so a few dozen recent maps serve nearly every call.
@@ -131,15 +158,14 @@ def is_reference(pair: CollapsingPair) -> bool:
 def tamed_pairs(k: int, cap: int = ENUMERATION_CAP) -> Iterator[CollapsingPair]:
     """Every tamed pair of order k, in :func:`enumerate_pairs` order.
 
-    One profile per map serves all 2^k sign arrays; maps failing a
-    sign-independent clause are skipped whole.
+    One profile per map reads the tamed bits of all 2^k sign arrays.
     """
+    table = None
     for mu in enumerate_mus(k, cap=cap):
-        profile = _profile(mu)
-        if profile.static_ok:
-            for sgn in itertools.product(SIGNS, repeat=k):
-                if profile.tamed(sgn):
-                    yield CollapsingPair(k, mu, sgn)
+        if table is None:  # past enumerate_mus's cap check: no 2^k table at a large k
+            table = _sign_table(sign_arrays := list(itertools.product(SIGNS, repeat=k)))
+        for n in _bits(_profile(mu).sign_sets(table)[0]):
+            yield CollapsingPair(k, mu, sign_arrays[n])
 
 
 def reduce_to_labeling(

@@ -5,7 +5,9 @@ unsigned skeleton shape, walking each map's tree once.  The preorder
 that reads a signed skeleton off a sign array is a permutation of the
 sign indices, so each map of a shape meets each of the shape's 2^k
 signed classes exactly once: a signed class holds as many pairs as its
-shape has maps, and only the tamed pairs need a per-pair look.  Every
+shape has maps, and no pair needs a look of its own.  One profile per
+map gives its tamed and reference sign arrays as two bitmasks, and
+T_R is built once per split of the signs over its left branches.  Every
 counting claim is cross-checked against that table: class totals
 against the Catalan numbers, one tamed pair per signed class, each
 class as large as the hook count of its tamed member's td, the
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 
-from .canonical import _MapProfile
+from .canonical import _bits, _MapProfile, _sign_table
 from .domains import _attached_parents, _hook_count
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
@@ -71,24 +73,31 @@ class CensusReport:
         }
 
 
+def _tr_key(groups):
+    """The signs that T_R reads: at a one-member left branch the attachment
+    key (v, sgn) meets no other label, so only the other branches count."""
+    multi = [i for g in groups if len(g) > 1 for i in g]
+    return itemgetter(*multi) if multi else lambda sgn: ()
+
+
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
-    ``_preorder``'s sign order is a permutation, so each map of a shape
-    meets each signed class of that shape exactly once: a signed class
-    holds as many pairs as its shape has maps.  The table maps each
-    shape to ``[maps, Counter of its tamed members' signs in preorder,
-    first map, [(map, a tamed sign array, td hook count)]]``, one
-    triple per map that holds a tamed pair; the second dict maps each
-    reference pair to its extension count; the int counts the tamed
-    pairs.  A map failing a sign-independent clause holds no tamed pair
-    and skips the sign loop.  ``wild.reference(mu, profile, sgn, T_R,
+    The table maps each shape to ``[maps, Counter of its tamed members'
+    signs in preorder, first map, [(map, a tamed sign array, td hook
+    count)]]``, one triple per map that holds a tamed pair; the second
+    dict maps each reference pair to its extension count; the int
+    counts the tamed pairs.  :meth:`_MapProfile.sign_sets` gives a
+    map's tamed and reference arrays as bitmasks over ``sign_arrays``,
+    read in list order; T_R and its mass are built once per
+    :func:`_tr_key` value.  ``wild.reference(mu, profile, sgn, T_R,
     mass)`` sees each reference pair (``kmboard.verify`` walks its
     orbit there); ``census=False`` leaves both dicts empty.
     """
     table: dict[str, list] = {}
     masses: dict[str, int] = {}
     n_tamed = 0
+    signs = _sign_table(sign_arrays)
     for mu in mus:
         if census:
             shape, order = _preorder(mu)
@@ -97,24 +106,27 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
                 entry = table[shape] = [0, Counter(), mu, []]
             entry[0] += 1
         profile = _MapProfile(mu)
-        if not profile.static_ok:
-            continue
-        tamed = [sgn for sgn in sign_arrays if profile.tamed(sgn)]
+        tamed, references = profile.sign_sets(signs)
         if not tamed:
             continue
-        n_tamed += len(tamed)
+        n_tamed += tamed.bit_count()
         if census:
-            entry[1].update(map(itemgetter(*order), tamed))  # a bare sign when k = 1
-            entry[3].append((mu, tamed[0], _hook_count(_attached_parents(mu, mu))))
+            tamed_signs = [sign_arrays[n] for n in _bits(tamed)]
+            entry[1].update(map(itemgetter(*order), tamed_signs))  # a bare sign when k = 1
+            entry[3].append((mu, tamed_signs[0], _hook_count(_attached_parents(mu, mu))))
             mu_text = f"mu={','.join(map(str, mu))} sgn="
-        for sgn in tamed:
-            if profile.blocks_ordered(sgn):
+        key, wholes = _tr_key(profile.groups), {}
+        for n in _bits(references):
+            sgn = sign_arrays[n]
+            split = key(sgn)
+            if split not in wholes:
                 whole = _attached_parents(mu, zip(mu, sgn))
-                mass = _hook_count(whole)
-                if census:
-                    masses[mu_text + ",".join(sgn)] = mass
-                if wild is not None:
-                    wild.reference(mu, profile, sgn, whole, mass)
+                wholes[split] = whole, _hook_count(whole)
+            whole, mass = wholes[split]
+            if census:
+                masses[mu_text + ",".join(sgn)] = mass
+            if wild is not None:
+                wild.reference(mu, profile, sgn, whole, mass)
     return table, masses, n_tamed
 
 

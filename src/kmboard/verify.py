@@ -52,7 +52,8 @@ def _orbit_failure(reference, orbit, members) -> str | None:
     ``orbit`` lists the allowable images: it starts at the identity and
     repeats none.  Each is allowable, its member tamed, and the member
     reduces to exactly the reference and that image; one member is
-    block-ordered.  ``members`` keeps each image's member map profile.
+    block-ordered.  ``members`` keeps per image what depends on the map
+    alone: the member map, the index that gathers its signs, its profile.
     """
     k, mu, sgn = reference.k, reference.mu, reference.sgn
     if not orbit or orbit[0] != tuple(range(2, 2 * k + 1, 2)):
@@ -64,8 +65,11 @@ def _orbit_failure(reference, orbit, members) -> str | None:
     for image in orbit:
         if not moves._allowable(mu, sgn, image):
             return f"{_rho_text(image)} is not allowable for {reference}"
-        member_mu, member_sgn = moves._act_arrays(mu, sgn, image, conjugate=False)
-        member = members.get(image) or members.setdefault(image, _MapProfile(member_mu))
+        if image not in members:
+            member_mu, src = moves._act_arrays(mu, range(k), image, conjugate=False)
+            members[image] = member_mu, src, _MapProfile(member_mu)
+        member_mu, src, member = members[image]
+        member_sgn = tuple([sgn[i] for i in src])
         if not member.tamed(member_sgn):
             pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
             return f"{_rho_text(image)} carries {reference} to {pair}, not a tamed pair"
@@ -84,19 +88,17 @@ def _orbit_failure(reference, orbit, members) -> str | None:
 
 def _uncovered(k) -> str | None:
     """Name the first tamed pair of order k that no reference's orbit holds."""
-    for mu in enumerate_mus(k):
-        profile = canonical._profile(mu)
-        for sgn in itertools.product(SIGNS, repeat=k):
-            if profile.tamed(sgn):
-                ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, profile.groups)
-                ref = canonical._profile(ref_mu)
-                if not (
-                    ref.tamed(ref_sgn)
-                    and ref.blocks_ordered(ref_sgn)
-                    and image in moves._interleavings(ref.groups, ref_sgn)
-                    and moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) == (mu, sgn)
-                ):
-                    return f"no reference's orbit holds {CollapsingPair(k, mu, sgn)}"
+    for pair in canonical.tamed_pairs(k):
+        mu, sgn = pair.mu, pair.sgn
+        ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, canonical._profile(mu).groups)
+        ref = canonical._profile(ref_mu)
+        if not (
+            ref.tamed(ref_sgn)
+            and ref.blocks_ordered(ref_sgn)
+            and image in moves._interleavings(ref.groups, ref_sgn)
+            and moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) == (mu, sgn)
+        ):
+            return f"no reference's orbit holds {pair}"
     return None
 
 
@@ -106,10 +108,10 @@ class _Fold:
     ``counting._census_chunk`` counts the tamed pairs, builds the census
     table if ``census`` is named, and hands each reference pair R to
     :meth:`reference` in enumeration order.  There R's orbit is listed
-    once for the orbit, compat and partition clauses; member profiles
-    and pieces are kept per image until the next map.  ``failures``
-    keeps each group's first failure as (mu, sgn, line); an orbit
-    failure fails every wild check, so the walk skips them after one.
+    once for the orbit, compat and partition clauses; member maps and
+    pieces are kept per image until the next map.  ``failures`` keeps
+    each group's first failure as (mu, sgn, line); an orbit failure
+    fails every wild check, so the walk skips them after one.
     """
 
     def __init__(self, k, groups):

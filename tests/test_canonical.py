@@ -300,3 +300,24 @@ def test_tier_invariant_under_wild_moves():
             moved_tiers = tier_table(moved)
             for x in p.even_labels:
                 assert moved_tiers[rho.of(x)] == tiers[x]
+
+
+def test_sign_set_masks_match_the_per_pair_predicates():
+    # each bit of the two masks against tamed() and blocks_ordered() on its
+    # own sign array, for the signed list and the one-array unsigned list
+    import itertools
+
+    from kmboard.canonical import _MapProfile, _sign_table
+    from kmboard.pairs import enumerate_mus
+
+    for k in range(1, 6):
+        for sign_arrays in (list(itertools.product("+-", repeat=k)), [("+",) * k]):
+            table = _sign_table(sign_arrays)
+            for mu in enumerate_mus(k):
+                profile = _MapProfile(mu)
+                tamed, references = profile.sign_sets(table)
+                for n, sgn in enumerate(sign_arrays):
+                    is_t = profile.tamed(sgn)
+                    assert tamed >> n & 1 == is_t, (mu, sgn)
+                    assert references >> n & 1 == (is_t and profile.blocks_ordered(sgn)), (mu, sgn)
+                assert tamed >> len(sign_arrays) == references >> len(sign_arrays) == 0

@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -265,8 +266,14 @@ def test_verify_folds_each_census_once_per_call(capsys, monkeypatch):
 def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkeypatch):
     from kmboard import canonical
 
-    # the sweep counts a class member as a reference when its branches are block-ordered
+    # the sweep counts a class member as a reference when its branches are block-ordered,
+    # and the census walk reads the references off the sign-set masks: the defect goes
+    # into both
+    sign_sets = canonical._MapProfile.sign_sets
     monkeypatch.setattr(canonical._MapProfile, "blocks_ordered", lambda self, sgn: True)
+    monkeypatch.setattr(
+        canonical._MapProfile, "sign_sets", lambda self, table: (sign_sets(self, table)[0],) * 2
+    )
     code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
     assert code == 1
     assert out.splitlines()[-2].endswith("reference pairs FAIL")
@@ -618,4 +625,56 @@ def test_sweep_names_the_pair_whose_reduction_fails(capsys, monkeypatch, defect,
     code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
     assert code == 1
     assert _single_fail_line(out) == line
+    assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
+
+
+@pytest.mark.parametrize(
+    "check, line",
+    [
+        ("compat", "k=2: T_R != T_C for mu=1,1 sgn=+,- FAIL"),
+        ("mass", "k=2: simplex of rho=4,2 leaves T_R of mu=1,1 sgn=+,- FAIL"),
+    ],
+)
+def test_compat_and_mass_fail_when_the_t_r_memo_ignores_a_branch(
+    capsys, monkeypatch, check, line
+):
+    from kmboard import counting
+
+    # the memo key forgets the signs of the last branch with two or more members,
+    # so mu=1,1 sgn=+,- is handed the T_R of sgn=+,+
+    original = counting._tr_key
+    monkeypatch.setattr(
+        counting, "_tr_key", lambda groups: original([g for g in groups if len(g) > 1][:-1])
+    )
+    code, out = run(capsys, "verify", "--k", "4", "--check", check)
+    assert code == 1
+    assert _single_fail_line(out) == line
+    assert json.loads(out.strip().splitlines()[-1]) == {check: "fail"}
+
+
+def test_reference_unique_fails_when_the_reference_mask_admits_an_unordered_pair(
+    capsys, monkeypatch
+):
+    from kmboard import counting
+
+    # mu=1,1 sgn=-,+ is tamed, but its branch lists - before +
+    target_bit = 1 << list(itertools.product("+-", repeat=2)).index(("-", "+"))
+
+    class OneMoreReference(counting._MapProfile):
+        def __init__(self, mu):
+            super().__init__(mu)
+            self.mu = mu
+
+        def sign_sets(self, table):
+            tamed, references = super().sign_sets(table)
+            if self.mu == (1, 1):
+                assert tamed & target_bit and not references & target_bit
+                references |= target_bit
+            return tamed, references
+
+    monkeypatch.setattr(counting, "_MapProfile", OneMoreReference)
+    code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
+    assert code == 1
+    # its orbit starts at itself, which reduces to mu=1,1 sgn=+,- at rho=4,2
+    assert _single_fail_line(out) == "k=2: witness failed for mu=1,1 sgn=-,+ FAIL"
     assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}

@@ -73,9 +73,11 @@ def test_unsigned_census_matches_literal_buckets():
 def test_unsigned_census_checks_tamed_uniqueness(monkeypatch):
     from kmboard import counting
 
+    # the census reads tamedness off the sign-set masks, so the defect goes there
     class EveryPairTamed(counting._MapProfile):
-        def tamed(self, sgn):
-            return True
+        def sign_sets(self, table):
+            every = table[0] if self.static_ok else 0  # table[0] holds every sign array
+            return every, every
 
     monkeypatch.setattr(counting, "_MapProfile", EveryPairTamed)
     with pytest.raises(CensusViolation, match=r"class of mu=\(.*\) sgn=\+{3} holds \d+ tamed"):
@@ -194,6 +196,10 @@ def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monke
         if p.mu not in firsts.values() and is_tamed(p)
     )
 
+    # the oracle asks tamed() per pair, the census reads the sign-set masks:
+    # the same pair drops out of both
+    target_bit = 1 << list(itertools.product("+-", repeat=4)).index(target[1])
+
     class OneUntamed(counting._MapProfile):
         def __init__(self, mu):
             super().__init__(mu)
@@ -201,6 +207,12 @@ def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monke
 
         def tamed(self, sgn):
             return (self.mu, tuple(sgn)) != target and super().tamed(sgn)
+
+        def sign_sets(self, table):
+            tamed, references = super().sign_sets(table)
+            if self.mu == target[0]:
+                return tamed & ~target_bit, references & ~target_bit
+            return tamed, references
 
     monkeypatch.setattr(counting, "_MapProfile", OneUntamed)
     monkeypatch.setattr(oracles, "_MapProfile", OneUntamed)
@@ -280,3 +292,27 @@ def test_signed_class_size_equals_relabeling_count():
             assert len(members) == count_linear_extensions(td_domain(tamed[0]))
             if k <= 4:
                 assert len(members) == len(sigma_set(tamed[0]))
+
+
+def test_memoised_t_r_matches_a_fresh_build_at_every_reference():
+    # the census walk builds T_R once per map and branch split; each
+    # reference must get what the attachment rule builds from its own signs
+    from kmboard import counting
+    from kmboard.domains import _attached_parents, _hook_count
+
+    class Recorder:
+        def __init__(self):
+            self.seen = []
+
+        def reference(self, mu, profile, sgn, whole, mass):
+            self.seen.append((mu, sgn, whole, mass))
+
+    for k in range(1, 6):
+        recorder = Recorder()
+        sign_arrays = list(itertools.product("+-", repeat=k))
+        counting._census_chunk(enumerate_mus(k), sign_arrays, recorder, census=False)
+        assert len(recorder.seen) == len(census(k).reference_masses)
+        for mu, sgn, whole, mass in recorder.seen:
+            fresh = _attached_parents(mu, zip(mu, sgn))
+            assert list(whole.items()) == list(fresh.items()), (mu, sgn)
+            assert mass == _hook_count(fresh)
