@@ -5,8 +5,9 @@ the count of M/R edges on the tree path to node 1, the root edge
 included).  A tamed pair is the unique member of its signed-KM class
 satisfying the four ordering clauses of :class:`_MapProfile`; a reference
 pair is a tamed pair whose left branches list all + nodes before all -
-nodes.  Both tests read one profile per map, shared by its 2^k sign
-arrays.
+nodes.  Both are one bitmask test, :meth:`_MapProfile.sign_sets`, on
+a :func:`_sign_table` of sign arrays: a map's profile is shared by its
+2^k arrays, and a single pair is a table of one array.
 """
 
 from __future__ import annotations
@@ -45,18 +46,23 @@ class _MapProfile:
     Nodes hanging off 1 carry no m2 or s, so clauses 3 and 4 skip them.
     A pair is tamed when no two labels break a clause.
 
-    ``static_ok`` is False when a sign-independent clause fails, and
-    ``sign_checks`` lists the (ia, ib, need_equal) index pairs that must
-    not break clauses 3 and 4; :meth:`sign_sets` ORs their violation
-    masks.  ``groups`` lists each left branch's sign indices in order.
+    ``static_ok`` is False when a sign-independent clause fails.  The
+    sign index pairs (ia, ib) that clauses 3 and 4 compare are split in
+    two: ``equal_checks`` break a clause with equal signs, and
+    ``order_checks`` with - at ia and + at ib.  ``groups`` lists each
+    left branch's sign indices in order, and ``steps`` each pair of
+    adjacent ones.  :meth:`sign_sets` is the one tamed and reference
+    test, for one sign array or for many.
     """
 
-    __slots__ = ("static_ok", "sign_checks", "groups")
+    __slots__ = ("static_ok", "equal_checks", "order_checks", "groups", "steps")
 
     def __init__(self, mu: tuple):
         self.static_ok = False
-        self.sign_checks: list[tuple[int, int, bool]] = []
+        self.equal_checks: list[tuple[int, int]] = []
+        self.order_checks: list[tuple[int, int]] = []
         self.groups: tuple = ()
+        self.steps: list[tuple[int, int]] = []
         tiers = _tiers(mu)
         keys = [(t, 0 if v == 1 else mu[(v - 2) // 2], v) for t, v in zip(tiers, mu)]
         for jb in range(1, len(mu)):  # b = 2(jb+1), a ranges below it
@@ -75,56 +81,39 @@ class _MapProfile:
                     continue
                 ia, ib = (va - 2) // 2, (vb - 2) // 2
                 if vb < va:
-                    self.sign_checks.append((ia, ib, True))  # equal signs would violate
-                self.sign_checks.append((ia, ib, False))  # (+ at b, - at a) would violate
+                    self.equal_checks.append((ia, ib))
+                self.order_checks.append((ia, ib))
         groups: dict[int, list[int]] = {}
         for i, v in enumerate(mu):
             groups.setdefault(v, []).append(i)
         self.groups = tuple(tuple(g) for g in groups.values())
+        self.steps = [step for g in self.groups for step in zip(g, g[1:])]
         self.static_ok = True
-
-    def tamed(self, sgn) -> bool:
-        if not self.static_ok:
-            return False
-        for ia, ib, need_equal in self.sign_checks:
-            sa, sb = sgn[ia], sgn[ib]
-            if need_equal:
-                if sa == sb:
-                    return False
-            elif sb == "+" and sa == "-":
-                return False
-        return True
-
-    def blocks_ordered(self, sgn) -> bool:
-        """Every left branch lists its + members before its - members."""
-        for g in self.groups:
-            seen_minus = False
-            for i in g:
-                if sgn[i] == "-":
-                    seen_minus = True
-                elif seen_minus:
-                    return False
-        return True
 
     def sign_sets(self, table) -> tuple[int, int]:
         """The tamed and the reference arrays of a :func:`_sign_table` list, as bitmasks."""
-        full, masks = table
-        bad = 0 if self.static_ok else full
-        for ia, ib, need_equal in self.sign_checks:
-            bad |= masks[ia][ib][need_equal]
+        if not self.static_ok:
+            return 0, 0
+        full, plus = table
+        bad = 0
+        for ia, ib in self.equal_checks:
+            bad |= ~(plus[ia] ^ plus[ib])
+        for ia, ib in self.order_checks:
+            bad |= plus[ib] & ~plus[ia]
         tamed = full & ~bad
-        for g in self.groups:  # a branch with a - before a + has a - right before a +
-            for ia, ib in zip(g, g[1:]):
-                bad |= masks[ia][ib][0]
+        for ia, ib in self.steps:  # a branch with a - before a + has a - right before a +
+            bad |= plus[ib] & ~plus[ia]
         return tamed, full & ~bad
 
 
-def _sign_table(sign_arrays) -> tuple[int, list]:
-    """Every array of a sign-array list, bit n for the n-th, and per index
-    pair [ia][ib] the arrays with - at ia and + at ib, then with equal signs."""
-    full = (1 << len(sign_arrays)) - 1
-    plus = [sum(1 << n for n, s in enumerate(column) if s == "+") for column in zip(*sign_arrays)]
-    return full, [[(full & ~pa & pb, full & ~(pa ^ pb)) for pb in plus] for pa in plus]
+def _sign_table(sign_arrays) -> tuple[int, list[int]]:
+    """Every array of a sign-array list, bit n for the n-th, and per sign
+    index the arrays with + there.  A one-array list tests one pair."""
+    plus, bit = [0] * len(sign_arrays[0]), 1
+    for sgn in sign_arrays:
+        plus = [p | bit if s == "+" else p for p, s in zip(plus, sgn)]
+        bit <<= 1
+    return bit - 1, plus
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -146,13 +135,12 @@ def _profile(mu: tuple) -> _MapProfile:
 
 def is_tamed(pair: CollapsingPair) -> bool:
     """No two labels break a clause of :class:`_MapProfile`."""
-    return _profile(tuple(pair.mu)).tamed(pair.sgn)
+    return _profile(tuple(pair.mu)).sign_sets(_sign_table((pair.sgn,)))[0] == 1
 
 
 def is_reference(pair: CollapsingPair) -> bool:
     """Tamed, and every left branch is a + block followed by a - block."""
-    profile = _profile(tuple(pair.mu))
-    return profile.tamed(pair.sgn) and profile.blocks_ordered(pair.sgn)
+    return _profile(tuple(pair.mu)).sign_sets(_sign_table((pair.sgn,)))[1] == 1
 
 
 def tamed_pairs(k: int, cap: int = ENUMERATION_CAP) -> Iterator[CollapsingPair]:
@@ -245,7 +233,7 @@ def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]
     input = W(rho)(reference).
     """
     profile = _profile(tuple(pair.mu))
-    if not profile.tamed(pair.sgn):
+    if not profile.sign_sets(_sign_table((pair.sgn,)))[0]:
         raise NotTamed(f"reference reduction needs a tamed pair: {pair}")
     mu, sgn, image = _reference_arrays(pair.mu, pair.sgn, profile.groups)
     reference = CollapsingPair(pair.k, mu, sgn)

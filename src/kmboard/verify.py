@@ -70,7 +70,8 @@ def _orbit_failure(reference, orbit, members) -> str | None:
             members[image] = member_mu, src, _MapProfile(member_mu)
         member_mu, src, member = members[image]
         member_sgn = tuple([sgn[i] for i in src])
-        if not member.tamed(member_sgn):
+        tamed, ordered = member.sign_sets(canonical._sign_table((member_sgn,)))
+        if not tamed:
             pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
             return f"{_rho_text(image)} carries {reference} to {pair}, not a tamed pair"
         got = canonical._reference_arrays(member_mu, member_sgn, member.groups)
@@ -82,7 +83,7 @@ def _orbit_failure(reference, orbit, members) -> str | None:
             if not moves._allowable(*got):
                 return f"witness {_rho_text(got[2])} of {pair} is not allowable for {back}"
             return f"witness failed for {pair}"
-        hits += member.blocks_ordered(member_sgn)
+        hits += ordered
     return None if hits == 1 else f"wild class of {reference} holds {hits} reference pairs"
 
 
@@ -93,8 +94,7 @@ def _uncovered(k) -> str | None:
         ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, canonical._profile(mu).groups)
         ref = canonical._profile(ref_mu)
         if not (
-            ref.tamed(ref_sgn)
-            and ref.blocks_ordered(ref_sgn)
+            ref.sign_sets(canonical._sign_table((ref_sgn,)))[1]
             and image in moves._interleavings(ref.groups, ref_sgn)
             and moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) == (mu, sgn)
         ):

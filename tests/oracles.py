@@ -366,6 +366,32 @@ def literal_is_reference(pair) -> bool:
     return True
 
 
+def tamed(profile, sgn) -> bool:
+    """``_MapProfile.sign_sets``'s tamed bit, read one sign array at a time:
+    no index pair of the profile's clauses 3 and 4 breaks its clause."""
+    if not profile.static_ok:
+        return False
+    for ia, ib in profile.equal_checks:
+        if sgn[ia] == sgn[ib]:
+            return False
+    for ia, ib in profile.order_checks:
+        if sgn[ia] == "-" and sgn[ib] == "+":
+            return False
+    return True
+
+
+def blocks_ordered(profile, sgn) -> bool:
+    """Every left branch of the profile's map lists its + members before its - members."""
+    for g in profile.groups:
+        seen_minus = False
+        for i in g:
+            if sgn[i] == "-":
+                seen_minus = True
+            elif seen_minus:
+                return False
+    return True
+
+
 def fixpoint_closure(pairs) -> frozenset:
     """Transitive closure by adding composed pairs until nothing changes."""
     closure = set(pairs)
@@ -692,9 +718,9 @@ def signed_class_table_census(k, signed=True) -> CensusReport:
             if entry is None:
                 entry = table[skey] = [0, 0, (mu, sgn)]
             entry[0] += 1
-            if profile.tamed(sgn):
+            if tamed(profile, sgn):
                 entry[1] += 1
-                if profile.blocks_ordered(sgn):
+                if blocks_ordered(profile, sgn):
                     ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
                     masses[ref_key] = _hook_count(_attached_parents(mu, zip(mu, sgn)))
 
@@ -708,10 +734,10 @@ def signed_class_table_census(k, signed=True) -> CensusReport:
     shapes = {shape for shape, _ in table}
     if len(shapes) != cat:
         raise CensusViolation(f"unsigned class count {len(shapes)} != {cat}")
-    for _, tamed, (mu, sgn) in table.values():
-        if tamed != 1:
+    for _, held, (mu, sgn) in table.values():
+        if held != 1:
             raise CensusViolation(
-                f"class of mu={mu} sgn={''.join(sgn)} holds {tamed} tamed pairs"
+                f"class of mu={mu} sgn={''.join(sgn)} holds {held} tamed pairs"
             )
     mass_total = sum(masses.values())
     if mass_total != expected_total:
@@ -824,7 +850,7 @@ def wild_sweep(k):
         if not profile.static_ok:
             continue
         for sgn in itertools.product(SIGNS, repeat=k):
-            if not profile.tamed(sgn):
+            if not tamed(profile, sgn):
                 continue
             n_tamed += 1
             ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, profile.groups)
@@ -836,7 +862,7 @@ def wild_sweep(k):
                 images = classes[reference] = []
                 hits[reference] = 0
             ref_profile = canonical._profile(ref_mu)
-            if not (ref_profile.tamed(ref_sgn) and ref_profile.blocks_ordered(ref_sgn)):
+            if not (tamed(ref_profile, ref_sgn) and blocks_ordered(ref_profile, ref_sgn)):
                 raise CheckFailed(
                     f"k={k}: {CollapsingPair(k, mu, sgn)} reduces to {reference}, "
                     "not a reference pair"
@@ -849,7 +875,7 @@ def wild_sweep(k):
             if moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) != (mu, sgn):
                 raise CheckFailed(f"k={k}: witness failed for {CollapsingPair(k, mu, sgn)}")
             images.append(image)
-            if profile.blocks_ordered(sgn):
+            if blocks_ordered(profile, sgn):
                 hits[reference] += 1
     return n_tamed, classes, hits
 

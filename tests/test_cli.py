@@ -266,11 +266,9 @@ def test_verify_folds_each_census_once_per_call(capsys, monkeypatch):
 def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkeypatch):
     from kmboard import canonical
 
-    # the sweep counts a class member as a reference when its branches are block-ordered,
-    # and the census walk reads the references off the sign-set masks: the defect goes
-    # into both
+    # every tamed pair counts as a reference: the census walk reads the references off
+    # the sign-set masks, and the orbit walk counts its block-ordered members by them
     sign_sets = canonical._MapProfile.sign_sets
-    monkeypatch.setattr(canonical._MapProfile, "blocks_ordered", lambda self, sgn: True)
     monkeypatch.setattr(
         canonical._MapProfile, "sign_sets", lambda self, table: (sign_sets(self, table)[0],) * 2
     )
@@ -279,6 +277,28 @@ def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkey
     assert out.splitlines()[-2].endswith("reference pairs FAIL")
     assert "holds 2 reference pairs" in out
     assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
+
+
+def test_tamed_unique_and_mass_fail_when_the_kernel_drops_its_equal_sign_clause(
+    capsys, monkeypatch
+):
+    from kmboard import canonical
+
+    # clause 3 unchecked: two members of the class of mu=1,2,3 sgn=+++ pass as tamed
+    init = canonical._MapProfile.__init__
+
+    def without_equal_clause(self, mu):
+        init(self, mu)
+        self.equal_checks = []
+
+    monkeypatch.setattr(canonical._MapProfile, "__init__", without_equal_clause)
+    monkeypatch.setattr(canonical, "_profile", canonical._MapProfile)  # no memoised profile
+    code, out = run(capsys, "verify", "--k", "4", "--check", "tamed-unique")
+    assert code == 1
+    assert _single_fail_line(out) == "k=3: class of mu=(1, 2, 3) sgn=+++ holds 2 tamed pairs FAIL"
+    code, out = run(capsys, "verify", "--k", "4", "--check", "mass")
+    assert code == 1
+    assert _single_fail_line(out) == "k=3: mass 136 != 120 FAIL"
 
 
 def test_usage_error_exits_2(capsys):

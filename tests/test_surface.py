@@ -6,7 +6,7 @@ from pathlib import Path
 
 import kmboard
 import oracles
-from kmboard import cli, domains, duhamel, moves, pairs, trees, verify
+from kmboard import canonical, cli, domains, duhamel, moves, pairs, trees, verify
 from kmboard.canonical import to_reference, to_tamed
 from kmboard.counting import census
 from kmboard.pairs import validate_pair
@@ -27,6 +27,7 @@ MOVED = {
     pairs.TimePermutation: ("transposition", "is_identity"),
     domains.TimePoset: ("from_parents",),
     duhamel.IntegratedExpansion: ("relation_pairs",),
+    canonical._MapProfile: ("tamed", "blocks_ordered"),
 }
 
 #: The oracle's name where it differs from the old one.

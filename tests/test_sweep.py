@@ -11,7 +11,13 @@ import pytest
 from kmboard import canonical, domains, moves, verify
 from kmboard.cli import main
 from kmboard.pairs import CollapsingPair, enumerate_mus
-from oracles import object_wild_sweep, unmemoised_partition_failure, wild_sweep
+from oracles import (
+    blocks_ordered,
+    object_wild_sweep,
+    tamed,
+    unmemoised_partition_failure,
+    wild_sweep,
+)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -55,7 +61,7 @@ def test_fold_matches_the_forward_sweep(monkeypatch, k):
         assert sorted(images) == orbit
         mu, sgn = reference.mu, reference.sgn
         members = [moves._act_arrays(mu, sgn, image, conjugate=False) for image in orbit]
-        ordered = sum(canonical._profile(m).blocks_ordered(s) for m, s in members)
+        ordered = sum(blocks_ordered(canonical._profile(m), s) for m, s in members)
         assert ordered == hits[reference] == 1
 
 
@@ -83,7 +89,7 @@ def test_memoised_partition_verdicts_match_the_unmemoised_route(monkeypatch, bro
                 continue
             pieces = {}  # one per map, as the fold keeps it
             for sgn in itertools.product("+-", repeat=k):
-                if not (profile.tamed(sgn) and profile.blocks_ordered(sgn)):
+                if not (tamed(profile, sgn) and blocks_ordered(profile, sgn)):
                     continue
                 reference = CollapsingPair(k, mu, sgn)
                 whole = domains._attached_parents(mu, zip(mu, sgn))
