@@ -302,10 +302,10 @@ def test_tier_invariant_under_wild_moves():
                 assert moved_tiers[rho.of(x)] == tiers[x]
 
 
-def test_sign_sets_agree_with_the_per_array_and_literal_predicates():
+def test_sign_set_masks_match_the_per_pair_predicates():
     # sign_sets is the one tamed and reference test.  Each bit of its masks, for
     # the signed list and the one-array unsigned list, against the per-array
-    # oracle and against a one-array table; at k <= 4 against the literal clauses
+    # oracle and against a one-array table
     import itertools
 
     from kmboard.canonical import _MapProfile, _sign_table
@@ -317,7 +317,6 @@ def test_sign_sets_agree_with_the_per_array_and_literal_predicates():
         singles = {sgn: _sign_table((sgn,)) for sgn in signed}
         for sign_arrays in (signed, [("+",) * k]):
             table = _sign_table(sign_arrays)
-            literal = k <= 4 and sign_arrays is signed
             for mu in enumerate_mus(k):
                 profile = _MapProfile(mu)
                 tamed_mask, references = profile.sign_sets(table)
@@ -326,8 +325,4 @@ def test_sign_sets_agree_with_the_per_array_and_literal_predicates():
                     is_t = tamed(profile, sgn)
                     assert bits == (is_t, is_t and blocks_ordered(profile, sgn)), (mu, sgn)
                     assert profile.sign_sets(singles[sgn]) == bits, (mu, sgn)
-                    if literal:
-                        pair = validate_pair(k, mu, sgn)
-                        is_t = literal_is_tamed(pair)
-                        assert bits == (is_t, is_t and literal_is_reference(pair)), pair
                 assert tamed_mask >> len(sign_arrays) == references >> len(sign_arrays) == 0

@@ -247,6 +247,25 @@ def test_census_checks_class_sizes_against_td(monkeypatch):
         census(3)
 
 
+def test_census_tamedness_agrees_with_literal_predicate():
+    # the census reads tamedness and reference form off the sign-set masks of
+    # one profile per map; they must agree with the pairwise definitions
+    from kmboard.counting import _MapProfile, _sign_table
+    from kmboard.pairs import validate_pair
+    from oracles import literal_is_reference, literal_is_tamed
+
+    for k in range(1, 5):
+        signed = list(itertools.product("+-", repeat=k))
+        table = _sign_table(signed)
+        for mu in enumerate_mus(k):
+            tamed_mask, references = _MapProfile(mu).sign_sets(table)
+            for n, sgn in enumerate(signed):
+                pair = validate_pair(k, mu, sgn)
+                is_t = literal_is_tamed(pair)
+                assert tamed_mask >> n & 1 == is_t, pair
+                assert references >> n & 1 == (is_t and literal_is_reference(pair)), pair
+
+
 def test_census_extension_counter_agrees_with_domain_module():
     # the census counts reference masses from the reference-formula parent
     # map; the Duhamel-tree domain is the independent route to each count
