@@ -50,18 +50,19 @@ class _MapProfile:
     sign index pairs (ia, ib) that clauses 3 and 4 compare are split in
     two: ``equal_checks`` break a clause with equal signs, and
     ``order_checks`` with - at ia and + at ib.  ``groups`` lists each
-    left branch's sign indices in order, and ``steps`` each pair of
-    adjacent ones.  :meth:`sign_sets` is the one tamed and reference
-    test, for one sign array or for many.
+    left branch's sign indices in order, ``multi`` those of two or more,
+    ``steps`` each adjacent pair.  :meth:`sign_sets` is the one tamed and
+    reference test, for one sign array or for many.
     """
 
-    __slots__ = ("static_ok", "equal_checks", "order_checks", "groups", "steps")
+    __slots__ = ("static_ok", "equal_checks", "order_checks", "groups", "multi", "steps")
 
     def __init__(self, mu: tuple):
         self.static_ok = False
         self.equal_checks: list[tuple[int, int]] = []
         self.order_checks: list[tuple[int, int]] = []
         self.groups: tuple = ()
+        self.multi: tuple = ()
         self.steps: list[tuple[int, int]] = []
         tiers = _tiers(mu)
         keys = [(t, 0 if v == 1 else mu[(v - 2) // 2], v) for t, v in zip(tiers, mu)]
@@ -87,6 +88,7 @@ class _MapProfile:
         for i, v in enumerate(mu):
             groups.setdefault(v, []).append(i)
         self.groups = tuple(tuple(g) for g in groups.values())
+        self.multi = tuple([g for g in self.groups if len(g) > 1])
         self.steps = [step for g in self.groups for step in zip(g, g[1:])]
         self.static_ok = True
 
@@ -133,14 +135,20 @@ def _profile(mu: tuple) -> _MapProfile:
     return _MapProfile(mu)
 
 
+def _pair_sign_sets(mu, sgn) -> tuple[int, int]:
+    """One pair's :meth:`_MapProfile.sign_sets` bits, with no table on a static failure."""
+    profile = _profile(tuple(mu))
+    return profile.sign_sets(_sign_table((sgn,))) if profile.static_ok else (0, 0)
+
+
 def is_tamed(pair: CollapsingPair) -> bool:
     """No two labels break a clause of :class:`_MapProfile`."""
-    return _profile(tuple(pair.mu)).sign_sets(_sign_table((pair.sgn,)))[0] == 1
+    return _pair_sign_sets(pair.mu, pair.sgn)[0] == 1
 
 
 def is_reference(pair: CollapsingPair) -> bool:
     """Tamed, and every left branch is a + block followed by a - block."""
-    return _profile(tuple(pair.mu)).sign_sets(_sign_table((pair.sgn,)))[1] == 1
+    return _pair_sign_sets(pair.mu, pair.sgn)[1] == 1
 
 
 def tamed_pairs(k: int, cap: int = ENUMERATION_CAP) -> Iterator[CollapsingPair]:
@@ -232,10 +240,9 @@ def to_reference(pair: CollapsingPair) -> tuple[CollapsingPair, TimePermutation]
     The witness rho is that of :func:`_reference_arrays`, and
     input = W(rho)(reference).
     """
-    profile = _profile(tuple(pair.mu))
-    if not profile.sign_sets(_sign_table((pair.sgn,)))[0]:
+    if not _pair_sign_sets(pair.mu, pair.sgn)[0]:
         raise NotTamed(f"reference reduction needs a tamed pair: {pair}")
-    mu, sgn, image = _reference_arrays(pair.mu, pair.sgn, profile.groups)
+    mu, sgn, image = _reference_arrays(pair.mu, pair.sgn, _profile(tuple(pair.mu)).groups)
     reference = CollapsingPair(pair.k, mu, sgn)
     rho = TimePermutation(pair.k, image)
     if not is_reference(reference):

@@ -22,7 +22,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from .canonical import _bits, _MapProfile, _sign_table
@@ -73,11 +73,10 @@ class CensusReport:
         }
 
 
-def _tr_key(groups):
+def _tr_key(multi):
     """The signs that T_R reads: at a one-member left branch the attachment
-    key (v, sgn) meets no other label, so only the other branches count."""
-    multi = [i for g in groups if len(g) > 1 for i in g]
-    return itemgetter(*multi) if multi else lambda sgn: ()
+    key (v, sgn) meets no other label, so only ``multi``'s branches count."""
+    return itemgetter(*chain(*multi)) if multi else lambda sgn: ()
 
 
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
@@ -90,9 +89,9 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     counts the tamed pairs.  :meth:`_MapProfile.sign_sets` gives a
     map's tamed and reference arrays as bitmasks over ``sign_arrays``,
     read in list order; T_R and its mass are built once per
-    :func:`_tr_key` value.  ``wild.reference(mu, profile, sgn, T_R,
-    mass)`` sees each reference pair (``kmboard.verify`` walks its
-    orbit there); ``census=False`` leaves both dicts empty.
+    :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
+    table, refs)`` sees each map's references, ``refs`` mapping their
+    bits to (sgn, T_R, mass); ``census=False`` leaves both dicts empty.
     """
     table: dict[str, list] = {}
     masses: dict[str, int] = {}
@@ -115,7 +114,7 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
             entry[1].update(map(itemgetter(*order), tamed_signs))  # a bare sign when k = 1
             entry[3].append((mu, tamed_signs[0], _hook_count(_attached_parents(mu, mu))))
             mu_text = f"mu={','.join(map(str, mu))} sgn="
-        key, wholes = _tr_key(profile.groups), {}
+        key, wholes, refs = _tr_key(profile.multi), {}, {}
         for n in _bits(references):
             sgn = sign_arrays[n]
             split = key(sgn)
@@ -126,7 +125,9 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
             if census:
                 masses[mu_text + ",".join(sgn)] = mass
             if wild is not None:
-                wild.reference(mu, profile, sgn, whole, mass)
+                refs[n] = sgn, whole, mass
+        if refs:
+            wild.map_references(mu, profile, references, signs, refs)
     return table, masses, n_tamed
 
 

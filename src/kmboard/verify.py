@@ -5,15 +5,9 @@ the report lines, and appends its OK lines.  At its first failure it
 raises :class:`CheckFailed` with the failure line, which
 :func:`run_checks` alone marks FAIL.  Catalan, tamed-unique,
 reference-unique, compat and mass read one :class:`_Fold` per order: a
-walk over the map and sign arrays that builds the census table, counts
-the tamed pairs and walks the orbit of each reference pair, whose
-members must reduce back to it.  The orbits then cover the tamed pairs
-exactly when their sizes sum to the count.  Mass proves each
-reference's simplex partition by containment, branch signatures and
-hook counts (:func:`_partition_failure`), on pieces built once per
-map and image, so it lists no linear extension.  Domain-bijection
-walks each map's relabelings as position arrays, and compat compares
-T_R and T_C as parent tuples.
+walk of the map and sign arrays for the census table, the tamed count,
+and the reference pairs' orbits and simplex partitions.
+Domain-bijection walks each map's relabelings as position arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ import random
 from functools import cache
 
 from . import canonical, counting, domains, duhamel, moves, trees
-from .canonical import _MapProfile
+from .canonical import _bits, _MapProfile
 from .errors import CapExceeded, CensusViolation
 from .pairs import (
     ENUMERATION_CAP,
@@ -45,46 +39,73 @@ def _rho_text(image) -> str:
     return f"rho={','.join(map(str, image))}"
 
 
-def _orbit_failure(reference, orbit, members) -> str | None:
-    """Is the orbit of a reference pair its whole wild class?  Say what
-    fails, or None.
+def _splits(references, plus, multi) -> list[int]:
+    """A map's reference mask cut by each multi-member sign column, by lowest bit."""
+    splits = [references]
+    for i in itertools.chain(*multi):
+        splits = [part for s in splits for part in (s & plus[i], s & ~plus[i]) if part]
+    return sorted(splits, key=lambda s: s & -s)
 
-    ``orbit`` lists the allowable images: it starts at the identity and
-    repeats none.  Each is allowable, its member tamed, and the member
-    reduces to exactly the reference and that image; one member is
-    block-ordered.  ``members`` keeps per image what depends on the map
-    alone: the member map, the index that gathers its signs, its profile.
-    """
-    k, mu, sgn = reference.k, reference.mu, reference.sgn
+
+def _orbit_failure(mu, profile, split, table, refs, orbit, members) -> tuple[int, str] | None:
+    """Is each reference's orbit its wild class?  Say (bit, line) for the
+    first that fails, or None; ``members`` keeps map, src, profile per image."""
+    k, full, plus = len(mu), *table
+    r = next(_bits(split))
+    sgn = refs[r][0]
+    pair = lambda n: CollapsingPair._unchecked(k, mu, refs[n][0])  # noqa: E731
+    reference = pair(r)
+    differ = 0  # premise 1: the split has R's signs on every multi-member branch
+    for i in itertools.chain(*profile.multi):
+        differ |= split & (plus[i] ^ (full if sgn[i] == "+" else 0))
+    if differ:
+        other = pair(next(_bits(differ)))
+        return r, f"{other} is walked with {reference}, but not on its left-branch signs"
     if not orbit or orbit[0] != tuple(range(2, 2 * k + 1, 2)):
-        return f"wild class of {reference} != its orbit"
+        return r, f"wild class of {reference} != its orbit"
     if len(set(orbit)) != len(orbit):
         repeated = next(image for i, image in enumerate(orbit) if image in orbit[:i])
-        return f"orbit of {reference} repeats {_rho_text(repeated)}"
-    hits = 0
+        return r, f"orbit of {reference} repeats {_rho_text(repeated)}"
+    singles = [g[0] for g in profile.groups if len(g) == 1]
+    once, twice, lost, masks = 0, 0, 0, []  # masks: the members' tamed, ordered bits per image
     for image in orbit:
+        if any(image[i] != 2 * i + 2 for i in singles):  # premise 2
+            return r, f"{_rho_text(image)} moves a one-member branch of {reference}"
         if not moves._allowable(mu, sgn, image):
-            return f"{_rho_text(image)} is not allowable for {reference}"
+            return r, f"{_rho_text(image)} is not allowable for {reference}"
         if image not in members:
             member_mu, src = moves._act_arrays(mu, range(k), image, conjugate=False)
             members[image] = member_mu, src, _MapProfile(member_mu)
         member_mu, src, member = members[image]
+        tamed, ordered = member.sign_sets((full, [plus[i] for i in src]))
+        masks.append((tamed, ordered))
+        lost |= split & ~tamed
+        if lost >> r & 1:
+            break
+        # by the premises, R's round trip is that of every reference of the split
         member_sgn = tuple([sgn[i] for i in src])
-        tamed, ordered = member.sign_sets(canonical._sign_table((member_sgn,)))
-        if not tamed:
-            pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
-            return f"{_rho_text(image)} carries {reference} to {pair}, not a tamed pair"
         got = canonical._reference_arrays(member_mu, member_sgn, member.groups)
         if got != (mu, sgn, image):
-            pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
+            moved = CollapsingPair._unchecked(k, member_mu, member_sgn)
             back = CollapsingPair._unchecked(k, got[0], got[1])
             if not canonical.is_reference(back):
-                return f"{pair} reduces to {back}, not a reference pair"
+                return r, f"{moved} reduces to {back}, not a reference pair"
             if not moves._allowable(*got):
-                return f"witness {_rho_text(got[2])} of {pair} is not allowable for {back}"
-            return f"witness failed for {pair}"
-        hits += ordered
-    return None if hits == 1 else f"wild class of {reference} holds {hits} reference pairs"
+                return r, f"witness {_rho_text(got[2])} of {moved} is not allowable for {back}"
+            return r, f"witness failed for {moved}"
+        twice |= once & ordered
+        once |= ordered
+    failed = split & (lost | ~once | twice)
+    if not failed:
+        return None
+    n = next(_bits(failed))
+    for image, (tamed, _) in zip(orbit, masks):
+        if not tamed >> n & 1:
+            member_mu, src, _ = members[image]
+            member = CollapsingPair._unchecked(k, member_mu, tuple([refs[n][0][i] for i in src]))
+            return n, f"{_rho_text(image)} carries {pair(n)} to {member}, not a tamed pair"
+    hits = sum(ordered >> n & 1 for _, ordered in masks)
+    return n, f"wild class of {pair(n)} holds {hits} reference pairs"
 
 
 def _uncovered(k) -> str | None:
@@ -92,10 +113,9 @@ def _uncovered(k) -> str | None:
     for pair in canonical.tamed_pairs(k):
         mu, sgn = pair.mu, pair.sgn
         ref_mu, ref_sgn, image = canonical._reference_arrays(mu, sgn, canonical._profile(mu).groups)
-        ref = canonical._profile(ref_mu)
         if not (
-            ref.sign_sets(canonical._sign_table((ref_sgn,)))[1]
-            and image in moves._interleavings(ref.groups, ref_sgn)
+            canonical._pair_sign_sets(ref_mu, ref_sgn)[1]
+            and image in moves._interleavings(canonical._profile(ref_mu).groups, ref_sgn)
             and moves._act_arrays(ref_mu, ref_sgn, image, conjugate=False) == (mu, sgn)
         ):
             return f"no reference's orbit holds {pair}"
@@ -106,12 +126,17 @@ class _Fold:
     """A walk over maps of order k for the named clause groups.
 
     ``counting._census_chunk`` counts the tamed pairs, builds the census
-    table if ``census`` is named, and hands each reference pair R to
-    :meth:`reference` in enumeration order.  There R's orbit is listed
-    once for the orbit, compat and partition clauses; member maps and
-    pieces are kept per image until the next map.  ``failures`` keeps
-    each group's first failure as (mu, sgn, line); an orbit failure
-    fails every wild check, so the walk skips them after one.
+    table if ``census`` is named, and hands each map's references to
+    :meth:`map_references`, which splits them by their signs on branches
+    of two or more members.  The lemma: references are block-ordered, so
+    a split's differ only at one-member branches, which allowable images
+    fix; so they share the orbit, allowability, member maps and round
+    trip, and differ only in tamedness, a bitmask.  The orbit clauses run
+    once per (map, split, image) after two O(k) premise checks: the split
+    has its first reference's signs on every multi-member branch, and each
+    image fixes every one-member index.  Partition runs per split, compat
+    per reference.  ``failures`` keeps each group's first failure as (mu,
+    sgn, line); an orbit failure fails every wild check and stops the walk.
     """
 
     def __init__(self, k, groups):
@@ -119,30 +144,40 @@ class _Fold:
         self.census = None  # the census chunk, then the order's CensusReport
         self.n_tamed = self.covered = self.references = self.mass = 0
         self.failures: dict = {}
-        self._mu = None
 
-    def reference(self, mu, profile, sgn, whole, mass) -> None:
+    def map_references(self, mu, profile, references, table, refs) -> None:
+        """Walk a map's references split by split; ``refs``: bit -> (sgn, T_R, mass)."""
         failures, k = self.failures, self.k
         if "orbit" in failures:
             return
-        if mu is not self._mu:
-            self._mu, self._members, self._pieces = mu, {}, {}
-        reference = CollapsingPair._unchecked(k, mu, sgn)
-        orbit = moves._interleavings(profile.groups, sgn)
-        failure = _orbit_failure(reference, orbit, self._members)
-        if failure:
-            failures["orbit"] = (mu, sgn, f"k={k}: {failure}")
-            return
-        self.covered += len(orbit)
-        self.references += 1
-        self.mass += mass
-        if "compat" in self.groups and "compat" not in failures:
-            if domains._tc_parents(mu, sgn) != tuple(whole.values()):
-                failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {reference}")
-        if "partition" in self.groups and "partition" not in failures:
-            failure = _partition_failure(reference, whole, mass, orbit, self._pieces)
+        members, pieces, failed = {}, {}, None
+        for split in _splits(references, table[1], profile.multi):
+            r = next(_bits(split))
+            if failed and r > failed[0]:
+                break  # no later split holds an earlier failing reference
+            sgn, whole, mass = refs[r]
+            orbit = moves._interleavings(profile.groups, sgn)
+            failure = _orbit_failure(mu, profile, split, table, refs, orbit, members)
             if failure:
-                failures["partition"] = (mu, sgn, f"k={k}: {failure}")
+                failed = min(failed or failure, failure)
+                continue
+            n = split.bit_count()
+            self.covered += n * len(orbit)
+            self.references += n
+            self.mass += n * mass
+            if "partition" in self.groups and "partition" not in failures:
+                reference = CollapsingPair._unchecked(k, mu, sgn)
+                failure = _partition_failure(reference, whole, mass, orbit, pieces)
+                if failure:
+                    failures["partition"] = (mu, sgn, f"k={k}: {failure}")
+        if failed:  # it fails every wild check, so no compat or partition line shows
+            failures["orbit"] = (mu, refs[failed[0]][0], f"k={k}: {failed[1]}")
+        elif "compat" in self.groups and "compat" not in failures:
+            for sgn, whole, _ in refs.values():
+                if domains._tc_parents(mu, sgn) != tuple(whole.values()):
+                    pair = CollapsingPair._unchecked(k, mu, sgn)
+                    failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {pair}")
+                    break
 
     def passed(self, *groups) -> "_Fold":
         """Raise the first failure among ``groups``; else return self."""
@@ -159,7 +194,6 @@ def _walk(k, groups, mus) -> _Fold:
     sign_arrays = list(itertools.product(SIGNS, repeat=k))
     fold.census = counting._census_chunk(mus, sign_arrays, wild, "census" in groups)
     fold.n_tamed = fold.census[2]
-    fold._mu = fold._members = fold._pieces = None  # the memo stays in the worker
     return fold
 
 
@@ -204,10 +238,8 @@ class VerifyRun:
         fold = parts[0]
         chunks = [part.census for part in parts]
         for part in parts[1:]:
-            fold.n_tamed += part.n_tamed
-            fold.covered += part.covered
-            fold.references += part.references
-            fold.mass += part.mass
+            for count in ("n_tamed", "covered", "references", "mass"):
+                setattr(fold, count, getattr(fold, count) + getattr(part, count))
             for group, failure in part.failures.items():  # the earliest in enumeration order
                 fold.failures[group] = min(fold.failures.get(group, failure), failure)
         if "census" in self.groups:

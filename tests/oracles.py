@@ -10,7 +10,7 @@ from operator import itemgetter
 
 from hypothesis import strategies as st
 
-from kmboard import canonical, domains, moves
+from kmboard import canonical, domains, moves, verify
 from kmboard.canonical import _MapProfile, is_reference, is_tamed, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
 from kmboard.domains import (
@@ -878,6 +878,82 @@ def wild_sweep(k):
             if blocks_ordered(profile, sgn):
                 hits[reference] += 1
     return n_tamed, classes, hits
+
+
+def orbit_failure(reference, orbit, members):
+    """Is the orbit of one reference pair its whole wild class?  Say what
+    fails, or None: ``kmboard.verify``'s per-pair walk before it walked
+    the orbit once per split of a map's references.
+
+    ``orbit`` lists the allowable images: it starts at the identity and
+    repeats none.  Each is allowable, its member tamed, and the member
+    reduces to exactly the reference and that image; one member is
+    block-ordered.  ``members`` keeps per image what depends on the map
+    alone: the member map, the index that gathers its signs, its profile.
+    """
+    k, mu, sgn = reference.k, reference.mu, reference.sgn
+    rho = lambda image: f"rho={','.join(map(str, image))}"  # noqa: E731
+    if not orbit or orbit[0] != tuple(range(2, 2 * k + 1, 2)):
+        return f"wild class of {reference} != its orbit"
+    if len(set(orbit)) != len(orbit):
+        repeated = next(image for i, image in enumerate(orbit) if image in orbit[:i])
+        return f"orbit of {reference} repeats {rho(repeated)}"
+    hits = 0
+    for image in orbit:
+        if not moves._allowable(mu, sgn, image):
+            return f"{rho(image)} is not allowable for {reference}"
+        if image not in members:
+            member_mu, src = moves._act_arrays(mu, range(k), image, conjugate=False)
+            members[image] = member_mu, src, _MapProfile(member_mu)
+        member_mu, src, member = members[image]
+        member_sgn = tuple([sgn[i] for i in src])
+        tamed, ordered = member.sign_sets(canonical._sign_table((member_sgn,)))
+        if not tamed:
+            pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
+            return f"{rho(image)} carries {reference} to {pair}, not a tamed pair"
+        got = canonical._reference_arrays(member_mu, member_sgn, member.groups)
+        if got != (mu, sgn, image):
+            pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
+            back = CollapsingPair._unchecked(k, got[0], got[1])
+            if not canonical.is_reference(back):
+                return f"{pair} reduces to {back}, not a reference pair"
+            if not moves._allowable(*got):
+                return f"witness {rho(got[2])} of {pair} is not allowable for {back}"
+            return f"witness failed for {pair}"
+        hits += ordered
+    return None if hits == 1 else f"wild class of {reference} holds {hits} reference pairs"
+
+
+class PairFold(verify._Fold):
+    """``verify._Fold`` with the per-pair orbit walk it replaced: each
+    reference pair, in bit order, walks its own orbit (:func:`orbit_failure`),
+    then compat and the partition clause run on it."""
+
+    def map_references(self, mu, profile, references, table, refs):
+        members, pieces = {}, {}
+        for sgn, whole, mass in refs.values():
+            self._reference(mu, profile, sgn, whole, mass, members, pieces)
+
+    def _reference(self, mu, profile, sgn, whole, mass, members, pieces):
+        failures, k = self.failures, self.k
+        if "orbit" in failures:
+            return
+        reference = CollapsingPair._unchecked(k, mu, sgn)
+        orbit = moves._interleavings(profile.groups, sgn)
+        failure = orbit_failure(reference, orbit, members)
+        if failure:
+            failures["orbit"] = (mu, sgn, f"k={k}: {failure}")
+            return
+        self.covered += len(orbit)
+        self.references += 1
+        self.mass += mass
+        if "compat" in self.groups and "compat" not in failures:
+            if domains._tc_parents(mu, sgn) != tuple(whole.values()):
+                failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {reference}")
+        if "partition" in self.groups and "partition" not in failures:
+            failure = verify._partition_failure(reference, whole, mass, orbit, pieces)
+            if failure:
+                failures["partition"] = (mu, sgn, f"k={k}: {failure}")
 
 
 def unmemoised_partition_failure(reference, whole, mass, orbit):

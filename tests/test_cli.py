@@ -476,7 +476,8 @@ def test_wild_sweep_does_not_outlive_a_verify_call(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "verify", "--k", "3")[0] == 0
         made.append(len(calls))
-    assert made == [2 + 12 + 96] * 2
+    # one round trip per (map, split of its references, image) at k = 1, 2, 3
+    assert made == [1 + 6 + 37] * 2
 
 
 @pytest.mark.parametrize(
@@ -598,8 +599,8 @@ def test_a_failed_sweep_is_walked_once_and_fails_every_reader(monkeypatch):
     monkeypatch.setattr(moves, "_act_arrays", lambda mu, sgn, image, conjugate: (mu, sgn))
     names = ["reference-unique", "compat", "mass"]
     lines, results = verify.run_checks(names, 3, 0, 1)
-    # two orbit members at k=1, then k=2 fails at its third: once, not once per reader
-    assert len(calls) == 2 + 3
+    # one split at k=1, then k=2 fails at its third image: once, not once per reader
+    assert len(calls) == 1 + 3
     fail = "k=2: witness failed for mu=1,1 sgn=+,- FAIL"
     assert lines == [
         "k=1: 2 tamed pairs in 2 wild classes, each with a verified reference witness OK",

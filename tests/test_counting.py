@@ -310,8 +310,8 @@ def test_memoised_t_r_matches_a_fresh_build_at_every_reference():
         def __init__(self):
             self.seen = []
 
-        def reference(self, mu, profile, sgn, whole, mass):
-            self.seen.append((mu, sgn, whole, mass))
+        def map_references(self, mu, profile, references, table, refs):
+            self.seen += [(mu, sgn, whole, mass) for sgn, whole, mass in refs.values()]
 
     for k in range(1, 6):
         recorder = Recorder()

@@ -6,12 +6,15 @@ import json
 import subprocess
 import sys
 
+import oracles
 import pytest
 
-from kmboard import canonical, domains, moves, verify
+from kmboard import canonical, counting, domains, moves, verify
+from kmboard.canonical import _bits
 from kmboard.cli import main
 from kmboard.pairs import CollapsingPair, enumerate_mus
 from oracles import (
+    PairFold,
     blocks_ordered,
     object_wild_sweep,
     tamed,
@@ -29,20 +32,155 @@ def test_wild_sweep_matches_the_object_sweep(k):
     assert list(hits.items()) == list(object_hits.items())
 
 
+def _fold(k):
+    run = verify.VerifyRun(_WILD, 0, 1)
+    fold = run.fold(k)
+    run.close()
+    return fold
+
+
 def _walked_orbits(monkeypatch, k):
     """Fold order k for the wild checks; return the fold and each (reference, orbit) it walked."""
     walked = []
     original = verify._orbit_failure
 
-    def recorded(reference, orbit, members):
-        walked.append((reference, orbit))
-        return original(reference, orbit, members)
+    def recorded(mu, profile, split, table, refs, orbit, members):
+        walked.extend((CollapsingPair(k, mu, refs[n][0]), orbit) for n in _bits(split))
+        return original(mu, profile, split, table, refs, orbit, members)
 
     monkeypatch.setattr(verify, "_orbit_failure", recorded)
-    run = verify.VerifyRun(["reference-unique", "compat", "mass"], 0, 1)
-    fold = run.fold(k)
-    run.close()
-    return fold, walked
+    return _fold(k), walked
+
+
+def _broken_off_identity(original):
+    """A piece that hangs the last label under t_1, for every image but the identity."""
+
+    def piece(mu, image):
+        parent = original(mu, image)
+        if list(image) != sorted(image):
+            parent = {**parent, 2 * len(mu) + 1: 1}
+        return parent
+
+    return piece
+
+
+def _drop_an_image(original):
+    def dropped(groups, sgn):
+        orbit = original(groups, sgn)
+        return orbit[:-1] if len(orbit) > 1 else orbit
+
+    return dropped
+
+
+def _repeat_an_image(original):
+    def repeated(groups, sgn):
+        orbit = original(groups, sgn)
+        return orbit + orbit[-1:]
+
+    return repeated
+
+
+def _one_more_reference(monkeypatch):
+    # mu=1,1 sgn=-,+ is tamed, but its branch lists - before +
+    class OneMoreReference(counting._MapProfile):
+        def __init__(self, mu):
+            super().__init__(mu)
+            self.mu = mu
+
+        def sign_sets(self, table):
+            tamed, references = super().sign_sets(table)
+            return tamed, references | (tamed & 1 << 2 if self.mu == (1, 1) else 0)
+
+    monkeypatch.setattr(counting, "_MapProfile", OneMoreReference)
+
+
+def _without_equal_clause(monkeypatch):
+    init = canonical._MapProfile.__init__
+
+    def without(self, mu):
+        init(self, mu)
+        self.equal_checks = []
+
+    monkeypatch.setattr(canonical._MapProfile, "__init__", without)
+    monkeypatch.setattr(canonical, "_profile", canonical._MapProfile)
+
+
+def _planted(owner, name, defect):
+    """A patch that replaces ``owner.name`` by ``defect(owner.name)``."""
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+
+
+def _misplaced(original):
+    def misplaced(mu, sgn):
+        parent = original(mu, sgn)
+        return parent[:-1] + (1,) if len(mu) > 1 else parent  # the last label under t_1
+
+    return misplaced
+
+
+def _reversed_witness(original):
+    def reversed_image(mu, sgn, groups):
+        ref_mu, ref_sgn, image = original(mu, sgn, groups)
+        return ref_mu, ref_sgn, image[::-1]
+
+    return reversed_image
+
+
+def _member_profiles(defect):
+    """A patch of the member profiles of both orbit walks: where the last
+    index is a branch of its own, ``defect(tamed, ordered, minus)`` rereads
+    the masks, ``minus`` the arrays with - there.  Such arrays come after
+    their + twin, the first reference of the split."""
+
+    class Defective(canonical._MapProfile):
+        def sign_sets(self, table):
+            tamed, ordered = super().sign_sets(table)
+            if self.groups[-1] != (len(table[1]) - 1,):
+                return tamed, ordered
+            return defect(tamed, ordered, table[0] & ~table[1][-1])
+
+    def plant(monkeypatch):
+        monkeypatch.setattr(verify, "_MapProfile", Defective)
+        monkeypatch.setattr(oracles, "_MapProfile", Defective)
+
+    return plant
+
+
+#: The planted defects of the wild checks here and in test_cli, each as a patch;
+#: the last two fail at references that are not the first of their split.
+PLANTED = {
+    "orbit-drops-an-image": _planted(moves, "_interleavings", _drop_an_image),
+    "orbit-repeats-an-image": _planted(moves, "_interleavings", _repeat_an_image),
+    "orbit-drops-its-last-image": _planted(
+        moves, "_interleavings", lambda f: lambda groups, sgn: f(groups, sgn)[:-1]
+    ),
+    "pieces-off-identity": _planted(domains, "_wild_piece", _broken_off_identity),
+    "act-keeps-the-pair": _planted(
+        moves, "_act_arrays", lambda f: lambda mu, sgn, image, conjugate: (mu, sgn)
+    ),
+    "reduction-gives-a-non-reference": _planted(
+        canonical,
+        "_reference_arrays",
+        lambda f: lambda mu, sgn, groups: (mu, sgn, tuple(range(2, 2 * len(mu) + 1, 2))),
+    ),
+    "witness-not-allowable": _planted(canonical, "_reference_arrays", _reversed_witness),
+    "t-c-hangs-a-node-elsewhere": _planted(domains, "_tc_parents", _misplaced),
+    "t-r-memo-ignores-a-branch": _planted(
+        counting, "_tr_key", lambda f: lambda multi: f(multi[:-1])
+    ),
+    "every-tamed-pair-a-reference": _planted(
+        canonical._MapProfile, "sign_sets", lambda f: lambda self, table: (f(self, table)[0],) * 2
+    ),
+    "reference-mask-admits-an-unordered-pair": _one_more_reference,
+    "kernel-drops-its-equal-sign-clause": _without_equal_clause,
+    "member-with-minus-last-untamed": _member_profiles(lambda t, o, minus: (t & ~minus, o)),
+    "member-with-minus-last-ordered": _member_profiles(lambda t, o, minus: (t, o | t & minus)),
+}
+
+
+def _shown(fold):
+    """The failures a verify run prints: an orbit failure hides compat and partition ones."""
+    return {g: f for g, f in fold.failures.items() if g == "orbit" or "orbit" not in fold.failures}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -63,18 +201,21 @@ def test_fold_matches_the_forward_sweep(monkeypatch, k):
         members = [moves._act_arrays(mu, sgn, image, conjugate=False) for image in orbit]
         ordered = sum(blocks_ordered(canonical._profile(m), s) for m, s in members)
         assert ordered == hits[reference] == 1
-
-
-def _broken_off_identity(original):
-    """A piece that hangs the last label under t_1, for every image but the identity."""
-
-    def piece(mu, image):
-        parent = original(mu, image)
-        if list(image) != sorted(image):
-            parent = {**parent, 2 * len(mu) + 1: 1}
-        return parent
-
-    return piece
+    # the split walk against the per-pair walk it replaced: the same counts,
+    # and the same first failures under every planted defect (at k <= 4)
+    monkeypatch.undo()
+    planted = {"none": None, **(PLANTED if k <= 4 else {})}
+    for name, plant in planted.items():
+        with monkeypatch.context() as m:
+            if plant:
+                plant(m)
+                fold = _fold(k)
+            m.setattr(verify, "_Fold", PairFold)
+            pair = _fold(k)
+        assert _shown(fold) == _shown(pair), name
+        if "orbit" not in fold.failures:
+            counts = (fold.n_tamed, fold.covered, fold.references, fold.mass)
+            assert counts == (pair.n_tamed, pair.covered, pair.references, pair.mass), name
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["true-pieces", "pieces-off-identity"])
@@ -113,22 +254,6 @@ def _verify(capsys, *argv):
 _WILD = ["reference-unique", "compat", "mass"]
 
 
-def _drop_an_image(original):
-    def dropped(groups, sgn):
-        orbit = original(groups, sgn)
-        return orbit[:-1] if len(orbit) > 1 else orbit
-
-    return dropped
-
-
-def _repeat_an_image(original):
-    def repeated(groups, sgn):
-        orbit = original(groups, sgn)
-        return orbit + orbit[-1:]
-
-    return repeated
-
-
 @pytest.mark.parametrize(
     "defect, line",
     [
@@ -144,6 +269,67 @@ def test_an_orbit_defect_fails_every_wild_check(capsys, monkeypatch, defect, lin
     assert code == 1
     assert fail == line
     assert results == {check: "fail"}
+
+
+def _sorted_across_branches(original):
+    # every index in one branch: the signs of one-member branches now move labels
+    return lambda mu, sgn, groups: original(mu, sgn, (tuple(sorted(i for g in groups for i in g)),))
+
+
+def _one_member_index_moved(original):
+    def moved(groups, sgn):
+        orbit = original(groups, sgn)
+        singles = [g[0] for g in groups if len(g) == 1]
+        if len(singles) < 2:
+            return orbit
+        image = list(orbit[-1])
+        i, j = singles[-2:]
+        image[i], image[j] = image[j], image[i]
+        return orbit + [tuple(image)]
+
+    return moved
+
+
+def _last_branch_skipped(original):
+    return lambda references, plus, multi: original(references, plus, multi[:-1])
+
+
+@pytest.mark.parametrize(
+    "owner, name, defect, line",
+    [
+        # a reference that is not the first of its split meets the reduction only
+        # through the first one's round trip: the per-pair walk failed at k=2
+        # (mu=1,2 sgn=-,+), the split walk fails where a first reference meets it
+        (
+            canonical,
+            "_reference_arrays",
+            _sorted_across_branches,
+            "k=3: witness rho=2,6,4 of mu=1,1,2 sgn=+,-,+ is not allowable for "
+            "mu=1,1,2 sgn=+,+,- FAIL",
+        ),
+        (
+            moves,
+            "_interleavings",
+            _one_member_index_moved,
+            "k=2: rho=4,2 moves a one-member branch of mu=1,2 sgn=+,+ FAIL",
+        ),
+        (
+            verify,
+            "_splits",
+            _last_branch_skipped,
+            "k=2: mu=1,1 sgn=+,- is walked with mu=1,1 sgn=+,+, "
+            "but not on its left-branch signs FAIL",
+        ),
+    ],
+    ids=["reduction-reads-a-one-member-sign", "image-moves-a-one-member-index", "splits-merge"],
+)
+def test_a_defect_under_the_split_walk_fails_mass(capsys, monkeypatch, owner, name, defect, line):
+    # mass reads the orbit and the partition clause, which skips a split that failed
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    code, fail, results = _verify(capsys, "--k", "4", "--check", "mass")
+    assert code == 1
+    assert fail == line
+    assert results == {"mass": "fail"}
 
 
 def test_a_piece_wrong_off_the_identity_fails_mass(capsys, monkeypatch):
