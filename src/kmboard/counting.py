@@ -6,8 +6,11 @@ that reads a signed skeleton off a sign array is a permutation of the
 sign indices, so each map of a shape meets each of the shape's 2^k
 signed classes exactly once: a signed class holds as many pairs as its
 shape has maps, and no pair needs a look of its own.  One profile per
-map gives its tamed and reference sign arrays as two bitmasks, and
-T_R is built once per split of the signs over its left branches.  Every
+map gives its tamed and reference sign arrays as two bitmasks; the
+tamed mask, its index bits permuted into preorder, is one bit per
+signed class, folded into an int per shape with a second int for the
+classes met twice.  T_R is built once per split of the signs over its
+left branches.  Every
 counting claim is cross-checked against that table: class totals
 against the Catalan numbers, one tamed pair per signed class, each
 class as large as the hook count of its tamed member's td, the
@@ -79,17 +82,66 @@ def _tr_key(multi):
     return itemgetter(*chain(*multi)) if multi else lambda sgn: ()
 
 
+def _swap_selectors(k) -> dict:
+    """Per pair of sign-index bits q < r, the positions of a 2^k-bit mask
+    with bit q set and bit r clear: the low side of the delta swap that
+    exchanges the two index bits."""
+    return {
+        (q, r): sum(1 << x for x in range(1 << k) if x >> q & 1 and not x >> r & 1)
+        for r in range(k)
+        for q in range(r)
+    }
+
+
+def _class_swaps(order, selectors) -> list[tuple[int, int]] | None:
+    """The delta swaps that carry a mask over sign arrays to one over classes.
+
+    Array n has - at sign index i when bit k-1-i of n is set, as in
+    ``product("+-", repeat=k)``; class bit c is the array whose signs,
+    read in ``order``, are array c's.  So class index bit q reads array
+    index bit ``want[q]``, and swapping index bits q and r of a mask
+    permutes its bits by that transposition: at most k-1 swaps, each a
+    (shift, selector) pair.  None if ``order`` is not a permutation of
+    the sign indices.
+    """
+    k = len(order)
+    if sorted(order) != list(range(k)):
+        return None
+    want = [k - 1 - order[k - 1 - q] for q in range(k)]
+    have, where, swaps = list(range(k)), list(range(k)), []
+    for q in range(k):
+        if have[q] != want[q]:
+            r = where[want[q]]  # > q: bits below q already read their own
+            swaps.append(((1 << r) - (1 << q), selectors[q, r]))
+            have[q], have[r] = have[r], have[q]
+            where[have[q]], where[have[r]] = q, r
+    return swaps
+
+
+def _class_bits(mask, swaps) -> int:
+    """``mask`` over sign arrays as a mask over classes, by :func:`_class_swaps`."""
+    for shift, low in swaps:
+        t = (mask ^ mask >> shift) & low
+        mask ^= t | t << shift
+    return mask
+
+
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
-    The table maps each shape to ``[maps, Counter of its tamed members'
-    signs in preorder, first map, [(map, a tamed sign array, td hook
-    count)]]``, one triple per map that holds a tamed pair; the second
+    The table maps each shape to ``[maps, acc, twice, [(map, a tamed
+    sign array, td hook count)]]``, one triple per map that holds a
+    tamed pair.  ``acc`` and ``twice`` have one bit per signed class of
+    the shape, numbered as ``sign_arrays`` (class c holds the pairs
+    whose signs in preorder are ``sign_arrays[c]``): the classes met by
+    a tamed pair, and those met by two (every bit, -1, once a tamed
+    map's preorder is no permutation of the sign indices).  The second
     dict maps each reference pair to its extension count; the int
     counts the tamed pairs.  :meth:`_MapProfile.sign_sets` gives a
     map's tamed and reference arrays as bitmasks over ``sign_arrays``,
-    read in list order; T_R and its mass are built once per
-    :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
+    read in list order, and :func:`_class_swaps` (memoised per
+    preorder) permutes the tamed mask into class bits.  T_R and its
+    mass are built once per :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
     table, refs)`` sees each map's references, ``refs`` mapping their
     bits to (sgn, T_R, mass); ``census=False`` leaves both dicts empty.
     """
@@ -97,12 +149,14 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     masses: dict[str, int] = {}
     n_tamed = 0
     signs = _sign_table(sign_arrays)
+    selectors = _swap_selectors(len(sign_arrays[0])) if census else {}
+    swaps_of: dict[tuple, list] = {}
     for mu in mus:
         if census:
             shape, order = _preorder(mu)
             entry = table.get(shape)
             if entry is None:
-                entry = table[shape] = [0, Counter(), mu, []]
+                entry = table[shape] = [0, 0, 0, []]
             entry[0] += 1
         profile = _MapProfile(mu)
         tamed, references = profile.sign_sets(signs)
@@ -110,9 +164,18 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
             continue
         n_tamed += tamed.bit_count()
         if census:
-            tamed_signs = [sign_arrays[n] for n in _bits(tamed)]
-            entry[1].update(map(itemgetter(*order), tamed_signs))  # a bare sign when k = 1
-            entry[3].append((mu, tamed_signs[0], _hook_count(_attached_parents(mu, mu))))
+            preorder = tuple(order)
+            if preorder not in swaps_of:
+                swaps_of[preorder] = _class_swaps(order, selectors)
+            swaps = swaps_of[preorder]
+            if swaps is None:  # no class to read: fail the shape, whose re-walk names the map
+                entry[2] = -1
+            else:
+                classes = _class_bits(tamed, swaps)
+                entry[2] |= entry[1] & classes
+                entry[1] |= classes
+            sgn = sign_arrays[next(_bits(tamed))]
+            entry[3].append((mu, sgn, _hook_count(_attached_parents(mu, mu))))
             mu_text = f"mu={','.join(map(str, mu))} sgn="
         key, wholes, refs = _tr_key(profile.multi), {}, {}
         for n in _bits(references):
@@ -132,15 +195,39 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
 
 
 def _merge_chunks(parts: list[tuple[dict, dict, int]]) -> tuple[dict, dict]:
+    """One table and mass dict from the chunks; a class met in two chunks is met twice."""
     table, masses, _ = parts[0]
     for part_table, part_masses, _ in parts[1:]:
-        for shape, (maps, tamed_signs, first, held) in part_table.items():
-            entry = table.setdefault(shape, [0, Counter(), first, []])
+        for shape, (maps, acc, twice, held) in part_table.items():
+            entry = table.setdefault(shape, [0, 0, 0, []])
             entry[0] += maps
-            entry[1].update(tamed_signs)
+            entry[2] |= twice | entry[1] & acc
+            entry[1] |= acc
             entry[3] += held
         masses.update(part_masses)
     return table, masses
+
+
+def _shape_tamed_signs(k, shape, sign_arrays) -> tuple[tuple, Counter]:
+    """The first map of ``shape`` and its tamed members' signs in preorder,
+    counted, by a second walk over the maps of order k: the census's
+    witness when a shape fails.  Raises :class:`CensusViolation` naming
+    a map of the shape whose preorder is not a permutation of the sign
+    indices."""
+    first, counts = None, Counter()
+    signs = _sign_table(sign_arrays)
+    for mu in enumerate_mus(k):
+        this, order = _preorder(mu)
+        if this == shape:
+            if sorted(order) != list(range(k)):
+                raise CensusViolation(
+                    f"preorder of mu={mu} reads sign indices {order}, not each of 0..{k - 1} once"
+                )
+            first = first or mu
+            tamed = _MapProfile(mu).sign_sets(signs)[0]
+            tamed_signs = [sign_arrays[n] for n in _bits(tamed)]
+            counts.update(map(itemgetter(*order), tamed_signs))  # a bare sign when k = 1
+    return first, counts
 
 
 def _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays) -> None:
@@ -195,14 +282,15 @@ def census(
             chunks = [_census_chunk(mus, sign_arrays)]
     table, masses = _merge_chunks(chunks)
 
-    total = sum(maps for maps, _, _, _ in table.values()) * n_signs
+    total = sum(entry[0] for entry in table.values()) * n_signs
     if total != expected_total:
         raise CensusViolation(f"{mode} total {total} != (2k-1)!! {times} = {expected_total}")
     if len(table) != cat:
         raise CensusViolation(f"unsigned class count {len(table)} != {cat}")
-    for _, tamed_signs, first, _ in table.values():
-        # the keys are k-sign tuples: n_signs keys are every signed class
-        if not sum(tamed_signs.values()) == len(tamed_signs) == n_signs:
+    full = (1 << n_signs) - 1
+    for shape, (_, acc, twice, _) in table.items():
+        if acc != full or twice:
+            first, tamed_signs = _shape_tamed_signs(k, shape, sign_arrays)
             _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays)
     for maps, _, _, held in table.values():
         for mu, sgn, td in held:

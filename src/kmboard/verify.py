@@ -19,11 +19,12 @@ from functools import cache
 
 from . import canonical, counting, domains, duhamel, moves, trees
 from .canonical import _bits, _MapProfile
-from .errors import CapExceeded, CensusViolation
+from .errors import BoardError, CapExceeded, CensusViolation
 from .pairs import (
     ENUMERATION_CAP,
     SIGNS,
     CollapsingPair,
+    _check_pair,
     double_factorial_odd,
     enumerate_mus,
     enumerate_pairs,
@@ -45,6 +46,15 @@ def _splits(references, plus, multi) -> list[int]:
     for i in itertools.chain(*multi):
         splits = [part for s in splits for part in (s & plus[i], s & ~plus[i]) if part]
     return sorted(splits, key=lambda s: s & -s)
+
+
+def _is_pair(pair) -> bool:
+    """Are a pair's arrays those of a legal pair of its order?"""
+    try:
+        _check_pair(pair.k, pair.mu, pair.sgn)
+    except BoardError:
+        return False
+    return True
 
 
 def _orbit_failure(mu, profile, split, table, refs, orbit, members) -> tuple[int, str] | None:
@@ -88,7 +98,7 @@ def _orbit_failure(mu, profile, split, table, refs, orbit, members) -> tuple[int
         if got != (mu, sgn, image):
             moved = CollapsingPair._unchecked(k, member_mu, member_sgn)
             back = CollapsingPair._unchecked(k, got[0], got[1])
-            if not canonical.is_reference(back):
+            if not _is_pair(back) or not canonical.is_reference(back):
                 return r, f"{moved} reduces to {back}, not a reference pair"
             if not moves._allowable(*got):
                 return r, f"witness {_rho_text(got[2])} of {moved} is not allowable for {back}"

@@ -915,7 +915,7 @@ def orbit_failure(reference, orbit, members):
         if got != (mu, sgn, image):
             pair = CollapsingPair._unchecked(k, member_mu, member_sgn)
             back = CollapsingPair._unchecked(k, got[0], got[1])
-            if not canonical.is_reference(back):
+            if not verify._is_pair(back) or not canonical.is_reference(back):
                 return f"{pair} reduces to {back}, not a reference pair"
             if not moves._allowable(*got):
                 return f"witness {rho(got[2])} of {pair} is not allowable for {back}"

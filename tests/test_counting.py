@@ -179,6 +179,25 @@ def test_census_rejects_a_preorder_that_repeats_a_sign_index(monkeypatch):
         census(3)
 
 
+def test_verify_names_the_map_whose_preorder_repeats_a_sign_index(capsys, monkeypatch):
+    # the fold gives such a map no class bits and fails its shape; the census
+    # names the map, and verify prints that as the check's one FAIL line
+    from kmboard import counting
+    from kmboard.cli import main
+
+    real = counting._preorder
+
+    def repeating(mu):
+        shape, order = real(mu)
+        return shape, order[:-1] + order[:1]
+
+    monkeypatch.setattr(counting, "_preorder", repeating)
+    assert main(["verify", "--k", "3", "--check", "tamed-unique"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    line = "k=2: preorder of mu=(1, 1) reads sign indices [0, 0], not each of 0..1 once FAIL"
+    assert fails == [line]
+
+
 def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monkeypatch):
     # drop one tamed pair whose map is not the first of its shape: the
     # census must name its class by the class's first member, as the
@@ -226,6 +245,95 @@ def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monke
     assert str(got.value) == str(expected.value)
     assert str(got.value).endswith("holds 0 tamed pairs")
     assert f"mu={target[0]} " not in str(got.value)
+
+
+def test_class_mask_is_the_tamed_mask_read_in_preorder():
+    # class bit c is the tamed member whose signs in preorder are sign_arrays[c]
+    from operator import itemgetter
+
+    from kmboard.counting import (
+        _bits,
+        _class_bits,
+        _class_swaps,
+        _MapProfile,
+        _preorder,
+        _sign_table,
+        _swap_selectors,
+    )
+
+    for k in range(1, 6):
+        selectors = _swap_selectors(k)
+        for sign_arrays in (list(itertools.product("+-", repeat=k)), [("+",) * k]):
+            table = _sign_table(sign_arrays)
+            for mu in enumerate_mus(k):
+                order = _preorder(mu)[1]
+                read = itemgetter(*order)
+                in_preorder = read if k > 1 else lambda sgn: (read(sgn),)  # a bare sign at k = 1
+                tamed = _MapProfile(mu).sign_sets(table)[0]
+                classes = _class_bits(tamed, _class_swaps(order, selectors))
+                expected = {sign_arrays.index(in_preorder(sign_arrays[n])) for n in _bits(tamed)}
+                assert set(_bits(classes)) == expected, (mu, sign_arrays[0])
+    assert itemgetter(*_preorder((1,))[1])(("-",)) == "-"
+    assert _class_bits(0b11, _class_swaps([0], _swap_selectors(1))) == 0b11
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_census_names_a_class_that_holds_two_tamed_pairs(monkeypatch, threads):
+    # one extra tamed pair at a map that is not the first of its shape, whose
+    # class's own tamed pair lies at a map of another of three chunks: with
+    # three workers only the merge sees the class met twice.  Two workers
+    # never split a shape: a KM move keeps the parity of mu's entry sum,
+    # which fixes the parity of the map's place in enumeration order
+    import os
+
+    import oracles
+    from kmboard import counting
+    from kmboard.trees import skeleton_key
+
+    mus = list(enumerate_mus(4))
+    firsts = {}
+    for mu in mus:
+        firsts.setdefault(skeleton_key(mu), mu)
+    tamed_at = {
+        skeleton_key(p.mu, p.sgn): mus.index(p.mu)
+        for p in enumerate_pairs(4, signed=True)
+        if is_tamed(p)
+    }
+    target = next(
+        (p.mu, p.sgn)
+        for p in enumerate_pairs(4, signed=True)
+        if p.mu not in firsts.values()
+        and not is_tamed(p)
+        and tamed_at[skeleton_key(p.mu, p.sgn)] % 3 != mus.index(p.mu) % 3
+    )
+    target_bit = 1 << list(itertools.product("+-", repeat=4)).index(target[1])
+
+    class OneMoreTamed(counting._MapProfile):
+        def __init__(self, mu):
+            super().__init__(mu)
+            self.mu = mu
+
+        def sign_sets(self, table):
+            tamed, references = super().sign_sets(table)
+            if self.mu == target[0]:
+                return tamed | target_bit, references
+            return tamed, references
+
+    per_array = oracles.tamed
+
+    def tamed_and_target(profile, sgn):
+        return (profile.mu, tuple(sgn)) == target or per_array(profile, sgn)
+
+    monkeypatch.setattr(counting, "_MapProfile", OneMoreTamed)
+    monkeypatch.setattr(oracles, "_MapProfile", OneMoreTamed)
+    monkeypatch.setattr(oracles, "tamed", tamed_and_target)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(CensusViolation) as expected:
+        oracles.signed_class_table_census(4)
+    with pytest.raises(CensusViolation) as got:
+        census(4, threads=threads)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith("holds 2 tamed pairs")
 
 
 def test_census_checks_class_sizes_against_td(monkeypatch):

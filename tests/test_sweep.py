@@ -342,6 +342,24 @@ def test_a_piece_wrong_off_the_identity_fails_mass(capsys, monkeypatch):
     assert results == {"mass": "fail"}
 
 
+def test_a_reduction_to_arrays_that_are_not_a_map_fails_without_a_traceback(capsys, monkeypatch):
+    # the round-trip diagnosis must not build a profile of arrays outside the maps
+    def last_entry_out_of_range(original):
+        def reduced(mu, sgn, groups):
+            ref_mu, ref_sgn, image = original(mu, sgn, groups)
+            return ref_mu[:-1] + (2 * len(mu),), ref_sgn, image
+
+        return reduced
+
+    monkeypatch.setattr(
+        canonical, "_reference_arrays", last_entry_out_of_range(canonical._reference_arrays)
+    )
+    code, fail, results = _verify(capsys, "--k", "3", "--check", "reference-unique")
+    assert code == 1
+    assert fail == "k=1: mu=1 sgn=+ reduces to mu=2 sgn=+, not a reference pair FAIL"
+    assert results == {"reference-unique": "fail"}
+
+
 def test_a_planted_defect_prints_the_same_with_two_workers(capsys, monkeypatch):
     # workers fork with the defect in place; each chunk keeps its earliest
     # failure and the merge keeps the earliest of those
