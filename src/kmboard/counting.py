@@ -9,13 +9,16 @@ shape has maps, and no pair needs a look of its own.  One profile per
 map gives its tamed and reference sign arrays as two bitmasks; the
 tamed mask, its index bits permuted into preorder, is one bit per
 signed class, folded into an int per shape with a second int for the
-classes met twice.  T_R is built once per split of the signs over its
-left branches.  Every
+classes met twice, and with the set of its tamed maps' td hook counts.
+T_R is built once per split of the signs over its left branches.  Every
 counting claim is cross-checked against that table: class totals
 against the Catalan numbers, one tamed pair per signed class, each
 class as large as the hook count of its tamed member's td, the
-linear-extension mass identity.  Unsigned mode is the same fold over
-the all-plus sign array alone.  All integers are exact.
+linear-extension mass identity.  A failing shape is walked again to
+name its witness, so chunks merge in any order.  Unsigned mode is the
+same fold over the all-plus sign array alone.  All integers are exact.
+:func:`_fold_maps` is the one walk over an order's maps, shared with
+``kmboard.verify``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import itemgetter
 
 from .canonical import _bits, _MapProfile, _sign_table
@@ -126,22 +129,43 @@ def _class_bits(mask, swaps) -> int:
     return mask
 
 
+def _fold_slice(k, i, n, fn, *args):
+    """``fn`` over every n-th map of order k from the i-th: one worker's share."""
+    return fn(islice(enumerate_mus(k), i, None, n), *args)
+
+
+def _fold_maps(k, threads, fn, *args) -> list:
+    """``fn(maps, *args)`` per chunk of the maps of order k, as a list.
+
+    Worker i of n = min(threads, (2k-1)!!, CPUs) enumerates every n-th
+    map from the i-th itself, so no map list is pickled; with n < 2 the
+    one chunk is folded here."""
+    n = min(threads, double_factorial_odd(k), os.cpu_count() or 1)
+    if n < 2:
+        return [fn(enumerate_mus(k), *args)]
+    import multiprocessing
+
+    # forked workers share the parent's code as it stands
+    with multiprocessing.Pool(n) as pool:
+        return pool.starmap(_fold_slice, [(k, i, n, fn, *args) for i in range(n)])
+
+
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
-    The table maps each shape to ``[maps, acc, twice, [(map, a tamed
-    sign array, td hook count)]]``, one triple per map that holds a
-    tamed pair.  ``acc`` and ``twice`` have one bit per signed class of
-    the shape, numbered as ``sign_arrays`` (class c holds the pairs
-    whose signs in preorder are ``sign_arrays[c]``): the classes met by
-    a tamed pair, and those met by two (every bit, -1, once a tamed
-    map's preorder is no permutation of the sign indices).  The second
-    dict maps each reference pair to its extension count; the int
-    counts the tamed pairs.  :meth:`_MapProfile.sign_sets` gives a
-    map's tamed and reference arrays as bitmasks over ``sign_arrays``,
-    read in list order, and :func:`_class_swaps` (memoised per
-    preorder) permutes the tamed mask into class bits.  T_R and its
-    mass are built once per :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
+    The table maps each shape to ``[maps, acc, twice, tds]``.  ``acc``
+    and ``twice`` have one bit per signed class of the shape, numbered
+    as ``sign_arrays`` (class c holds the pairs whose signs in preorder
+    are ``sign_arrays[c]``): the classes met by a tamed pair, and those
+    met by two (every bit, -1, once a tamed map's preorder is no
+    permutation of the sign indices).  ``tds`` holds the td hook counts
+    of the maps that hold a tamed pair.  The second dict maps each
+    reference pair to its extension count; the int counts the tamed
+    pairs.  :meth:`_MapProfile.sign_sets` gives a map's tamed and
+    reference arrays as bitmasks over ``sign_arrays``, read in list
+    order, and :func:`_class_swaps` (memoised per preorder) permutes
+    the tamed mask into class bits.  T_R and its mass are built once per
+    :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
     table, refs)`` sees each map's references, ``refs`` mapping their
     bits to (sgn, T_R, mass); ``census=False`` leaves both dicts empty.
     """
@@ -156,7 +180,7 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
             shape, order = _preorder(mu)
             entry = table.get(shape)
             if entry is None:
-                entry = table[shape] = [0, 0, 0, []]
+                entry = table[shape] = [0, 0, 0, set()]
             entry[0] += 1
         profile = _MapProfile(mu)
         tamed, references = profile.sign_sets(signs)
@@ -174,8 +198,7 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
                 classes = _class_bits(tamed, swaps)
                 entry[2] |= entry[1] & classes
                 entry[1] |= classes
-            sgn = sign_arrays[next(_bits(tamed))]
-            entry[3].append((mu, sgn, _hook_count(_attached_parents(mu, mu))))
+            entry[3].add(_hook_count(_attached_parents(mu, mu)))
             mu_text = f"mu={','.join(map(str, mu))} sgn="
         key, wholes, refs = _tr_key(profile.multi), {}, {}
         for n in _bits(references):
@@ -195,51 +218,58 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
 
 
 def _merge_chunks(parts: list[tuple[dict, dict, int]]) -> tuple[dict, dict]:
-    """One table and mass dict from the chunks; a class met in two chunks is met twice."""
+    """One table and mass dict from chunks in any order; a class met in two is met twice."""
     table, masses, _ = parts[0]
     for part_table, part_masses, _ in parts[1:]:
-        for shape, (maps, acc, twice, held) in part_table.items():
-            entry = table.setdefault(shape, [0, 0, 0, []])
+        for shape, (maps, acc, twice, tds) in part_table.items():
+            entry = table.setdefault(shape, [0, 0, 0, set()])
             entry[0] += maps
             entry[2] |= twice | entry[1] & acc
             entry[1] |= acc
-            entry[3] += held
+            entry[3] |= tds
         masses.update(part_masses)
     return table, masses
 
 
-def _shape_tamed_signs(k, shape, sign_arrays) -> tuple[tuple, Counter]:
-    """The first map of ``shape`` and its tamed members' signs in preorder,
-    counted, by a second walk over the maps of order k: the census's
-    witness when a shape fails.  Raises :class:`CensusViolation` naming
-    a map of the shape whose preorder is not a permutation of the sign
-    indices."""
-    first, counts = None, Counter()
+def _name_witness(k, table, sign_arrays) -> None:
+    """Raise :class:`CensusViolation` if a shape fails the class clause (one
+    tamed pair per class) or, if none does, the size clause (each tamed
+    map's td hook count is the shape's map count).  A second walk in
+    enumeration order names the witness, whatever chunks the fold made:
+    the first failing shape by its first map, then its first class (in
+    the order the fold met them) or its first tamed map that fails."""
+    full = (1 << len(sign_arrays)) - 1
+    by_class = {shape for shape, (_, acc, twice, _) in table.items() if acc != full or twice}
+    failing = by_class or {shape for shape, (maps, *_, tds) in table.items() if tds != {maps}}
+    if not failing:
+        return
+    first, shape, counts = None, None, Counter()
     signs = _sign_table(sign_arrays)
     for mu in enumerate_mus(k):
         this, order = _preorder(mu)
-        if this == shape:
-            if sorted(order) != list(range(k)):
-                raise CensusViolation(
-                    f"preorder of mu={mu} reads sign indices {order}, not each of 0..{k - 1} once"
-                )
-            first = first or mu
-            tamed = _MapProfile(mu).sign_sets(signs)[0]
-            tamed_signs = [sign_arrays[n] for n in _bits(tamed)]
+        if shape is None and this in failing:
+            shape, maps = this, table[this][0]
+        if this != shape:
+            continue
+        if by_class and sorted(order) != list(range(k)):
+            raise CensusViolation(
+                f"preorder of mu={mu} reads sign indices {order}, not each of 0..{k - 1} once"
+            )
+        first = first or mu
+        tamed = _MapProfile(mu).sign_sets(signs)[0]
+        tamed_signs = [sign_arrays[n] for n in _bits(tamed)]
+        if by_class:
             counts.update(map(itemgetter(*order), tamed_signs))  # a bare sign when k = 1
-    return first, counts
-
-
-def _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays) -> None:
-    """Raise naming the first class of ``first``'s shape, in the order
-    the fold met them, whose tamed-pair count is not 1."""
+        elif tamed and (td := _hook_count(_attached_parents(mu, mu))) != maps:
+            text = f"class of mu={mu} sgn={''.join(tamed_signs[0])} holds {maps} pairs"
+            raise CensusViolation(f"{text} != td hook count {td}")
     signs_in_preorder = itemgetter(*_preorder(first)[1])
     for sgn in sign_arrays:
-        n = tamed_signs[signs_in_preorder(sgn)]
+        n = counts[signs_in_preorder(sgn)]
         if n != 1:
             raise CensusViolation(f"class of mu={first} sgn={''.join(sgn)} holds {n} tamed pairs")
     raise CensusViolation(
-        f"shape of mu={first} has {len(tamed_signs)} signed classes with a tamed pair, "
+        f"shape of mu={first} has {len(counts)} signed classes with a tamed pair, "
         f"not {len(sign_arrays)}"
     )
 
@@ -254,11 +284,12 @@ def census(
     an all-plus pair all-plus, so its classes are the unsigned classes
     and every claim holds with 2^k replaced by 1: catalan(k) classes,
     one tamed pair in each, reference masses summing to (2k-1)!!.
-    ``threads`` worker processes fold the maps, at most one per CPU and
-    per map.  ``chunks`` hands over the :func:`_census_chunk` folds of a
-    walk over every map that the caller has made (``kmboard.verify``
+    :func:`_fold_maps` splits the maps over at most ``threads`` worker
+    processes.  ``chunks`` hands over the :func:`_census_chunk` folds of
+    a walk over every map that the caller has made (``kmboard.verify``
     makes one per order), and only the claims are checked here.  Raises
-    :class:`CensusViolation` naming a witness if any claim fails.
+    :class:`CensusViolation` naming a witness if any claim fails; the
+    witness does not depend on how the maps were split.
     """
     if k > cap:
         raise CapExceeded(f"census k={k} exceeds cap {cap}")
@@ -270,16 +301,7 @@ def census(
     expected_total = double_factorial_odd(k) * n_signs
 
     if chunks is None:
-        mus = list(enumerate_mus(k))
-        workers = min(threads, len(mus), os.cpu_count() or 1)
-        if workers > 1:
-            import multiprocessing
-
-            args = [(mus[i::workers], sign_arrays) for i in range(workers)]
-            with multiprocessing.Pool(workers) as pool:
-                chunks = pool.starmap(_census_chunk, args)
-        else:
-            chunks = [_census_chunk(mus, sign_arrays)]
+        chunks = _fold_maps(k, threads, _census_chunk, sign_arrays)
     table, masses = _merge_chunks(chunks)
 
     total = sum(entry[0] for entry in table.values()) * n_signs
@@ -287,18 +309,7 @@ def census(
         raise CensusViolation(f"{mode} total {total} != (2k-1)!! {times} = {expected_total}")
     if len(table) != cat:
         raise CensusViolation(f"unsigned class count {len(table)} != {cat}")
-    full = (1 << n_signs) - 1
-    for shape, (_, acc, twice, _) in table.items():
-        if acc != full or twice:
-            first, tamed_signs = _shape_tamed_signs(k, shape, sign_arrays)
-            _name_class_without_one_tamed_pair(first, tamed_signs, sign_arrays)
-    for maps, _, _, held in table.values():
-        for mu, sgn, td in held:
-            if td != maps:
-                raise CensusViolation(
-                    f"class of mu={mu} sgn={''.join(sgn)} holds {maps} pairs "
-                    f"!= td hook count {td}"
-                )
+    _name_witness(k, table, sign_arrays)
     mass_total = sum(masses.values())
     if mass_total != expected_total:
         raise CensusViolation(

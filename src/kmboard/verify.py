@@ -7,13 +7,13 @@ raises :class:`CheckFailed` with the failure line, which
 reference-unique, compat and mass read one :class:`_Fold` per order: a
 walk of the map and sign arrays for the census table, the tamed count,
 and the reference pairs' orbits and simplex partitions.
-Domain-bijection walks each map's relabelings as position arrays.
+Domain-bijection walks each map's relabelings as position arrays.  Both
+walks go through ``counting._fold_maps``.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from functools import cache
 
@@ -26,7 +26,6 @@ from .pairs import (
     CollapsingPair,
     _check_pair,
     double_factorial_odd,
-    enumerate_mus,
     enumerate_pairs,
     random_pair,
 )
@@ -133,7 +132,7 @@ def _uncovered(k) -> str | None:
 
 
 class _Fold:
-    """A walk over maps of order k for the named clause groups.
+    """A walk over one chunk of ``counting._fold_maps`` for the named clause groups.
 
     ``counting._census_chunk`` counts the tamed pairs, builds the census
     table if ``census`` is named, and hands each map's references to
@@ -147,6 +146,8 @@ class _Fold:
     image fixes every one-member index.  Partition runs per split, compat
     per reference.  ``failures`` keeps each group's first failure as (mu,
     sgn, line); an orbit failure fails every wild check and stops the walk.
+    Maps compare in enumeration order, so the earliest over the chunks is
+    the one walk's first, whatever the split.
     """
 
     def __init__(self, k, groups):
@@ -197,7 +198,7 @@ class _Fold:
         return self
 
 
-def _walk(k, groups, mus) -> _Fold:
+def _walk(mus, k, groups) -> _Fold:
     """Fold a run of maps of order k (a chunk) for the clause groups."""
     fold = _Fold(k, groups)
     wild = fold if groups - {"census"} else None
@@ -222,29 +223,17 @@ class VerifyRun:
 
     ``fold(k)`` walks the maps of order k once, on first use, for every
     clause group the run's checks read, and keeps the result for the
-    run.  With several workers the maps are split as ``counting.census``
-    splits them, over one pool per call; :meth:`close` stops it.
+    run.  ``counting._fold_maps`` splits the maps over at most
+    ``threads`` workers, as for the census and domain-bijection.
     """
 
     def __init__(self, names, seed: int, threads: int):
-        self.seed = seed
+        self.seed, self.threads = seed, threads
         self.groups = frozenset(g for name in names for g in GROUPS.get(name, ()))
-        self.workers = min(threads, os.cpu_count() or 1)
-        self._pool = None
         self.fold = cache(self._fold)
 
     def _fold(self, k: int) -> _Fold:
-        mus = list(enumerate_mus(k))
-        n = min(self.workers, len(mus))
-        if n > 1:
-            if self._pool is None:
-                import multiprocessing
-
-                # as counting.census: forked workers share the parent's code as it stands
-                self._pool = multiprocessing.Pool(self.workers)
-            parts = self._pool.starmap(_walk, [(k, self.groups, mus[i::n]) for i in range(n)])
-        else:
-            parts = [_walk(k, self.groups, mus)]
+        parts = counting._fold_maps(k, self.threads, _walk, k, self.groups)
         fold = parts[0]
         chunks = [part.census for part in parts]
         for part in parts[1:]:
@@ -269,9 +258,6 @@ class VerifyRun:
 
     def close(self) -> None:
         self.fold.cache_clear()  # the cache refers back to the run
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
 
 
 def _check_catalan(k, run, lines) -> None:
@@ -312,38 +298,39 @@ def _tree_parents(k, mu) -> list:
     return up
 
 
-def _bijection_failure(k, mu) -> str | None:
-    """Which clause fails between the relabelings and td of the map, or None.
+def _bijection_failure(mus, k) -> tuple[tuple, str] | None:
+    """The first map of a run whose relabelings and td differ, and the clause that fails.
 
     rho in Sigma ranks the tree's nodes topologically, and its simplex
     puts t_{2j+1} where rho puts node 2j, so each walked position array
     is one simplex, indexed by td label >> 1.
     """
-    td = domains._attached_parents(mu, mu)
-    covers = [(p >> 1, x >> 1) for x, p in td.items() if p is not None]
-    orders = set()
-    n = 0
-    holds = True
-    for pos in domains._extension_walk(_tree_parents(k, mu)):
-        orders.add(tuple(pos))
-        n += 1
-        for p, x in covers:
-            if pos[p] > pos[x]:
-                holds = False
-    if len(orders) != n:
-        return "duplicate induced order"
-    # distinct orders of td, as many as its hook count, are all of them
-    if not holds or n != domains._hook_count(td):
-        return "order sets differ"
+    for mu in mus:
+        td = domains._attached_parents(mu, mu)
+        covers = [(p >> 1, x >> 1) for x, p in td.items() if p is not None]
+        orders = set()
+        n = 0
+        holds = True
+        for pos in domains._extension_walk(_tree_parents(k, mu)):
+            orders.add(tuple(pos))
+            n += 1
+            for p, x in covers:
+                if pos[p] > pos[x]:
+                    holds = False
+        if len(orders) != n:
+            return mu, "duplicate induced order"
+        # distinct orders of td, as many as its hook count, are all of them
+        if not holds or n != domains._hook_count(td):
+            return mu, "order sets differ"
     return None
 
 
 def _check_domain_bijection(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        for mu in enumerate_mus(kk):
-            failure = _bijection_failure(kk, mu)
-            if failure:
-                raise CheckFailed(f"k={kk}: {failure} for {CollapsingPair(kk, mu, ('+',) * kk)}")
+        failures = [f for f in counting._fold_maps(kk, run.threads, _bijection_failure, kk) if f]
+        if failures:  # maps compare in enumeration order, so this is the first failing map
+            mu, failure = min(failures)
+            raise CheckFailed(f"k={kk}: {failure} for {CollapsingPair(kk, mu, ('+',) * kk)}")
         lines.append(f"k={kk}: relabelings <-> linear extensions, exhaustively OK")
     rng = random.Random(run.seed)
     for _ in range(200):

@@ -127,6 +127,66 @@ def test_census_starts_at_most_one_worker_per_cpu_and_per_map(monkeypatch, cpus,
     assert sizes == workers  # k=2 has 3 maps
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A fake ``multiprocessing.Pool`` that runs the chunks here; it records
+    each pool size it is asked for and the argument tuples it is handed."""
+    import multiprocessing
+
+    seen = {"sizes": [], "args": []}
+
+    class InProcessPool:
+        def __init__(self, processes):
+            seen["sizes"].append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def starmap(self, fn, args):
+            seen["args"] += args
+            return list(itertools.starmap(fn, args))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return seen
+
+
+def test_the_walker_deals_every_nth_map_from_the_ith(monkeypatch, in_process_pool):
+    import os
+
+    from kmboard import counting
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for k in range(1, 6):
+        mus = list(enumerate_mus(k))
+        for threads in range(1, 5):
+            n = min(threads, len(mus))
+            assert counting._fold_maps(k, threads, list) == [mus[i::n] for i in range(n)]
+    assert in_process_pool["sizes"] == [2, 3, 3] + [2, 3, 4] * 3  # k=2 has 3 maps
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2), (None, None)])
+def test_verify_starts_at_most_one_worker_per_cpu_and_per_map(
+    monkeypatch, in_process_pool, cpus, workers
+):
+    # the census fold and domain-bijection each walk order 2 (3 maps) on
+    # one pool; order 1 has one map and starts none
+    import os
+
+    from kmboard import verify
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    names = list(verify.CHECKS)
+    pooled = verify.run_checks(names, 2, 0, threads=10_000)
+    assert in_process_pool["sizes"] == ([workers] * 2 if workers else [])
+    assert pooled == verify.run_checks(names, 2, 0, threads=1)
+    maps = set(enumerate_mus(1)) | set(enumerate_mus(2))
+    for args in in_process_pool["args"]:  # each worker enumerates its own maps
+        assert not any(isinstance(a, (list, tuple)) and maps & set(a) for a in args), args
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 def test_unsigned_census_is_the_all_plus_slice_of_the_signed_census(k):
     # verify's catalan check reads the signed census alone
@@ -353,6 +413,42 @@ def test_census_checks_class_sizes_against_td(monkeypatch):
     size_message = r"class of mu=\(.*\) sgn=[+-]{3} holds \d+ pairs != td hook count \d+"
     with pytest.raises(CensusViolation, match=size_message):
         census(3)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_census_witness_does_not_depend_on_the_threads(capsys, monkeypatch, threads):
+    # the first failing shape by its first map, whatever chunks hold its maps:
+    # every pair planted as tamed fails the class clause, and td broken at
+    # (1, 1, 2) and (1, 1, 4), a chunk apart at three workers, the size clause
+    import os
+
+    from kmboard import canonical, counting
+    from kmboard.cli import main
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sign_sets, parents = canonical._MapProfile.sign_sets, counting._attached_parents
+
+    def all_tamed(self, table):
+        return table[0], sign_sets(self, table)[1]
+
+    def broken_td(mu, keys):
+        broken = keys is mu and mu in ((1, 1, 2), (1, 1, 4))
+        return parents(mu, range(len(mu)) if broken else keys)
+
+    planted = [
+        (canonical._MapProfile, "sign_sets", all_tamed, "holds 2 tamed pairs"),
+        (counting, "_attached_parents", broken_td, "holds 2 pairs != td hook count 3"),
+    ]
+    for owner, name, defect, text in planted:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, defect)
+            with pytest.raises(CensusViolation) as got:
+                census(3, threads=threads)
+            assert str(got.value) == f"class of mu=(1, 1, 2) sgn=+++ {text}"
+            for n in ("1", "2"):
+                assert main(["verify", "--k", "3", "--check", "tamed-unique", "--threads", n]) == 1
+                fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+                assert fails == [f"k=3: {got.value} FAIL"]
 
 
 def test_census_tamedness_agrees_with_literal_predicate():
