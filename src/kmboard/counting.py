@@ -274,9 +274,7 @@ def _name_witness(k, table, sign_arrays) -> None:
     )
 
 
-def census(
-    k: int, signed: bool = True, cap: int = CENSUS_CAP, threads: int = 1, chunks=None
-) -> CensusReport:
+def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> CensusReport:
     """Fold all pairs of order k into their skeleton classes and verify.
 
     Signed mode folds every map with every sign array; unsigned mode
@@ -291,8 +289,8 @@ def census(
     :class:`CensusViolation` naming a witness if any claim fails; the
     witness does not depend on how the maps were split.
     """
-    if k > cap:
-        raise CapExceeded(f"census k={k} exceeds cap {cap}")
+    if k > CENSUS_CAP:
+        raise CapExceeded(f"census k={k} exceeds cap {CENSUS_CAP}")
     start = time.monotonic()
     sign_arrays = list(product("+-", repeat=k)) if signed else [("+",) * k]
     mode, times = ("signed", "2^k") if signed else ("unsigned", "2^0")

@@ -2,10 +2,10 @@
 
 The quinary Duhamel tree of a pair drives everything here: its edges
 give the compatible time domain, its leaf pattern the marking and the
-estimate bookkeeping, and a leaf-to-root recursion the symbolic kernel
-of the expansion.  Kernels are expressions over one profile atom
-``phi``, complex conjugation, free propagators, and commutative
-products.
+estimate bookkeeping, and one pass down its labels (children before
+parents) the symbolic kernel of the expansion.  Kernels are
+expressions over one profile atom ``phi``, complex conjugation, free
+propagators, and commutative products.
 
 ``Evolve(a, b, e)`` stands for ``exp(i(t_a - t_b) Lap) e``; either
 endpoint may be absent while a term is under construction (``U_{+a}``
@@ -13,8 +13,8 @@ or ``U_{-b}``), and composition merges matching endpoints, so absent
 slots never survive to a finished kernel.  Conjugating a propagator
 flips its orientation: ``conj(U_{a,b} e) = U_{b,a} conj(e)``.
 
-Two independent routes compute the same kernel: :func:`expand` runs the
-tree recursion, :func:`expand_oracle` replays the operator product
+Two independent routes compute the same kernel: :func:`expand` builds it
+on the tree, :func:`expand_oracle` replays the operator product
 coordinate by coordinate.  Both leave the profile fixed at the final
 time.  Each node computes its serialization ``key`` once and keeps it
 (equal keys <=> equal expressions), so sorting the factors of nested
@@ -23,7 +23,7 @@ products in :func:`normalize` serializes no subtree twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -312,14 +312,7 @@ def mark_dtree(dtree: DTree) -> DTree:
     for l in range(1, dtree.k):
         if dtree.has_f_child(2 * l):
             marks.setdefault(2 * l, set()).add("phi")
-    return DTree(
-        dtree.k,
-        dtree.sign,
-        dtree.root,
-        dtree.kids,
-        dtree.parent,
-        {x: frozenset(s) for x, s in marks.items()},
-    )
+    return replace(dtree, marks={x: frozenset(s) for x, s in marks.items()})
 
 
 # -- estimate schedule -------------------------------------------------------
@@ -390,48 +383,50 @@ def estimate_schedule(dtree: DTree) -> EstimateSchedule:
     )
 
 
-# -- expansion: tree recursion -----------------------------------------------
-
-
-def _leaf_expr(leaf: FLeaf, final: int) -> SymExpr:
-    base = evolve(None, final, Atom())
-    return conj(base) if leaf.sign == "-" else base
-
-
-def _node_expr(dtree: DTree, x, final: int) -> SymExpr:
-    if isinstance(x, FLeaf):
-        return _leaf_expr(x, final)
-    t = x + 1
-    c = [_node_expr(dtree, child, final) for child in dtree.kids[x]]
-    if dtree.sign[(x - 2) // 2] == "+":
-        factors = [
-            evolve(t, None, c[0]),
-            evolve(t, None, c[1]),
-            conj(evolve(t, None, conj(c[2]))),
-            evolve(t, None, c[3]),
-            conj(evolve(t, None, conj(c[4]))),
-        ]
-        return evolve(None, t, prod(factors))
-    factors = [
-        evolve(t, None, conj(c[0])),
-        conj(evolve(t, None, c[1])),
-        evolve(t, None, conj(c[2])),
-        conj(evolve(t, None, c[3])),
-        evolve(t, None, conj(c[4])),
-    ]
-    return conj(evolve(None, t, prod(factors)))
+# -- expansion: one pass down the labels ------------------------------------
 
 
 def expand_display(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
     """Kernel pair with product factors kept in child-slot order.
 
     Same rewrites as :func:`normalize` except product sorting, so the
-    text rendering lines up with the worked expansions.
+    text rendering lines up with the worked expansions.  Every slot
+    holds a larger label than its coupling, so one pass over the labels
+    2k, 2k-2, ..., 2 builds each node's kernel after its children's,
+    at any depth.  A leaf's kernel depends only on its sign: the two
+    are built once and shared by every leaf slot.
     """
     dtree = build_dtree(pair)
-    final = 2 * pair.k + 1
-    left = evolve(1, None, _node_expr(dtree, dtree.root[0], final))
-    right = conj(evolve(1, None, conj(_node_expr(dtree, dtree.root[1], final))))
+    leaf = evolve(None, 2 * pair.k + 1, Atom())
+    leaf_of = {"+": leaf, "-": conj(leaf)}
+    kernel = {}
+
+    def of(child):
+        return leaf_of[child.sign] if isinstance(child, FLeaf) else kernel[child]
+
+    for x in range(2 * pair.k, 0, -2):
+        t = x + 1
+        c = [of(child) for child in dtree.kids[x]]
+        if dtree.sign[(x - 2) // 2] == "+":
+            factors = [
+                evolve(t, None, c[0]),
+                evolve(t, None, c[1]),
+                conj(evolve(t, None, conj(c[2]))),
+                evolve(t, None, c[3]),
+                conj(evolve(t, None, conj(c[4]))),
+            ]
+            kernel[x] = evolve(None, t, prod(factors))
+        else:
+            factors = [
+                evolve(t, None, conj(c[0])),
+                conj(evolve(t, None, c[1])),
+                evolve(t, None, conj(c[2])),
+                conj(evolve(t, None, c[3])),
+                evolve(t, None, conj(c[4])),
+            ]
+            kernel[x] = conj(evolve(None, t, prod(factors)))
+    left = evolve(1, None, of(dtree.root[0]))
+    right = conj(evolve(1, None, conj(of(dtree.root[1]))))
     return left, right
 
 
@@ -454,7 +449,7 @@ def expand_oracle(pair: CollapsingPair, trace: bool = False):
     plus per-coupling snapshots when ``trace`` is set.
     """
     k = pair.k
-    coords = {i: (Atom(), conj(Atom())) for i in range(1, 2 * k + 2)}
+    coords = dict.fromkeys(range(1, 2 * k + 2), (Atom(), conj(Atom())))
     snapshots = []
     for j in range(k, 0, -1):
         s = pair.mu[j - 1]
@@ -492,17 +487,12 @@ def _render_group(base: SymExpr, plain: int, conjd: int) -> str:
 
 
 def _product_groups(factors) -> list[str]:
-    order: list[tuple[SymExpr, str]] = []
-    plain: dict[str, int] = {}
-    conjd: dict[str, int] = {}
+    groups: dict[str, list] = {}  # base key -> [base, plain count, conjugated count]
     for f in factors:
-        base = f.body if isinstance(f, Conj) else f
-        key = base.key
-        if key not in plain and key not in conjd:
-            order.append((base, key))
-        bucket = conjd if isinstance(f, Conj) else plain
-        bucket[key] = bucket.get(key, 0) + 1
-    return [_render_group(base, plain.get(key, 0), conjd.get(key, 0)) for base, key in order]
+        conjd = isinstance(f, Conj)
+        base = f.body if conjd else f
+        groups.setdefault(base.key, [base, 0, 0])[1 + conjd] += 1
+    return [_render_group(*group) for group in groups.values()]
 
 
 def render_expr(e: SymExpr) -> str:
@@ -556,17 +546,16 @@ class IntegratedExpansion:
     outer: tuple
 
     def render_text(self) -> str:
-        dtree = build_dtree(self.pair)
+        """Integrals outermost first, by depth then label, over the expansion.
+
+        A coupling's depth is read off its upper bound: t_{p+1} names
+        its parent p, and t_1 the top node.  Parents carry smaller
+        labels than their children, so one ascending pass finds all.
+        """
         depth = {}
-        for child in dtree.root:
-            if not isinstance(child, FLeaf):
-                stack = [(child, 1)]
-                while stack:
-                    x, d = stack.pop()
-                    depth[x] = d
-                    for c in dtree.kids[x]:
-                        if not isinstance(c, FLeaf):
-                            stack.append((c, d + 1))
+        for x in sorted(self.bounds):
+            upper = self.bounds[x][1]
+            depth[x] = 1 if upper == 1 else depth[upper - 1] + 1
         var, lo, hi = self.outer
         pieces = [f"Int[t{var}:0..t{hi}]"]
         for x in sorted(self.bounds, key=lambda x: (depth[x], x)):

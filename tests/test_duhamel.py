@@ -219,6 +219,23 @@ def test_oracle_trace_reproduces_printed_intermediates():
     assert render_expr(after7[6][1]) == "conj(U_{7,15}(|phi|^4phi))"
 
 
+def test_expand_display_builds_a_middle_chain_a_thousand_deep():
+    # mu = 1,2,4,...,2k-2: each coupling sits in its parent's (2j, +) slot,
+    # the second of five.  Walked by hand: equality, hash and repr recurse.
+    k = 1000
+    left, right = expand_display(validate_pair(k, (1,) + tuple(range(2, 2 * k - 1, 2)), "+" * k))
+    assert (type(left), type(right)) == (Evolve, Conj)
+    e, products = left, 0
+    while True:
+        while isinstance(e, (Evolve, Conj)):
+            e = e.body
+        if not isinstance(e, Prod):
+            break
+        products += 1
+        e = e.factors[1]
+    assert products == k
+
+
 def test_expand_equals_oracle_small_and_random():
     for k in (1, 2, 3):
         for p in enumerate_pairs(k, signed=True):
@@ -437,6 +454,17 @@ def test_integrated_bounds_of_quintic_example():
     }
     text = integrated.render_text()
     assert text.startswith("Int[t15:0..t1] Int[t3:0..t1] Int[t7:t15..t1]")
+
+
+def test_integrals_render_in_depth_then_label_order():
+    rng = random.Random(30)
+    pairs = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]
+    pairs += [random_pair(rng.randint(1, 30), rng) for _ in range(100)]
+    for p in pairs:
+        ancestors = build_dtree(p).ancestors
+        head = integrated_expand(p).render_text().split("\n", 1)[0].split(" ")
+        labels = [int(piece[len("Int[t") : piece.index(":")]) - 1 for piece in head[1:]]
+        assert labels == sorted(range(2, 2 * p.k, 2), key=lambda x: (len(ancestors(x)) + 1, x))
 
 
 def test_integrated_bounds_smallest():
