@@ -1,8 +1,6 @@
-"""Tier values, the tamed and reference predicates, and the reductions.
+"""The tamed and reference predicates, and the reductions.
 
-Tier t(2j) is the number of mu-iterations from 2j down to 1 (equal to
-the count of M/R edges on the tree path to node 1, the root edge
-included).  A tamed pair is the unique member of its signed-KM class
+A tamed pair is the unique member of its signed-KM class
 satisfying the four ordering clauses of :class:`_MapProfile`; a reference
 pair is a tamed pair whose left branches list all + nodes before all -
 nodes.  Both are one bitmask test, :meth:`_MapProfile.sign_sets`, on
@@ -22,18 +20,6 @@ from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enum
 from .trees import echelon_labeling, tamed_labeling, tree_from_pair
 
 
-def _tiers(mu) -> list[int]:
-    """t(2j) for j = 1..k, in label order.
-
-    mu(2j) < 2j, so the tier of mu(2j) (that of its even mate when odd)
-    is already known when 2j is reached.
-    """
-    tiers: list[int] = []
-    for v in mu:
-        tiers.append(1 if v == 1 else tiers[(v - 2) // 2] + 1)
-    return tiers
-
-
 class _MapProfile:
     """What the tamed and reference tests reuse across a map's sign arrays.
 
@@ -46,51 +32,103 @@ class _MapProfile:
     Nodes hanging off 1 carry no m2 or s, so clauses 3 and 4 skip them.
     A pair is tamed when no two labels break a clause.
 
-    ``static_ok`` is False when a sign-independent clause fails.  The
-    sign index pairs (ia, ib) that clauses 3 and 4 compare are split in
-    two: ``equal_checks`` break a clause with equal signs, and
-    ``order_checks`` with - at ia and + at ib.  ``groups`` lists each
-    left branch's sign indices in order, ``multi`` those of two or more,
-    ``steps`` each adjacent pair.  :meth:`sign_sets` is the one tamed and
-    reference test, for one sign array or for many.
+    A profile grows one coupling at a time: ``_MapProfile(mu)`` folds
+    :meth:`_step` over mu, and :meth:`extended` adds one coupling to a
+    copy, so a walk over maps in order shares their common prefixes.
+    ``keys`` holds (t, m2, m) per label, t(2j) being the number of
+    mu-iterations from 2j down to 1 (the count of M/R edges on the tree
+    path to node 1, the root edge included), and ``tier_from`` indexes
+    the first label of the last tier.  ``static_ok`` is False
+    when a sign-independent clause fails.  The sign index pairs (ia, ib)
+    that clauses 3 and 4 compare are split in two: ``equal_checks``
+    break a clause with equal signs, and ``order_checks`` with - at ia
+    and + at ib; both are empty once ``static_ok`` is False.  ``groups``
+    lists each left branch's sign indices in order, ``multi`` those of
+    two or more, ``steps`` each adjacent pair, all three empty unless
+    ``static_ok``.  :meth:`sign_sets` is the one tamed and reference
+    test, for one sign array or for many.
     """
 
-    __slots__ = ("static_ok", "equal_checks", "order_checks", "groups", "multi", "steps")
+    __slots__ = (
+        "mu",
+        "keys",
+        "tier_from",
+        "static_ok",
+        "equal_checks",
+        "order_checks",
+        "groups",
+        "multi",
+        "steps",
+    )
 
     def __init__(self, mu: tuple):
+        self.mu = mu = tuple(mu)
+        self.keys, self.tier_from, self.static_ok = [], 0, True
+        self.equal_checks, self.order_checks = [], []
+        for jb in range(len(mu)):
+            self._step(jb)
+        self._branches()
+
+    def extended(self, v: int) -> "_MapProfile":
+        """The profile of this map with one more coupling, ``mu(2k+2) = v``."""
+        new = object.__new__(type(self))
+        new.mu, new.keys, new.tier_from = self.mu + (v,), self.keys.copy(), self.tier_from
+        new.static_ok, new.equal_checks = self.static_ok, self.equal_checks.copy()
+        new.order_checks = self.order_checks.copy()
+        new._step(len(self.mu))
+        new._branches()
+        return new
+
+    def _step(self, jb: int) -> None:
+        """Add label b = 2(jb+1) of ``mu`` to the profile of its first jb labels.
+
+        A clause that fails between two labels fails in every extension,
+        so a failed profile records only the key.  Otherwise tiers never
+        fall along the labels (clause 1), so b compares with the labels
+        of its own tier alone, ``keys[tier_from:]``, in label order.
+        """
+        mu, keys = self.mu, self.keys
+        v = mu[jb]
+        p = (v - 2) >> 1  # if v > 1: the sign index of b's parent, node v or v - 1
+        key = (1, 0, 1) if v == 1 else (keys[p][0] + 1, mu[p], v)
+        keys.append(key)
+        if not self.static_ok:
+            return
+        last = keys[jb - 1][0] if jb else 0
+        if key[0] > last:
+            self.tier_from = jb
+            return
+        if key[0] < last:
+            return self._fail()
+        m2b = key[1]
+        equal, order = [], []
+        for _, m2a, va in keys[self.tier_from : jb]:
+            if m2a != m2b:
+                if v < va:
+                    return self._fail()
+            elif va != 1:  # whole tier-1 branch: no sign clause applies
+                ia = (va - 2) >> 1
+                if v < va:
+                    equal.append((ia, p))
+                order.append((ia, p))
+        self.equal_checks += equal
+        self.order_checks += order
+
+    def _fail(self) -> None:
         self.static_ok = False
-        self.equal_checks: list[tuple[int, int]] = []
-        self.order_checks: list[tuple[int, int]] = []
-        self.groups: tuple = ()
-        self.multi: tuple = ()
-        self.steps: list[tuple[int, int]] = []
-        tiers = _tiers(mu)
-        keys = [(t, 0 if v == 1 else mu[(v - 2) // 2], v) for t, v in zip(tiers, mu)]
-        for jb in range(1, len(mu)):  # b = 2(jb+1), a ranges below it
-            tb, m2b, vb = keys[jb]
-            for ja in range(jb):
-                ta, m2a, va = keys[ja]
-                if tb < ta:
-                    return
-                if tb != ta:
-                    continue
-                if m2a != m2b:
-                    if vb < va:
-                        return
-                    continue
-                if va == 1:  # whole tier-1 branch: no sign clause applies
-                    continue
-                ia, ib = (va - 2) // 2, (vb - 2) // 2
-                if vb < va:
-                    self.equal_checks.append((ia, ib))
-                self.order_checks.append((ia, ib))
+        self.equal_checks, self.order_checks = [], []
+
+    def _branches(self) -> None:
+        """Set ``groups``, ``multi`` and ``steps`` from the map."""
+        self.groups = self.multi = self.steps = ()
+        if not self.static_ok:
+            return
         groups: dict[int, list[int]] = {}
-        for i, v in enumerate(mu):
+        for i, v in enumerate(self.mu):
             groups.setdefault(v, []).append(i)
-        self.groups = tuple(tuple(g) for g in groups.values())
+        self.groups = tuple(map(tuple, groups.values()))
         self.multi = tuple([g for g in self.groups if len(g) > 1])
-        self.steps = [step for g in self.groups for step in zip(g, g[1:])]
-        self.static_ok = True
+        self.steps = tuple([step for g in self.multi for step in zip(g, g[1:])])
 
     def sign_sets(self, table) -> tuple[int, int]:
         """The tamed and the reference arrays of a :func:`_sign_table` list, as bitmasks."""

@@ -1,7 +1,9 @@
-"""Exact counting: generalized Catalan numbers and the class census.
+"""Exact counting: generalized Catalan numbers, wild classes and the class census.
 
 The census folds every map of a coupling order into one table keyed by
-unsigned skeleton shape, walking each map's tree once.  The preorder
+unsigned skeleton shape.  :func:`_walk` carries each map's shape and
+profile down a stack of prefixes, one coupling per step, so maps in
+enumeration order share all but their last couplings.  The preorder
 that reads a signed skeleton off a sign array is a permutation of the
 sign indices, so each map of a shape meets each of the shape's 2^k
 signed classes exactly once: a signed class holds as many pairs as its
@@ -14,11 +16,12 @@ T_R is built once per split of the signs over its left branches.  Every
 counting claim is cross-checked against that table: class totals
 against the Catalan numbers, one tamed pair per signed class, each
 class as large as the hook count of its tamed member's td, the
-linear-extension mass identity.  A failing shape is walked again to
-name its witness, so chunks merge in any order.  Unsigned mode is the
-same fold over the all-plus sign array alone.  All integers are exact.
-:func:`_fold_maps` is the one walk over an order's maps, shared with
-``kmboard.verify``.
+linear-extension mass identity, and the reference count against the
+closed form of :func:`wild_class_count`.  A failing shape is walked
+again to name its witness, so chunks merge in any order.  Unsigned mode
+is the same fold over the all-plus sign array alone.  All integers are
+exact.  :func:`_fold_maps` is the one walk over an order's maps, shared
+with ``kmboard.verify``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .canonical import _bits, _MapProfile, _sign_table
 from .domains import _attached_parents, _hook_count
 from .errors import CapExceeded, CensusViolation
 from .pairs import double_factorial_odd, enumerate_mus
-from .trees import _preorder
+from .trees import _grown, _sign_order
 
 CENSUS_CAP = 7
 
@@ -47,6 +50,40 @@ def catalan_ternary(k: int) -> int:
     q, r = divmod(math.comb(3 * k, k - 1), k)
     assert r == 0
     return q
+
+
+def _series_product(a: list, b: list) -> list:
+    """The product of two power series (coefficient lists from x^0), cut to len(a) terms."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: len(a) - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def wild_class_count(k: int) -> int:
+    """[x^k] B(x) for B = sum_{m>=1} (m+1) y^m with y = x (1+B)^2, exactly.
+
+    The reading: a shape is a ternary tree whose left chains are its
+    left branches; y is one chain node with its optional M and R
+    subtrees, each a new branch (1+B), and a wild class takes a branch's
+    signs as a multiset, so a branch of m members gives m+1 classes.
+    That B counts the wild classes of order k is checked numerically
+    (against the census and verify's walk, k <= 8), not proved.  Each
+    pass of the fixed-point iteration fixes one more coefficient.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    b = [0] * (k + 1)
+    for _ in range(k):
+        one_b = [1] + b[1:]
+        y = [0] + _series_product(one_b, one_b)[:k]
+        power, b = [1] + [0] * k, [0] * (k + 1)
+        for m in range(1, k + 1):
+            power = _series_product(power, y)
+            b = [c + (m + 1) * t for c, t in zip(b, power)]
+    return b[k]
 
 
 @dataclass
@@ -150,6 +187,34 @@ def _fold_maps(k, threads, fn, *args) -> list:
         return pool.starmap(_fold_slice, [(k, i, n, fn, *args) for i in range(n)])
 
 
+def _walk(mus):
+    """(mu, profile, shape, spans) per map of ``mus``: its :class:`_MapProfile`
+    and :func:`_grown` shape and spans, carried down a stack of prefixes.
+
+    ``stack[j]`` holds the profile, shape and spans of the first j
+    couplings of the last map.  Each map pops the stack to its common
+    prefix with the last map, pushes one entry per new coupling but its
+    last, and derives its own from the top.  Any order of maps gives
+    the same per-map results; in enumeration order consecutive maps
+    share all but their last few couplings.
+    """
+    stack = [(_MapProfile(()), "", ())]
+    prefix: tuple = ()
+    for mu in mus:
+        n = len(mu) - 1
+        if mu[:n] != prefix:
+            c = 0
+            while c < n and c < len(prefix) and mu[c] == prefix[c]:
+                c += 1
+            del stack[c + 1 :]
+            for v in mu[c:n]:
+                profile, shape, spans = stack[-1]
+                stack.append((profile.extended(v), *_grown(shape, spans, profile.mu, v)))
+            prefix = mu[:n]
+        profile, shape, spans = stack[-1]
+        yield (mu, profile.extended(mu[n]), *_grown(shape, spans, prefix, mu[n]))
+
+
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
@@ -161,10 +226,12 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     permutation of the sign indices).  ``tds`` holds the td hook counts
     of the maps that hold a tamed pair.  The second dict maps each
     reference pair to its extension count; the int counts the tamed
-    pairs.  :meth:`_MapProfile.sign_sets` gives a map's tamed and
-    reference arrays as bitmasks over ``sign_arrays``, read in list
-    order, and :func:`_class_swaps` (memoised per preorder) permutes
-    the tamed mask into class bits.  T_R and its mass are built once per
+    pairs.  :func:`_walk` carries each map's profile and shape, and
+    :meth:`_MapProfile.sign_sets` gives its tamed and reference arrays
+    as bitmasks over ``sign_arrays``, read in list order.  Only a map
+    with a tamed pair reads its preorder (:func:`_sign_order`), and
+    :func:`_class_swaps` (memoised per preorder) permutes its tamed mask
+    into class bits.  T_R and its mass are built once per
     :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
     table, refs)`` sees each map's references, ``refs`` mapping their
     bits to (sgn, T_R, mass); ``census=False`` leaves both dicts empty.
@@ -175,19 +242,18 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     signs = _sign_table(sign_arrays)
     selectors = _swap_selectors(len(sign_arrays[0])) if census else {}
     swaps_of: dict[tuple, list] = {}
-    for mu in mus:
+    for mu, profile, shape, spans in _walk(mus):
         if census:
-            shape, order = _preorder(mu)
             entry = table.get(shape)
             if entry is None:
                 entry = table[shape] = [0, 0, 0, set()]
             entry[0] += 1
-        profile = _MapProfile(mu)
         tamed, references = profile.sign_sets(signs)
         if not tamed:
             continue
         n_tamed += tamed.bit_count()
         if census:
+            order = _sign_order(spans)
             preorder = tuple(order)
             if preorder not in swaps_of:
                 swaps_of[preorder] = _class_swaps(order, selectors)
@@ -245,25 +311,26 @@ def _name_witness(k, table, sign_arrays) -> None:
         return
     first, shape, counts = None, None, Counter()
     signs = _sign_table(sign_arrays)
-    for mu in enumerate_mus(k):
-        this, order = _preorder(mu)
+    for mu, profile, this, spans in _walk(enumerate_mus(k)):
         if shape is None and this in failing:
             shape, maps = this, table[this][0]
         if this != shape:
             continue
+        order = _sign_order(spans)
         if by_class and sorted(order) != list(range(k)):
             raise CensusViolation(
                 f"preorder of mu={mu} reads sign indices {order}, not each of 0..{k - 1} once"
             )
-        first = first or mu
-        tamed = _MapProfile(mu).sign_sets(signs)[0]
+        if first is None:
+            first, first_order = mu, order
+        tamed = profile.sign_sets(signs)[0]
         tamed_signs = [sign_arrays[n] for n in _bits(tamed)]
         if by_class:
             counts.update(map(itemgetter(*order), tamed_signs))  # a bare sign when k = 1
         elif tamed and (td := _hook_count(_attached_parents(mu, mu))) != maps:
             text = f"class of mu={mu} sgn={''.join(tamed_signs[0])} holds {maps} pairs"
             raise CensusViolation(f"{text} != td hook count {td}")
-    signs_in_preorder = itemgetter(*_preorder(first)[1])
+    signs_in_preorder = itemgetter(*first_order)
     for sgn in sign_arrays:
         n = counts[signs_in_preorder(sgn)]
         if n != 1:
@@ -313,6 +380,11 @@ def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> Census
         raise CensusViolation(
             f"extension mass {mass_total} over {len(masses)} reference pairs "
             f"!= {expected_total}"
+        )
+    references = wild_class_count(k) if signed else cat
+    if len(masses) != references:
+        raise CensusViolation(
+            f"{len(masses)} reference pairs != {references}, the closed-form wild class count"
         )
     signed_classes = cat * n_signs
     return CensusReport(

@@ -566,15 +566,21 @@ class IntegratedExpansion:
 
 
 def integrated_expand(pair: CollapsingPair) -> IntegratedExpansion:
-    """Attach the compatible integral bounds to every coupling."""
-    dtree = build_dtree(pair)
+    """Attach the compatible integral bounds to every coupling.
+
+    The parents come straight from :func:`_slot_pass`, so no Duhamel
+    tree is built here; the chain is the last coupling's proper
+    ancestors, the top node excluded.
+    """
+    up = _slot_pass(pair.mu, pair.sgn)[2]  # up[j-1]: the parent label of coupling j
     final = 2 * pair.k + 1
-    chain = set(dtree.ancestors(2 * pair.k))
+    chain = set()
+    p = up[-1]
+    while p:
+        chain.add(p)
+        p = up[(p >> 1) - 1]
     bounds = {}
     for l in range(1, pair.k):
-        x = 2 * l
-        p = dtree.parent[x]
-        upper = 1 if p == 0 else p + 1
-        lower = final if x in chain else 0
-        bounds[x] = (lower, upper)
+        x, p = 2 * l, up[l - 1]
+        bounds[x] = (final if x in chain else 0, 1 if p == 0 else p + 1)
     return IntegratedExpansion(pair, bounds, (final, 0, 1))

@@ -109,30 +109,44 @@ def tree_from_pair(pair: CollapsingPair) -> SignedTree:
     return SignedTree(pair.k, {x: tuple(c) for x, c in slots.items()}, sign)
 
 
+def _grown(shape: str, spans: tuple, mu: tuple, v: int) -> tuple[str, tuple]:
+    """The shape of map ``mu`` with one more coupling, ``v``, and its spans.
+
+    ``spans`` holds per node, in label order, three offsets into the
+    shape: its "(", its middle slot, and one past its ")".  The new node
+    is a leaf, "(...)", in an empty slot: the left slot of the last node
+    of its left branch (an earlier node with the same mu), else the
+    middle slot of node v or the right slot of node v-1.  That slot's
+    "." becomes the leaf, and every offset past it moves by 4.
+    """
+    if not mu:
+        return "(...)", (0, 2, 5)
+    if v in mu:
+        pos = spans[3 * (len(mu) - 1 - mu[::-1].index(v))] + 1
+    elif v & 1:
+        pos = spans[3 * ((v - 3) >> 1) + 2] - 2
+    else:
+        pos = spans[3 * ((v - 2) >> 1) + 1]
+    spans = tuple([o + 4 if o > pos else o for o in spans]) + (pos, pos + 2, pos + 5)
+    return shape[:pos] + "(...)" + shape[pos + 1 :], spans
+
+
+def _sign_order(spans: tuple) -> list[int]:
+    """The sign index of each node in preorder, by :func:`_grown`'s spans."""
+    return sorted(range(len(spans) // 3), key=spans[::3].__getitem__)
+
+
 def _preorder(mu) -> tuple[str, list[int]]:
     """The unsigned skeleton key and the sign index of each node, both in preorder.
 
     The key is the shape in preorder, "(" and the three child slots and
     ")" per node, missing children as "."; node ``2j`` has sign index
-    ``j - 1``.  An explicit stack keeps deep trees off the recursion
-    limit.
+    ``j - 1``.  :func:`_grown` adds the nodes in label order.
     """
-    slots = _slots_from_mu(len(mu), mu)
-    out: list[str] = []
-    order: list[int] = []
-    stack = [2]
-    while stack:
-        x = stack.pop()
-        if x is None:
-            out.append(".")
-        elif x == 0:  # end of a node's slots
-            out.append(")")
-        else:
-            out.append("(")
-            order.append((x - 2) >> 1)
-            l, m, r = slots[x]
-            stack += (0, r, m, l)
-    return "".join(out), order
+    shape, spans = "", ()
+    for j in range(len(mu)):
+        shape, spans = _grown(shape, spans, mu[:j], mu[j])
+    return shape, _sign_order(spans)
 
 
 def skeleton_key(mu, sgn=None) -> str:

@@ -282,6 +282,11 @@ def _check_tamed_unique(k, run, lines) -> None:
 def _check_reference_unique(k, run, lines) -> None:
     for kk in range(1, k + 1):
         fold = run.fold(kk).passed("orbit")
+        if fold.references != (want := counting.wild_class_count(kk)):
+            raise CheckFailed(
+                f"k={kk}: {fold.n_tamed} tamed pairs in {fold.references} wild classes, "
+                f"not the closed form's {want}"
+            )
         lines.append(
             f"k={kk}: {fold.n_tamed} tamed pairs in {fold.references} wild classes, "
             "each with a verified reference witness OK"

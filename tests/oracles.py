@@ -10,7 +10,7 @@ from operator import itemgetter
 
 from hypothesis import strategies as st
 
-from kmboard import canonical, domains, moves, verify
+from kmboard import canonical, counting, domains, moves, verify
 from kmboard.canonical import _MapProfile, is_reference, is_tamed, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
 from kmboard.domains import (
@@ -28,6 +28,7 @@ from kmboard.duhamel import (
     FLeaf,
     Prod,
     _merge_evolve,
+    build_dtree,
     conj,
     evolve,
     normalize,
@@ -55,6 +56,7 @@ from kmboard.pairs import (
 from kmboard.trees import (
     SignedTree,
     _preorder,
+    _sign_order,
     _slots_from_mu,
     skeleton_key,
     tree_from_pair,
@@ -75,12 +77,12 @@ def tier(pair, label):
     """Minimal q with mu^q(label) = 1, the extension applied per step."""
     if label % 2 or not 2 <= label <= 2 * pair.k:
         raise OutOfRange(f"tier is defined on even labels 2..{2 * pair.k}")
-    return canonical._tiers(pair.mu)[label // 2 - 1]
+    return tier_table(pair)[label]
 
 
 def tier_table(pair):
     """t(2j) for every even label (t(2) = 1 by convention)."""
-    return dict(zip(pair.even_labels, canonical._tiers(pair.mu)))
+    return {x: t for x, (t, _, _) in zip(pair.even_labels, _MapProfile(pair.mu).keys)}
 
 
 def is_upper_echelon(pair):
@@ -682,6 +684,94 @@ def literal_preorder_positions(mu) -> tuple:
 
     walk(2)
     return tuple(order)
+
+
+def dtree_integrated_bounds(pair) -> dict:
+    """``integrated_expand(pair).bounds`` read off a built Duhamel tree: per
+    coupling l < k, (2k+1 on the last coupling's ancestor chain else 0,
+    t_{p+1} for its parent p, t_1 under the top node)."""
+    dtree = build_dtree(pair)
+    final = 2 * pair.k + 1
+    chain = set(dtree.ancestors(2 * pair.k))
+    bounds = {}
+    for l in range(1, pair.k):
+        x = 2 * l
+        p = dtree.parent[x]
+        bounds[x] = (final if x in chain else 0, 1 if p == 0 else p + 1)
+    return bounds
+
+
+def whole_map_preorder(mu) -> tuple:
+    """``trees._preorder`` by one walk over the whole tree: the shape in
+    preorder and the sign index of each node in preorder, from an explicit
+    stack over the child slots."""
+    slots = _slots_from_mu(len(mu), mu)
+    out, order = [], []
+    stack = [2]
+    while stack:
+        x = stack.pop()
+        if x is None:
+            out.append(".")
+        elif x == 0:  # end of a node's slots
+            out.append(")")
+        else:
+            out.append("(")
+            order.append((x - 2) >> 1)
+            l, m, r = slots[x]
+            stack += (0, r, m, l)
+    return "".join(out), order
+
+
+def whole_map_profile(mu) -> tuple:
+    """``_MapProfile(mu)``'s keys, static_ok, equal_checks, order_checks,
+    groups, multi and steps, every label pair of the map compared at once; a
+    static failure leaves all but the keys empty."""
+    tiers = []
+    for v in mu:
+        tiers.append(1 if v == 1 else tiers[(v - 2) // 2] + 1)
+    keys = [(t, 0 if v == 1 else mu[(v - 2) // 2], v) for t, v in zip(tiers, mu)]
+    failed = (keys, False, [], [], (), (), ())
+    equal_checks, order_checks = [], []
+    for jb in range(1, len(mu)):  # b = 2(jb+1), a ranges below it
+        tb, m2b, vb = keys[jb]
+        for ja in range(jb):
+            ta, m2a, va = keys[ja]
+            if tb < ta:
+                return failed
+            if tb != ta:
+                continue
+            if m2a != m2b:
+                if vb < va:
+                    return failed
+                continue
+            if va == 1:  # whole tier-1 branch: no sign clause applies
+                continue
+            ia, ib = (va - 2) // 2, (vb - 2) // 2
+            if vb < va:
+                equal_checks.append((ia, ib))
+            order_checks.append((ia, ib))
+    by_value = {}
+    for i, v in enumerate(mu):
+        by_value.setdefault(v, []).append(i)
+    groups = tuple(tuple(g) for g in by_value.values())
+    multi = tuple([g for g in groups if len(g) > 1])
+    steps = tuple(step for g in groups for step in zip(g, g[1:]))
+    return keys, True, equal_checks, order_checks, groups, multi, steps
+
+
+def whole_map(mu) -> tuple:
+    """What :func:`walked` gives for ``mu``, by the whole-map oracles."""
+    return (tuple(mu), *whole_map_preorder(mu), *whole_map_profile(mu))
+
+
+def walked(mus):
+    """``counting._walk`` over ``mus``: per map the profile's map, the shape,
+    the preorder and the profile's fields, in :func:`whole_map` order."""
+    return (
+        (p.mu, shape, _sign_order(spans), p.keys, p.static_ok, p.equal_checks, p.order_checks)
+        + (p.groups, p.multi, p.steps)
+        for _, p, shape, spans in counting._walk(mus)
+    )
 
 
 def literal_unsigned_census(k) -> dict:

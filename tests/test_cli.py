@@ -170,6 +170,23 @@ def test_expand_integrated_json(capsys):
     assert payload["bounds"]["6"] == [15, 1]
 
 
+def test_expand_integrated_builds_the_duhamel_tree_once(capsys, monkeypatch):
+    # the bounds read the slot pass's parents; only the rendered expansion builds a tree
+    from kmboard import duhamel
+
+    built = []
+    build_dtree = duhamel.build_dtree
+
+    def counted(pair):
+        built.append(pair)
+        return build_dtree(pair)
+
+    monkeypatch.setattr(duhamel, "build_dtree", counted)
+    pair = ("--mu", "1,1,1,2,3,6,6", "--sgn", "+,+,-,-,+,+,-")
+    assert run(capsys, "expand", *pair, "--integrated")[0] == 0
+    assert len(built) == 1
+
+
 def test_schedule_json(capsys):
     code, out = run(capsys, "schedule", "--mu", "1,1,1,2,3,6,6", "--sgn", "+,+,-,-,+,+,-")
     payload = json.loads(out)
@@ -279,26 +296,43 @@ def test_reference_unique_fails_when_a_class_holds_two_references(capsys, monkey
     assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
 
 
+def _drop_the_equal_sign_clause(monkeypatch):
+    """Plant the defect in the profile step, which every profile and walk runs."""
+    from kmboard import canonical
+
+    step = canonical._MapProfile._step
+
+    def without_equal_clause(self, jb):
+        step(self, jb)
+        self.equal_checks = []
+
+    monkeypatch.setattr(canonical._MapProfile, "_step", without_equal_clause)
+    monkeypatch.setattr(canonical, "_profile", canonical._MapProfile)  # no memoised profile
+
+
 def test_tamed_unique_and_mass_fail_when_the_kernel_drops_its_equal_sign_clause(
     capsys, monkeypatch
 ):
-    from kmboard import canonical
-
     # clause 3 unchecked: two members of the class of mu=1,2,3 sgn=+++ pass as tamed
-    init = canonical._MapProfile.__init__
-
-    def without_equal_clause(self, mu):
-        init(self, mu)
-        self.equal_checks = []
-
-    monkeypatch.setattr(canonical._MapProfile, "__init__", without_equal_clause)
-    monkeypatch.setattr(canonical, "_profile", canonical._MapProfile)  # no memoised profile
+    _drop_the_equal_sign_clause(monkeypatch)
     code, out = run(capsys, "verify", "--k", "4", "--check", "tamed-unique")
     assert code == 1
     assert _single_fail_line(out) == "k=3: class of mu=(1, 2, 3) sgn=+++ holds 2 tamed pairs FAIL"
     code, out = run(capsys, "verify", "--k", "4", "--check", "mass")
     assert code == 1
     assert _single_fail_line(out) == "k=3: mass 136 != 120 FAIL"
+
+
+def test_reference_unique_fails_when_the_kernel_drops_its_equal_sign_clause(
+    capsys, monkeypatch
+):
+    # the orbits still pass, but 88 references at k=3 are not the closed form's 80
+    _drop_the_equal_sign_clause(monkeypatch)
+    code, out = run(capsys, "verify", "--k", "3", "--check", "reference-unique")
+    assert code == 1
+    line = "k=3: 104 tamed pairs in 88 wild classes, not the closed form's 80 FAIL"
+    assert _single_fail_line(out) == line
+    assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
 
 
 def test_usage_error_exits_2(capsys):

@@ -228,13 +228,13 @@ def test_census_matches_signed_class_table_oracle():
 def test_census_rejects_a_preorder_that_repeats_a_sign_index(monkeypatch):
     from kmboard import counting
 
-    real = counting._preorder
+    real = counting._sign_order
 
-    def repeating(mu):
-        shape, order = real(mu)
-        return shape, order[:-1] + order[:1]
+    def repeating(spans):
+        order = real(spans)
+        return order[:-1] + order[:1]
 
-    monkeypatch.setattr(counting, "_preorder", repeating)
+    monkeypatch.setattr(counting, "_sign_order", repeating)
     with pytest.raises(CensusViolation):
         census(3)
 
@@ -245,13 +245,13 @@ def test_verify_names_the_map_whose_preorder_repeats_a_sign_index(capsys, monkey
     from kmboard import counting
     from kmboard.cli import main
 
-    real = counting._preorder
+    real = counting._sign_order
 
-    def repeating(mu):
-        shape, order = real(mu)
-        return shape, order[:-1] + order[:1]
+    def repeating(spans):
+        order = real(spans)
+        return order[:-1] + order[:1]
 
-    monkeypatch.setattr(counting, "_preorder", repeating)
+    monkeypatch.setattr(counting, "_sign_order", repeating)
     assert main(["verify", "--k", "3", "--check", "tamed-unique"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     line = "k=2: preorder of mu=(1, 1) reads sign indices [0, 0], not each of 0..1 once FAIL"
@@ -316,10 +316,10 @@ def test_class_mask_is_the_tamed_mask_read_in_preorder():
         _class_bits,
         _class_swaps,
         _MapProfile,
-        _preorder,
         _sign_table,
         _swap_selectors,
     )
+    from kmboard.trees import _preorder
 
     for k in range(1, 6):
         selectors = _swap_selectors(k)
@@ -526,3 +526,82 @@ def test_memoised_t_r_matches_a_fresh_build_at_every_reference():
             fresh = _attached_parents(mu, zip(mu, sgn))
             assert list(whole.items()) == list(fresh.items()), (mu, sgn)
             assert mass == _hook_count(fresh)
+
+
+def _first_walk_mismatch(stream, want):
+    """The first map of ``stream`` whose carried walk differs from ``want[mu]``."""
+    from oracles import walked
+
+    return next((got for got in walked(stream) if got != want[got[0]]), None)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_the_carried_walk_equals_the_whole_map_oracles_on_any_stream(k):
+    # the stack pops to each map's common prefix with the last one, so any
+    # order of maps must give every map's own shape, preorder and profile
+    import random
+
+    from oracles import whole_map
+
+    mus = list(enumerate_mus(k))
+    want = {mu: whole_map(mu) for mu in mus}
+    shuffled = random.Random(k).sample(mus, len(mus))
+    streams = [mus, mus[::-1], *(mus[i::3] for i in range(3)), shuffled]
+    for stream in streams:
+        assert _first_walk_mismatch(stream, want) is None
+
+
+def test_planted_walk_defects_differ_from_the_whole_map_oracles(monkeypatch):
+    # a new node's "(" one place late, so a leaf in its left slot lands inside
+    # the wrong node; and a step that compares the new label with none of its tier
+    from oracles import whole_map
+
+    from kmboard import canonical, counting
+
+    grown, step = counting._grown, canonical._MapProfile._step
+
+    def late_open(shape, spans, mu, v):
+        shape, spans = grown(shape, spans, mu, v)
+        return shape, spans[:-3] + (spans[-3] + 1, *spans[-2:])
+
+    def skipping_its_tier(self, jb):
+        first = self.tier_from
+        self.tier_from = jb
+        step(self, jb)
+        if jb and self.keys[jb][0] == self.keys[jb - 1][0]:  # still the same tier
+            self.tier_from = first
+
+    mus = list(enumerate_mus(4))
+    want = {mu: whole_map(mu) for mu in mus}
+    planted = [(counting, "_grown", late_open), (canonical._MapProfile, "_step", skipping_its_tier)]
+    for owner, name, defect in planted:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, defect)
+            assert _first_walk_mismatch(mus, want) is not None, name
+
+
+def test_wild_class_counts_follow_the_closed_form():
+    from math import comb
+
+    from kmboard.counting import wild_class_count
+
+    pinned = [2, 11, 80, 665, 5980, 56637, 556512, 5620485, 57985070, 608462470]
+    assert [wild_class_count(k) for k in range(1, 11)] == pinned
+    # Lagrange inversion of y = x / (1-y)^4 and 1+B = (1-y)^-2
+    assert all(wild_class_count(k) * k == 2 * comb(5 * k + 1, k - 1) for k in range(1, 16))
+    for k in range(1, 6):
+        assert census(k).wild_classes == pinned[k - 1]
+    with pytest.raises(ValueError):
+        wild_class_count(0)
+
+
+def test_census_checks_its_reference_count_against_the_closed_form(monkeypatch):
+    from kmboard import counting
+
+    real = counting.wild_class_count
+    monkeypatch.setattr(counting, "wild_class_count", lambda k: real(k) + (k == 3))
+    census(2)
+    census(3, signed=False)  # one reference per unsigned class: catalan(3)
+    with pytest.raises(CensusViolation) as got:
+        census(3)
+    assert str(got.value) == "80 reference pairs != 81, the closed-form wild class count"

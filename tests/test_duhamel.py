@@ -456,6 +456,16 @@ def test_integrated_bounds_of_quintic_example():
     assert text.startswith("Int[t15:0..t1] Int[t3:0..t1] Int[t7:t15..t1]")
 
 
+def test_integrated_bounds_match_the_duhamel_tree_route():
+    from oracles import dtree_integrated_bounds
+
+    rng = random.Random(31)
+    pairs = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]
+    pairs += [random_pair(rng.randint(1, 60), rng) for _ in range(200)]
+    for p in pairs:
+        assert integrated_expand(p).bounds == dtree_integrated_bounds(p), p
+
+
 def test_integrals_render_in_depth_then_label_order():
     rng = random.Random(30)
     pairs = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]

@@ -95,13 +95,13 @@ def _one_more_reference(monkeypatch):
 
 
 def _without_equal_clause(monkeypatch):
-    init = canonical._MapProfile.__init__
+    step = canonical._MapProfile._step
 
-    def without(self, mu):
-        init(self, mu)
+    def without(self, jb):
+        step(self, jb)
         self.equal_checks = []
 
-    monkeypatch.setattr(canonical._MapProfile, "__init__", without)
+    monkeypatch.setattr(canonical._MapProfile, "_step", without)
     monkeypatch.setattr(canonical, "_profile", canonical._MapProfile)
 
 
