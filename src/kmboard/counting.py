@@ -12,16 +12,17 @@ map gives its tamed and reference sign arrays as two bitmasks; the
 tamed mask, its index bits permuted into preorder, is one bit per
 signed class, folded into an int per shape with a second int for the
 classes met twice, and with the set of its tamed maps' td hook counts.
-T_R is built once per split of the signs over its left branches.  Every
-counting claim is cross-checked against that table: class totals
-against the Catalan numbers, one tamed pair per signed class, each
-class as large as the hook count of its tamed member's td, the
-linear-extension mass identity, and the reference count against the
-closed form of :func:`wild_class_count`.  A failing shape is walked
-again to name its witness, so chunks merge in any order.  Unsigned mode
-is the same fold over the all-plus sign array alone.  All integers are
-exact.  :func:`_fold_maps` is the one walk over an order's maps, shared
-with ``kmboard.verify``.
+T_R is built once per split of a map's references over its left
+branches, for the census and verify's fold.  Every counting claim is
+cross-checked against that table: class totals against the Catalan
+numbers, one tamed pair per signed class, each class as large as the
+hook count of its tamed member's td, the linear-extension mass
+identity, and the reference count against the closed form of
+:func:`wild_class_count`.  A failing shape is walked again to name its
+witness, so chunks merge in any order.  Unsigned mode is the same fold
+over the all-plus sign array alone.  All integers are exact.
+:func:`_fold_maps` is the one walk over an order's maps, shared with
+``kmboard.verify``.
 """
 
 from __future__ import annotations
@@ -52,38 +53,23 @@ def catalan_ternary(k: int) -> int:
     return q
 
 
-def _series_product(a: list, b: list) -> list:
-    """The product of two power series (coefficient lists from x^0), cut to len(a) terms."""
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b[: len(a) - i]):
-                out[i + j] += ai * bj
-    return out
-
-
 def wild_class_count(k: int) -> int:
-    """[x^k] B(x) for B = sum_{m>=1} (m+1) y^m with y = x (1+B)^2, exactly.
+    """Wild classes of order k: 2 C(5k+1, k-1) / k, exactly.
 
-    The reading: a shape is a ternary tree whose left chains are its
-    left branches; y is one chain node with its optional M and R
-    subtrees, each a new branch (1+B), and a wild class takes a branch's
-    signs as a multiset, so a branch of m members gives m+1 classes.
-    That B counts the wild classes of order k is checked numerically
-    (against the census and verify's walk, k <= 8), not proved.  Each
-    pass of the fixed-point iteration fixes one more coefficient.
+    A shape is a ternary tree whose left chains are its left branches,
+    and a wild class takes a branch's signs as a multiset, so a branch of
+    m members gives m+1 classes: the count is [x^k] B for
+    B = sum_{m>=1} (m+1) y^m, y = x (1+B)^2 (a chain node with its
+    optional M and R subtrees, each a new branch).  That B counts the wild
+    classes is checked numerically (against the census and verify's
+    walk, k <= 8), not proved.  Lagrange inversion, which is proved, reads
+    the binomial off y = x (1-y)^-4, as B = (1-y)^-2 - 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    b = [0] * (k + 1)
-    for _ in range(k):
-        one_b = [1] + b[1:]
-        y = [0] + _series_product(one_b, one_b)[:k]
-        power, b = [1] + [0] * k, [0] * (k + 1)
-        for m in range(1, k + 1):
-            power = _series_product(power, y)
-            b = [c + (m + 1) * t for c, t in zip(b, power)]
-    return b[k]
+    q, r = divmod(2 * math.comb(5 * k + 1, k - 1), k)
+    assert r == 0
+    return q
 
 
 @dataclass
@@ -116,10 +102,13 @@ class CensusReport:
         }
 
 
-def _tr_key(multi):
-    """The signs that T_R reads: at a one-member left branch the attachment
-    key (v, sgn) meets no other label, so only ``multi``'s branches count."""
-    return itemgetter(*chain(*multi)) if multi else lambda sgn: ()
+def _splits(references, plus, multi) -> list[int]:
+    """A map's reference mask cut by each multi-member sign column, by lowest
+    bit: T_R reads no other, as a one-member branch's key (v, sgn) meets no label."""
+    splits = [references]
+    for i in chain(*multi):
+        splits = [part for s in splits for part in (s & plus[i], s & ~plus[i]) if part]
+    return sorted(splits, key=lambda s: s & -s)
 
 
 def _swap_selectors(k) -> dict:
@@ -231,16 +220,17 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     as bitmasks over ``sign_arrays``, read in list order.  Only a map
     with a tamed pair reads its preorder (:func:`_sign_order`), and
     :func:`_class_swaps` (memoised per preorder) permutes its tamed mask
-    into class bits.  T_R and its mass are built once per
-    :func:`_tr_key` value.  ``wild.map_references(mu, profile, mask,
-    table, refs)`` sees each map's references, ``refs`` mapping their
-    bits to (sgn, T_R, mass); ``census=False`` leaves both dicts empty.
+    into class bits.  T_R and its mass are built once per :func:`_splits`
+    part, from its lowest reference.  ``wild.map_references(mu, profile,
+    table, splits)`` sees each map's (split mask, T_R, mass) list, ``table``
+    being :func:`_sign_table`'s; ``census=False`` leaves both dicts empty.
     """
     table: dict[str, list] = {}
     masses: dict[str, int] = {}
     n_tamed = 0
     signs = _sign_table(sign_arrays)
     selectors = _swap_selectors(len(sign_arrays[0])) if census else {}
+    sign_texts = [",".join(sgn) for sgn in sign_arrays]
     swaps_of: dict[tuple, list] = {}
     for mu, profile, shape, spans in _walk(mus):
         if census:
@@ -266,20 +256,17 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
                 entry[1] |= classes
             entry[3].add(_hook_count(_attached_parents(mu, mu)))
             mu_text = f"mu={','.join(map(str, mu))} sgn="
-        key, wholes, refs = _tr_key(profile.multi), {}, {}
-        for n in _bits(references):
-            sgn = sign_arrays[n]
-            split = key(sgn)
-            if split not in wholes:
-                whole = _attached_parents(mu, zip(mu, sgn))
-                wholes[split] = whole, _hook_count(whole)
-            whole, mass = wholes[split]
-            if census:
-                masses[mu_text + ",".join(sgn)] = mass
-            if wild is not None:
-                refs[n] = sgn, whole, mass
-        if refs:
-            wild.map_references(mu, profile, references, signs, refs)
+        if not references:
+            continue
+        splits = []
+        for split in _splits(references, signs[1], profile.multi):
+            whole = _attached_parents(mu, zip(mu, sign_arrays[(split & -split).bit_length() - 1]))
+            splits.append((split, whole, _hook_count(whole)))
+        if census:  # in sign-array order
+            for n, mass in sorted([(n, mass) for split, _, mass in splits for n in _bits(split)]):
+                masses[mu_text + sign_texts[n]] = mass
+        if wild is not None:
+            wild.map_references(mu, profile, signs, splits)
     return table, masses, n_tamed
 
 

@@ -39,14 +39,6 @@ def _rho_text(image) -> str:
     return f"rho={','.join(map(str, image))}"
 
 
-def _splits(references, plus, multi) -> list[int]:
-    """A map's reference mask cut by each multi-member sign column, by lowest bit."""
-    splits = [references]
-    for i in itertools.chain(*multi):
-        splits = [part for s in splits for part in (s & plus[i], s & ~plus[i]) if part]
-    return sorted(splits, key=lambda s: s & -s)
-
-
 def _is_pair(pair) -> bool:
     """Are a pair's arrays those of a legal pair of its order?"""
     try:
@@ -56,13 +48,14 @@ def _is_pair(pair) -> bool:
     return True
 
 
-def _orbit_failure(mu, profile, split, table, refs, orbit, members) -> tuple[int, str] | None:
-    """Is each reference's orbit its wild class?  Say (bit, line) for the
-    first that fails, or None; ``members`` keeps map, src, profile per image."""
+def _orbit_failure(mu, profile, split, table, arrays, orbit, members) -> tuple[int, str] | None:
+    """Is each reference's orbit its wild class?  Say (bit, line) for the first
+    that fails, or None; ``arrays`` is the sign-array list that ``split`` and
+    ``table`` number, and ``members`` keeps map, src, profile per image."""
     k, full, plus = len(mu), *table
     r = next(_bits(split))
-    sgn = refs[r][0]
-    pair = lambda n: CollapsingPair._unchecked(k, mu, refs[n][0])  # noqa: E731
+    sgn = arrays[r]
+    pair = lambda n: CollapsingPair._unchecked(k, mu, arrays[n])  # noqa: E731
     reference = pair(r)
     differ = 0  # premise 1: the split has R's signs on every multi-member branch
     for i in itertools.chain(*profile.multi):
@@ -111,7 +104,7 @@ def _orbit_failure(mu, profile, split, table, refs, orbit, members) -> tuple[int
     for image, (tamed, _) in zip(orbit, masks):
         if not tamed >> n & 1:
             member_mu, src, _ = members[image]
-            member = CollapsingPair._unchecked(k, member_mu, tuple([refs[n][0][i] for i in src]))
+            member = CollapsingPair._unchecked(k, member_mu, tuple([arrays[n][i] for i in src]))
             return n, f"{_rho_text(image)} carries {pair(n)} to {member}, not a tamed pair"
     hits = sum(ordered >> n & 1 for _, ordered in masks)
     return n, f"wild class of {pair(n)} holds {hits} reference pairs"
@@ -135,12 +128,14 @@ class _Fold:
     """A walk over one chunk of ``counting._fold_maps`` for the named clause groups.
 
     ``counting._census_chunk`` counts the tamed pairs, builds the census
-    table if ``census`` is named, and hands each map's references to
-    :meth:`map_references`, which splits them by their signs on branches
-    of two or more members.  The lemma: references are block-ordered, so
-    a split's differ only at one-member branches, which allowable images
-    fix; so they share the orbit, allowability, member maps and round
-    trip, and differ only in tamedness, a bitmask.  The orbit clauses run
+    table if ``census`` is named, and hands :meth:`map_references` each
+    map's references as one list of (split mask, T_R, mass): a split
+    holds the references that agree on every branch of two or more
+    members.  The lemma: references are block-ordered, so a split's
+    differ only at one-member branches, which allowable images fix; so
+    they share T_R, the orbit, allowability, member maps and round trip,
+    and differ only in tamedness, a bitmask.  A reference's signs are
+    read from ``sign_arrays`` by its bit.  The orbit clauses run
     once per (map, split, image) after two O(k) premise checks: the split
     has its first reference's signs on every multi-member branch, and each
     image fixes every one-member index.  Partition runs per split, compat
@@ -152,23 +147,24 @@ class _Fold:
 
     def __init__(self, k, groups):
         self.k, self.groups = k, groups
+        self.sign_arrays = list(itertools.product(SIGNS, repeat=k))
         self.census = None  # the census chunk, then the order's CensusReport
         self.n_tamed = self.covered = self.references = self.mass = 0
         self.failures: dict = {}
 
-    def map_references(self, mu, profile, references, table, refs) -> None:
-        """Walk a map's references split by split; ``refs``: bit -> (sgn, T_R, mass)."""
-        failures, k = self.failures, self.k
+    def map_references(self, mu, profile, table, splits) -> None:
+        """Walk a map's references split by split: (split mask, T_R, mass) each."""
+        failures, k, sign_arrays = self.failures, self.k, self.sign_arrays
         if "orbit" in failures:
             return
         members, pieces, failed = {}, {}, None
-        for split in _splits(references, table[1], profile.multi):
+        for split, whole, mass in splits:
             r = next(_bits(split))
             if failed and r > failed[0]:
                 break  # no later split holds an earlier failing reference
-            sgn, whole, mass = refs[r]
+            sgn = sign_arrays[r]
             orbit = moves._interleavings(profile.groups, sgn)
-            failure = _orbit_failure(mu, profile, split, table, refs, orbit, members)
+            failure = _orbit_failure(mu, profile, split, table, sign_arrays, orbit, members)
             if failure:
                 failed = min(failed or failure, failure)
                 continue
@@ -182,13 +178,18 @@ class _Fold:
                 if failure:
                     failures["partition"] = (mu, sgn, f"k={k}: {failure}")
         if failed:  # it fails every wild check, so no compat or partition line shows
-            failures["orbit"] = (mu, refs[failed[0]][0], f"k={k}: {failed[1]}")
+            failures["orbit"] = (mu, sign_arrays[failed[0]], f"k={k}: {failed[1]}")
         elif "compat" in self.groups and "compat" not in failures:
-            for sgn, whole, _ in refs.values():
-                if domains._tc_parents(mu, sgn) != tuple(whole.values()):
-                    pair = CollapsingPair._unchecked(k, mu, sgn)
-                    failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {pair}")
-                    break
+            differ = [
+                n
+                for split, whole, _ in splits
+                for n in _bits(split)
+                if domains._tc_parents(mu, sign_arrays[n]) != tuple(whole.values())
+            ]
+            if differ:  # the first in sign-array order
+                sgn = sign_arrays[min(differ)]
+                pair = CollapsingPair._unchecked(k, mu, sgn)
+                failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {pair}")
 
     def passed(self, *groups) -> "_Fold":
         """Raise the first failure among ``groups``; else return self."""
@@ -202,8 +203,7 @@ def _walk(mus, k, groups) -> _Fold:
     """Fold a run of maps of order k (a chunk) for the clause groups."""
     fold = _Fold(k, groups)
     wild = fold if groups - {"census"} else None
-    sign_arrays = list(itertools.product(SIGNS, repeat=k))
-    fold.census = counting._census_chunk(mus, sign_arrays, wild, "census" in groups)
+    fold.census = counting._census_chunk(mus, fold.sign_arrays, wild, "census" in groups)
     fold.n_tamed = fold.census[2]
     return fold
 
@@ -279,14 +279,22 @@ def _check_tamed_unique(k, run, lines) -> None:
         )
 
 
+def _counted(k, fold) -> "_Fold":
+    """Raise unless the fold's references, then its tamed pairs, are
+    wild_class_count(k), then catalan(k) 2^k; else return the fold."""
+    if fold.references != (want := counting.wild_class_count(k)):
+        raise CheckFailed(
+            f"k={k}: {fold.n_tamed} tamed pairs in {fold.references} wild classes, "
+            f"not the closed form's {want}"
+        )
+    if fold.n_tamed != (want := counting.catalan_ternary(k) * 2**k):
+        raise CheckFailed(f"k={k}: {fold.n_tamed} tamed pairs != catalan({k})*2^{k} = {want}")
+    return fold
+
+
 def _check_reference_unique(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        fold = run.fold(kk).passed("orbit")
-        if fold.references != (want := counting.wild_class_count(kk)):
-            raise CheckFailed(
-                f"k={kk}: {fold.n_tamed} tamed pairs in {fold.references} wild classes, "
-                f"not the closed form's {want}"
-            )
+        fold = _counted(kk, run.fold(kk).passed("orbit"))
         lines.append(
             f"k={kk}: {fold.n_tamed} tamed pairs in {fold.references} wild classes, "
             "each with a verified reference witness OK"
@@ -348,7 +356,7 @@ def _check_domain_bijection(k, run, lines) -> None:
 
 def _check_compat(k, run, lines) -> None:
     for kk in range(1, k + 1):
-        fold = run.fold(kk).passed("orbit", "compat")
+        fold = _counted(kk, run.fold(kk).passed("orbit")).passed("compat")
         lines.append(f"k={kk}: T_R == T_C for all {fold.references} reference pairs OK")
 
 

@@ -11,7 +11,7 @@ from operator import itemgetter
 from hypothesis import strategies as st
 
 from kmboard import canonical, counting, domains, moves, verify
-from kmboard.canonical import _MapProfile, is_reference, is_tamed, tamed_pairs, to_reference
+from kmboard.canonical import _bits, _MapProfile, is_reference, is_tamed, tamed_pairs, to_reference
 from kmboard.counting import CensusReport, catalan_ternary
 from kmboard.domains import (
     TimePoset,
@@ -783,6 +783,32 @@ def literal_unsigned_census(k) -> dict:
     return buckets
 
 
+def _series_product(a: list, b: list) -> list:
+    """The product of two power series (coefficient lists from x^0), cut to len(a) terms."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: len(a) - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def wild_class_series(k: int) -> int:
+    """[x^k] B(x) for B = sum_{m>=1} (m+1) y^m with y = x (1+B)^2, by
+    fixed-point iteration on the series in integers: the definition that
+    ``counting.wild_class_count``'s binomial is read from.  Each pass
+    fixes one more coefficient."""
+    b = [0] * (k + 1)
+    for _ in range(k):
+        one_b = [1] + b[1:]
+        y = [0] + _series_product(one_b, one_b)[:k]
+        power, b = [1] + [0] * k, [0] * (k + 1)
+        for m in range(1, k + 1):
+            power = _series_product(power, y)
+            b = [c + (m + 1) * t for c, t in zip(b, power)]
+    return b[k]
+
+
 def signed_class_table_census(k, signed=True) -> CensusReport:
     """The census by one table entry per signed class, every pair looked up.
 
@@ -1017,12 +1043,13 @@ def orbit_failure(reference, orbit, members):
 class PairFold(verify._Fold):
     """``verify._Fold`` with the per-pair orbit walk it replaced: each
     reference pair, in bit order, walks its own orbit (:func:`orbit_failure`),
-    then compat and the partition clause run on it."""
+    then compat and the partition clause run on it with its split's T_R."""
 
-    def map_references(self, mu, profile, references, table, refs):
+    def map_references(self, mu, profile, table, splits):
         members, pieces = {}, {}
-        for sgn, whole, mass in refs.values():
-            self._reference(mu, profile, sgn, whole, mass, members, pieces)
+        refs = {n: (whole, mass) for split, whole, mass in splits for n in _bits(split)}
+        for n in sorted(refs):
+            self._reference(mu, profile, self.sign_arrays[n], *refs[n], members, pieces)
 
     def _reference(self, mu, profile, sgn, whole, mass, members, pieces):
         failures, k = self.failures, self.k

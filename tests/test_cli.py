@@ -333,6 +333,22 @@ def test_reference_unique_fails_when_the_kernel_drops_its_equal_sign_clause(
     line = "k=3: 104 tamed pairs in 88 wild classes, not the closed form's 80 FAIL"
     assert _single_fail_line(out) == line
     assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
+    # compat reads the same count clause, though each T_R still equals its T_C
+    code, out = run(capsys, "verify", "--k", "4", "--check", "compat")
+    assert code == 1
+    assert _single_fail_line(out) == line
+    assert json.loads(out.strip().splitlines()[-1]) == {"compat": "fail"}
+
+
+def test_reference_unique_checks_its_tamed_count_against_the_closed_form(capsys, monkeypatch):
+    from kmboard import counting
+
+    real = counting.catalan_ternary
+    monkeypatch.setattr(counting, "catalan_ternary", lambda k: real(k) + (k == 3))
+    code, out = run(capsys, "verify", "--k", "4", "--check", "reference-unique")
+    assert code == 1
+    assert _single_fail_line(out) == "k=3: 96 tamed pairs != catalan(3)*2^3 = 104 FAIL"
+    assert json.loads(out.strip().splitlines()[-1]) == {"reference-unique": "fail"}
 
 
 def test_usage_error_exits_2(capsys):
@@ -695,12 +711,14 @@ def test_compat_and_mass_fail_when_the_t_r_memo_ignores_a_branch(
 ):
     from kmboard import counting
 
-    # the memo key forgets the signs of the last branch with two or more members,
-    # so mu=1,1 sgn=+,- is handed the T_R of sgn=+,+
-    original = counting._tr_key
-    monkeypatch.setattr(
-        counting, "_tr_key", lambda groups: original([g for g in groups if len(g) > 1][:-1])
-    )
+    # the per-split T_R build hands mu=1,1 sgn=+,- the T_R of sgn=+,+
+    original = counting._attached_parents
+
+    def built(mu, keys):
+        keys = tuple(keys)
+        return original(mu, ((1, "+"), (1, "+")) if keys == ((1, "+"), (1, "-")) else keys)
+
+    monkeypatch.setattr(counting, "_attached_parents", built)
     code, out = run(capsys, "verify", "--k", "4", "--check", check)
     assert code == 1
     assert _single_fail_line(out) == line

@@ -506,20 +506,31 @@ def test_signed_class_size_equals_relabeling_count():
 
 def test_memoised_t_r_matches_a_fresh_build_at_every_reference():
     # the census walk builds T_R once per map and branch split; each
-    # reference must get what the attachment rule builds from its own signs
+    # reference must get what the attachment rule builds from its own signs,
+    # and the splits must group the references by their signs on every
+    # left branch of two or more members
     from kmboard import counting
+    from kmboard.canonical import _bits
     from kmboard.domains import _attached_parents, _hook_count
 
     class Recorder:
-        def __init__(self):
-            self.seen = []
+        def __init__(self, sign_arrays):
+            self.sign_arrays, self.seen = sign_arrays, []
 
-        def map_references(self, mu, profile, references, table, refs):
-            self.seen += [(mu, sgn, whole, mass) for sgn, whole, mass in refs.values()]
+        def map_references(self, mu, profile, table, splits):
+            grouping = {}
+            for split, whole, mass in splits:
+                for n in _bits(split):
+                    sgn = self.sign_arrays[n]
+                    self.seen.append((mu, sgn, whole, mass))
+                    key = tuple(sgn[i] for i in itertools.chain(*profile.multi))
+                    grouping[key] = grouping.get(key, 0) | 1 << n
+            want = sorted(grouping.values(), key=lambda s: s & -s)
+            assert [split for split, _, _ in splits] == want, mu
 
     for k in range(1, 6):
-        recorder = Recorder()
         sign_arrays = list(itertools.product("+-", repeat=k))
+        recorder = Recorder(sign_arrays)
         counting._census_chunk(enumerate_mus(k), sign_arrays, recorder, census=False)
         assert len(recorder.seen) == len(census(k).reference_masses)
         for mu, sgn, whole, mass in recorder.seen:
@@ -581,14 +592,14 @@ def test_planted_walk_defects_differ_from_the_whole_map_oracles(monkeypatch):
 
 
 def test_wild_class_counts_follow_the_closed_form():
-    from math import comb
+    from oracles import wild_class_series
 
     from kmboard.counting import wild_class_count
 
     pinned = [2, 11, 80, 665, 5980, 56637, 556512, 5620485, 57985070, 608462470]
     assert [wild_class_count(k) for k in range(1, 11)] == pinned
-    # Lagrange inversion of y = x / (1-y)^4 and 1+B = (1-y)^-2
-    assert all(wild_class_count(k) * k == 2 * comb(5 * k + 1, k - 1) for k in range(1, 16))
+    # the binomial against the series it is read from by Lagrange inversion
+    assert all(wild_class_count(k) == wild_class_series(k) for k in range(1, 16))
     for k in range(1, 6):
         assert census(k).wild_classes == pinned[k - 1]
     with pytest.raises(ValueError):

@@ -44,9 +44,9 @@ def _walked_orbits(monkeypatch, k):
     walked = []
     original = verify._orbit_failure
 
-    def recorded(mu, profile, split, table, refs, orbit, members):
-        walked.extend((CollapsingPair(k, mu, refs[n][0]), orbit) for n in _bits(split))
-        return original(mu, profile, split, table, refs, orbit, members)
+    def recorded(mu, profile, split, table, sign_arrays, orbit, members):
+        walked.extend((CollapsingPair(k, mu, sign_arrays[n]), orbit) for n in _bits(split))
+        return original(mu, profile, split, table, sign_arrays, orbit, members)
 
     monkeypatch.setattr(verify, "_orbit_failure", recorded)
     return _fold(k), walked
@@ -110,6 +110,21 @@ def _planted(owner, name, defect):
     return lambda monkeypatch: monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
 
 
+def _last_branch_all_plus(original):
+    """The per-split T_R build with + throughout the last branch of two or
+    more members, so each split is handed the T_R of the split with + there."""
+
+    def built(mu, keys):
+        keys = list(keys)
+        multi = canonical._profile(mu).multi
+        if multi and isinstance(keys[0], tuple):  # a T_R, not a td
+            for i in multi[-1]:
+                keys[i] = (mu[i], "+")
+        return original(mu, keys)
+
+    return built
+
+
 def _misplaced(original):
     def misplaced(mu, sgn):
         parent = original(mu, sgn)
@@ -165,9 +180,7 @@ PLANTED = {
     ),
     "witness-not-allowable": _planted(canonical, "_reference_arrays", _reversed_witness),
     "t-c-hangs-a-node-elsewhere": _planted(domains, "_tc_parents", _misplaced),
-    "t-r-memo-ignores-a-branch": _planted(
-        counting, "_tr_key", lambda f: lambda multi: f(multi[:-1])
-    ),
+    "t-r-memo-ignores-a-branch": _planted(counting, "_attached_parents", _last_branch_all_plus),
     "every-tamed-pair-a-reference": _planted(
         canonical._MapProfile, "sign_sets", lambda f: lambda self, table: (f(self, table)[0],) * 2
     ),
@@ -314,7 +327,7 @@ def _last_branch_skipped(original):
             "k=2: rho=4,2 moves a one-member branch of mu=1,2 sgn=+,+ FAIL",
         ),
         (
-            verify,
+            counting,
             "_splits",
             _last_branch_skipped,
             "k=2: mu=1,1 sgn=+,- is walked with mu=1,1 sgn=+,+, "
