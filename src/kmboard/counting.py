@@ -176,7 +176,11 @@ def _fold_maps(k, threads, fn, *args) -> list:
         return pool.starmap(_fold_slice, [(k, i, n, fn, *args) for i in range(n)])
 
 
-def _walk(mus):
+def _unshaped(shape, spans, mu, v):
+    return shape, spans
+
+
+def _walk(mus, shapes=True):
     """(mu, profile, shape, spans) per map of ``mus``: its :class:`_MapProfile`
     and :func:`_grown` shape and spans, carried down a stack of prefixes.
 
@@ -185,8 +189,10 @@ def _walk(mus):
     prefix with the last map, pushes one entry per new coupling but its
     last, and derives its own from the top.  Any order of maps gives
     the same per-map results; in enumeration order consecutive maps
-    share all but their last few couplings.
+    share all but their last few couplings.  With ``shapes`` False no
+    shape is grown: every map's shape and spans stay "" and ().
     """
+    grow = _grown if shapes else _unshaped
     stack = [(_MapProfile(()), "", ())]
     prefix: tuple = ()
     for mu in mus:
@@ -198,10 +204,10 @@ def _walk(mus):
             del stack[c + 1 :]
             for v in mu[c:n]:
                 profile, shape, spans = stack[-1]
-                stack.append((profile.extended(v), *_grown(shape, spans, profile.mu, v)))
+                stack.append((profile.extended(v), *grow(shape, spans, profile.mu, v)))
             prefix = mu[:n]
         profile, shape, spans = stack[-1]
-        yield (mu, profile.extended(mu[n]), *_grown(shape, spans, prefix, mu[n]))
+        yield (mu, profile.extended(mu[n]), *grow(shape, spans, prefix, mu[n]))
 
 
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
@@ -223,7 +229,8 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     into class bits.  T_R and its mass are built once per :func:`_splits`
     part, from its lowest reference.  ``wild.map_references(mu, profile,
     table, splits)`` sees each map's (split mask, T_R, mass) list, ``table``
-    being :func:`_sign_table`'s; ``census=False`` leaves both dicts empty.
+    being :func:`_sign_table`'s; ``census=False`` leaves both dicts empty
+    and grows no shape.
     """
     table: dict[str, list] = {}
     masses: dict[str, int] = {}
@@ -232,7 +239,7 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     selectors = _swap_selectors(len(sign_arrays[0])) if census else {}
     sign_texts = [",".join(sgn) for sgn in sign_arrays]
     swaps_of: dict[tuple, list] = {}
-    for mu, profile, shape, spans in _walk(mus):
+    for mu, profile, shape, spans in _walk(mus, census):
         if census:
             entry = table.get(shape)
             if entry is None:

@@ -15,10 +15,15 @@ flips its orientation: ``conj(U_{a,b} e) = U_{b,a} conj(e)``.
 
 Two independent routes compute the same kernel: :func:`expand` builds it
 on the tree, :func:`expand_oracle` replays the operator product
-coordinate by coordinate.  Both leave the profile fixed at the final
-time.  Each node computes its serialization ``key`` once and keeps it
-(equal keys <=> equal expressions), so sorting the factors of nested
-products in :func:`normalize` serializes no subtree twice.
+coordinate by coordinate.  The replay applies the free flow lazily: a
+coordinate is brought forward only when a collapse reads it, by one
+propagator that telescopes every step since its last change, so a pair
+costs O(k) propagators; ``tests/oracles.stepwise_expand_oracle``, which
+wraps every live coordinate at each step, is its slow route.  Both
+routes leave the profile fixed at the final time.  Each node computes
+its serialization ``key`` once and keeps it (equal keys <=> equal
+expressions), so sorting the factors of nested products in
+:func:`normalize` serializes no subtree twice.
 """
 
 from __future__ import annotations
@@ -442,34 +447,43 @@ def expand(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
 def expand_oracle(pair: CollapsingPair, trace: bool = False):
     """Replay the operator product on a product state, right to left.
 
-    Keeps one (unprimed, primed) kernel per live coordinate; the
-    collapse at coupling j removes coordinates 2j, 2j+1 and multiplies
-    their four factors onto side mu(2j); the free evolution between
-    collapses wraps every live kernel.  Returns the coordinate-1 pair,
-    plus per-coupling snapshots when ``trace`` is set.
+    Keeps one (unprimed, primed) kernel per live coordinate, with the
+    label ``since`` of the time it stands at (2k+1 at the start).  The
+    collapse at coupling j brings its three coordinates 2j, 2j+1 and
+    mu(2j) to t_{2j+1}, each by one propagator that telescopes the free
+    flow since its last change (``U_{a,b} U_{b,c} = U_{a,c}``), removes
+    2j and 2j+1, and multiplies their four factors onto side mu(2j).
+    The other coordinates wait, so a call builds O(k) propagators.
+    Returns the coordinate-1 pair at t_1, plus per-coupling snapshots
+    with every live kernel at t_{2j-1} when ``trace`` is set (O(k) per
+    coupling).  ``tests/oracles.stepwise_expand_oracle`` is the slow
+    route that wraps every live kernel after each collapse; both give
+    the same expressions.
     """
     k = pair.k
-    coords = dict.fromkeys(range(1, 2 * k + 2), (Atom(), conj(Atom())))
+    coords = dict.fromkeys(range(1, 2 * k + 2), (Atom(), conj(Atom()), 2 * k + 1))
     snapshots = []
     for j in range(k, 0, -1):
         s = pair.mu[j - 1]
+        now = 2 * j + 1
         removed = []
         for x in (2 * j, 2 * j + 1):
-            removed.extend(coords.pop(x))
-        e, f = coords[s]
+            removed += _brought(now, *coords.pop(x))
+        e, f = _brought(now, *coords[s])
         if pair.sgn[j - 1] == "+":
-            coords[s] = (prod([e] + removed), f)
+            coords[s] = (prod([e] + removed), f, now)
         else:
             # keep the primed side an outer conjugate, as the traces print it
-            coords[s] = (e, conj(prod([conj(f)] + [conj(r) for r in removed])))
-        hi, lo = 2 * j - 1, 2 * j + 1
-        coords = {
-            i: (evolve(hi, lo, e), evolve(lo, hi, f)) for i, (e, f) in coords.items()
-        }
+            coords[s] = (e, conj(prod([conj(f)] + [conj(r) for r in removed])), now)
         if trace:
-            snapshots.append((j, dict(coords)))
-    result = coords[1]
+            snapshots.append((j, {i: _brought(2 * j - 1, *c) for i, c in coords.items()}))
+    result = _brought(1, *coords[1])
     return (result, snapshots) if trace else result
+
+
+def _brought(t: int, e: SymExpr, f: SymExpr, since: int) -> tuple[SymExpr, SymExpr]:
+    """A coordinate's kernels at t_since, brought to t_t by one propagator each."""
+    return evolve(t, since, e), evolve(since, t, f)
 
 
 # -- text rendering ----------------------------------------------------------

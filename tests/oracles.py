@@ -1260,7 +1260,7 @@ def literal_echelon_pair(pair):
     return pair_from_tree(literal_echelon_labeling(shape, pair.k))
 
 
-# -- Duhamel kernels: normal form in two passes, substitution by relabeling ----
+# -- Duhamel kernels: normal form in two passes, substitution by relabeling, stepwise oracle
 
 
 def literal_expr_key(e):
@@ -1328,3 +1328,28 @@ def literal_substitute_times(e, sigma):
         return sigma.of(a - 1) + 1
 
     return two_pass_normalize(_map_labels(e, rename))
+
+
+def stepwise_expand_oracle(pair, trace=False):
+    """``duhamel.expand_oracle`` by the definition: after each collapse
+    the free evolution from t_{2j+1} back to t_{2j-1} wraps every live
+    kernel, so a call builds O(k^2) propagators."""
+    k = pair.k
+    coords = dict.fromkeys(range(1, 2 * k + 2), (Atom(), conj(Atom())))
+    snapshots = []
+    for j in range(k, 0, -1):
+        s = pair.mu[j - 1]
+        removed = []
+        for x in (2 * j, 2 * j + 1):
+            removed.extend(coords.pop(x))
+        e, f = coords[s]
+        if pair.sgn[j - 1] == "+":
+            coords[s] = (prod([e] + removed), f)
+        else:
+            coords[s] = (e, conj(prod([conj(f)] + [conj(r) for r in removed])))
+        hi, lo = 2 * j - 1, 2 * j + 1
+        coords = {i: (evolve(hi, lo, e), evolve(lo, hi, f)) for i, (e, f) in coords.items()}
+        if trace:
+            snapshots.append((j, dict(coords)))
+    result = coords[1]
+    return (result, snapshots) if trace else result

@@ -562,6 +562,29 @@ def test_the_carried_walk_equals_the_whole_map_oracles_on_any_stream(k):
         assert _first_walk_mismatch(stream, want) is None
 
 
+def test_a_walk_without_shapes_carries_the_same_profiles(monkeypatch):
+    # verify's wild checks fold with census=False and read no shape, so none is grown
+    from kmboard import counting
+    from kmboard.canonical import _MapProfile
+
+    def profiles(walk):
+        return [(mu, [getattr(p, f) for f in _MapProfile.__slots__]) for mu, p, *_ in walk]
+
+    for k in range(1, 7):
+        shaped = list(counting._walk(enumerate_mus(k)))
+        unshaped = list(counting._walk(enumerate_mus(k), shapes=False))
+        assert profiles(unshaped) == profiles(shaped)
+        assert {(shape, spans) for *_, shape, spans in unshaped} == {("", ())}
+    sign_arrays = list(itertools.product("+-", repeat=4))
+    tamed = counting._census_chunk(enumerate_mus(4), sign_arrays)[2]
+
+    def no_shape(*args):
+        raise AssertionError("a fold without the census grew a shape")
+
+    monkeypatch.setattr(counting, "_grown", no_shape)
+    assert counting._census_chunk(enumerate_mus(4), sign_arrays, census=False)[2] == tamed
+
+
 def test_planted_walk_defects_differ_from_the_whole_map_oracles(monkeypatch):
     # a new node's "(" one place late, so a leaf in its left slot lands inside
     # the wrong node; and a step that compares the new label with none of its tier

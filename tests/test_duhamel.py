@@ -41,6 +41,7 @@ from oracles import (
     relation_pairs,
     scan_build_dtree,
     signed_pairs,
+    stepwise_expand_oracle,
     substitute_times,
     two_pass_normalize,
     unclogged_count,
@@ -244,6 +245,38 @@ def test_expand_equals_oracle_small_and_random():
     for _ in range(60):
         p = random_pair(rng.randint(4, 6), rng)
         assert expand(p) == tuple(map(normalize, expand_oracle(p)))
+
+
+def test_expand_oracle_equals_the_stepwise_replay():
+    # node == compares classes and fields, so equal nodes print equal: the
+    # snapshots' repr, by far the dearest check, runs on the exhaustive pairs
+    rng = random.Random(28)
+    small = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]
+    for p in small + [random_pair(rng.randint(5, 40), rng) for _ in range(200)]:
+        got, got_trace = expand_oracle(p, trace=True)
+        want, want_trace = stepwise_expand_oracle(p, trace=True)
+        assert got == want == expand_oracle(p) and repr(got) == repr(want), p
+        snapshots = [[(j, list(s.items())) for j, s in t] for t in (got_trace, want_trace)]
+        assert snapshots[0] == snapshots[1], p
+        if p.k < 5:
+            assert repr(got_trace) == repr(want_trace), p
+
+
+def test_expand_oracle_builds_a_linear_number_of_propagators(monkeypatch):
+    # the stepwise replay wraps every live coordinate at each coupling: about k^2 calls
+    calls = 0
+    inner = duhamel.evolve
+
+    def counted(a, b, e):
+        nonlocal calls
+        calls += 1
+        return inner(a, b, e)
+
+    monkeypatch.setattr(duhamel, "evolve", counted)
+    for k in (100, 200):
+        calls = 0
+        expand_oracle(random_pair(k, random.Random(k)))
+        assert calls <= 10 * k, (k, calls)
 
 
 def test_normalize_basic_laws():
