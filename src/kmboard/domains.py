@@ -195,7 +195,13 @@ def td_domain(pair: CollapsingPair) -> TimePoset:
 
 
 def _tc_parents(mu, sgn) -> tuple:
-    """T_C as the parent tuple of :func:`tc_domain`, indexed by label >> 1."""
+    """T_C as the parent tuple of :func:`tc_domain`, indexed by label >> 1.
+
+    No one-member sign moves a parent: ``duhamel._slot_pass`` seeks such
+    a branch's key (v, +-) only by coupling m's two sign slots for v,
+    v = 2m or 2m+1 (the top's, for v = 1), and either makes m the parent.
+    So the references of a ``counting._splits`` part share T_C.
+    """
     return (None, *(1 if p == 0 else p + 1 for p in _slot_pass(mu, sgn)[2]))
 
 

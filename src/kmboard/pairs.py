@@ -131,13 +131,12 @@ def enumerate_pairs(
     ``+`` before ``-``.  Unsigned mode fixes every sign to ``+`` and
     yields ``(2k-1)!!`` items; signed mode yields ``(2k-1)!! * 2**k``.
     """
-    all_plus = ("+",) * k
+    signs = None
     for mu in enumerate_mus(k, cap=cap):
-        if signed:
-            for sgn in itertools.product(SIGNS, repeat=k):
-                yield CollapsingPair(k, mu, sgn)
-        else:
-            yield CollapsingPair(k, mu, all_plus)
+        if signs is None:  # past enumerate_mus's cap check: nothing k-long at a large k
+            signs = list(itertools.product(SIGNS, repeat=k)) if signed else [("+",) * k]
+        for sgn in signs:
+            yield CollapsingPair(k, mu, sgn)
 
 
 def random_pair(k: int, rng, signed: bool = True) -> CollapsingPair:

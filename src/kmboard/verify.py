@@ -6,16 +6,16 @@ raises :class:`CheckFailed` with the failure line, which
 :func:`run_checks` alone marks FAIL.  Catalan, tamed-unique,
 reference-unique, compat and mass read one :class:`_Fold` per order: a
 walk of the map and sign arrays for the census table, the tamed count,
-and the reference pairs' orbits and simplex partitions.
-Domain-bijection walks each map's relabelings as position arrays.  Both
-walks go through ``counting._fold_maps``.
+and, once per split of each map's reference pairs, their orbits, T_R
+against T_C and simplex partitions.  Domain-bijection walks each map's
+relabelings as position arrays.  Both walks go through
+``counting._fold_maps``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import cache
 
 from . import canonical, counting, domains, duhamel, moves, trees
 from .canonical import _bits, _MapProfile
@@ -138,11 +138,13 @@ class _Fold:
     read from ``sign_arrays`` by its bit.  The orbit clauses run
     once per (map, split, image) after two O(k) premise checks: the split
     has its first reference's signs on every multi-member branch, and each
-    image fixes every one-member index.  Partition runs per split, compat
-    per reference.  ``failures`` keeps each group's first failure as (mu,
-    sgn, line); an orbit failure fails every wild check and stops the walk.
-    Maps compare in enumeration order, so the earliest over the chunks is
-    the one walk's first, whatever the split.
+    image fixes every one-member index.  Partition and compat run once
+    per split on its first reference: T_C reads no one-member sign either
+    (see ``domains._tc_parents``), so a split shares it too.  ``failures``
+    keeps each group's first failure as (mu, sgn, line); an orbit failure
+    fails every wild check and stops the walk.  Maps compare in
+    enumeration order, so the earliest over the chunks is the one walk's
+    first, whatever the split.
     """
 
     def __init__(self, k, groups):
@@ -172,6 +174,10 @@ class _Fold:
             self.covered += n * len(orbit)
             self.references += n
             self.mass += n * mass
+            if "compat" in self.groups and "compat" not in failures:
+                if domains._tc_parents(mu, sgn) != tuple(whole.values()):
+                    pair = CollapsingPair._unchecked(k, mu, sgn)
+                    failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {pair}")
             if "partition" in self.groups and "partition" not in failures:
                 reference = CollapsingPair._unchecked(k, mu, sgn)
                 failure = _partition_failure(reference, whole, mass, orbit, pieces)
@@ -179,17 +185,6 @@ class _Fold:
                     failures["partition"] = (mu, sgn, f"k={k}: {failure}")
         if failed:  # it fails every wild check, so no compat or partition line shows
             failures["orbit"] = (mu, sign_arrays[failed[0]], f"k={k}: {failed[1]}")
-        elif "compat" in self.groups and "compat" not in failures:
-            differ = [
-                n
-                for split, whole, _ in splits
-                for n in _bits(split)
-                if domains._tc_parents(mu, sign_arrays[n]) != tuple(whole.values())
-            ]
-            if differ:  # the first in sign-array order
-                sgn = sign_arrays[min(differ)]
-                pair = CollapsingPair._unchecked(k, mu, sgn)
-                failures["compat"] = (mu, sgn, f"k={k}: T_R != T_C for {pair}")
 
     def passed(self, *groups) -> "_Fold":
         """Raise the first failure among ``groups``; else return self."""
@@ -222,17 +217,19 @@ class VerifyRun:
     """The options of one verify call and the per-order folds its checks share.
 
     ``fold(k)`` walks the maps of order k once, on first use, for every
-    clause group the run's checks read, and keeps the result for the
-    run.  ``counting._fold_maps`` splits the maps over at most
+    clause group the run's checks read, and keeps the result in ``folds``
+    for the run.  ``counting._fold_maps`` splits the maps over at most
     ``threads`` workers, as for the census and domain-bijection.
     """
 
     def __init__(self, names, seed: int, threads: int):
         self.seed, self.threads = seed, threads
         self.groups = frozenset(g for name in names for g in GROUPS.get(name, ()))
-        self.fold = cache(self._fold)
+        self.folds: dict[int, _Fold] = {}
 
-    def _fold(self, k: int) -> _Fold:
+    def fold(self, k: int) -> _Fold:
+        if k in self.folds:
+            return self.folds[k]
         parts = counting._fold_maps(k, self.threads, _walk, k, self.groups)
         fold = parts[0]
         chunks = [part.census for part in parts]
@@ -254,10 +251,8 @@ class VerifyRun:
             elif fold.covered != fold.n_tamed:
                 line = _uncovered(k) or f"the orbits hold {fold.covered} of {fold.n_tamed} pairs"
                 fold.failures["orbit"] = (None, None, f"k={k}: {line}")
+        self.folds[k] = fold
         return fold
-
-    def close(self) -> None:
-        self.fold.cache_clear()  # the cache refers back to the run
 
 
 def _check_catalan(k, run, lines) -> None:
@@ -473,14 +468,11 @@ def run_checks(names, k: int, seed: int, threads: int) -> tuple[list[str], dict]
     run = VerifyRun(names, seed, threads)
     lines: list[str] = []
     results = {}
-    try:
-        for name in names:
-            try:
-                CHECKS[name](k, run, lines)
-                results[name] = True
-            except CheckFailed as exc:
-                lines.append(f"{exc} FAIL")
-                results[name] = False
-    finally:
-        run.close()
+    for name in names:
+        try:
+            CHECKS[name](k, run, lines)
+            results[name] = True
+        except CheckFailed as exc:
+            lines.append(f"{exc} FAIL")
+            results[name] = False
     return lines, results

@@ -430,6 +430,17 @@ def test_canon_labels_a_deep_chain(capsys, form):
     assert payload["canonical"] == payload["input"] and payload["moves"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate",), ("enumerate", "--signed"), ("classify", "--moves", "km")],
+    ids=["enumerate", "enumerate-signed", "classify-km"],
+)
+def test_an_order_past_any_index_size_exits_2_at_the_enumeration_cap(capsys, argv):
+    # nothing k-long may be built before the cap check: k = 2**63 overflows an index
+    line = input_error(capsys, *argv, "--k", str(2**63))
+    assert line == f"error: k={2**63} exceeds enumeration cap 10"
+
+
 def test_enumerate_negative_limit_exits_2(capsys):
     assert "--limit" in input_error(capsys, "enumerate", "--k", "2", "--limit", "-1")
 

@@ -1,5 +1,6 @@
-"""Verify's per-map wild fold against the forward sweep it replaced, and the
-defects its orbit, coverage and partition clauses must catch."""
+"""Verify's per-map wild fold against the forward sweep it replaced, the
+lemma that lets compat run once per split, and the defects its orbit,
+coverage, compat and partition clauses must catch."""
 
 import itertools
 import json
@@ -33,10 +34,7 @@ def test_wild_sweep_matches_the_object_sweep(k):
 
 
 def _fold(k):
-    run = verify.VerifyRun(_WILD, 0, 1)
-    fold = run.fold(k)
-    run.close()
-    return fold
+    return verify.VerifyRun(_WILD, 0, 1).fold(k)
 
 
 def _walked_orbits(monkeypatch, k):
@@ -229,6 +227,56 @@ def test_fold_matches_the_forward_sweep(monkeypatch, k):
         if "orbit" not in fold.failures:
             counts = (fold.n_tamed, fold.covered, fold.references, fold.mass)
             assert counts == (pair.n_tamed, pair.covered, pair.references, pair.mass), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_the_references_of_a_split_share_t_c(k):
+    # the lemma that lets compat compare T_R with T_C once per split
+    sign_arrays = list(itertools.product("+-", repeat=k))
+    signs = canonical._sign_table(sign_arrays)
+    sizes = []
+    for mu in enumerate_mus(k):
+        profile = canonical._MapProfile(mu)
+        references = profile.sign_sets(signs)[1]
+        if not references:  # as in the census loop, which hands such a map no splits
+            continue
+        for split in counting._splits(references, signs[1], profile.multi):
+            t_c = {domains._tc_parents(mu, sign_arrays[n]) for n in _bits(split)}
+            assert len(t_c) == 1, (mu, [sign_arrays[n] for n in _bits(split)])
+            sizes.append(split.bit_count())
+    assert sum(sizes) == counting.wild_class_count(k) and max(sizes) > 1
+
+
+def _reads_a_one_member_sign(original):
+    """T_C with the last label under t_1 where the last index is a branch of
+    its own signed -: such an array comes after its + twin in a split."""
+
+    def misread(mu, sgn):
+        parent = original(mu, sgn)
+        if len(mu) > 1 and mu.count(mu[-1]) == 1 and sgn[-1] == "-":
+            return parent[:-1] + (1,)
+        return parent
+
+    return misread
+
+
+def test_compat_sees_a_t_c_that_reads_a_one_member_sign_only_per_reference(monkeypatch):
+    # compat reads T_C off each split's first reference alone, so this defect
+    # shows only on the per-reference route, not as a PLANTED row
+    monkeypatch.setattr(domains, "_tc_parents", _reads_a_one_member_sign(domains._tc_parents))
+    first = {}
+    for k in range(1, 5):
+        split = _fold(k).failures.get("compat")
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_Fold", PairFold)
+            pair = _fold(k).failures.get("compat")
+        first[k] = split and split[2], pair and pair[2]
+    assert first == {
+        1: (None, None),
+        2: (None, "k=2: T_R != T_C for mu=1,2 sgn=+,-"),
+        3: (None, "k=3: T_R != T_C for mu=1,1,2 sgn=+,+,-"),
+        4: (None, "k=4: T_R != T_C for mu=1,1,1,2 sgn=+,+,+,-"),
+    }
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["true-pieces", "pieces-off-identity"])
