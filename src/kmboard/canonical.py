@@ -15,7 +15,7 @@ import itertools
 from typing import Iterator
 
 from .errors import NotAcceptable, NotReference, NotTamed
-from .moves import _act, _act_arrays, _allowable, _km_acceptable
+from .moves import _act_arrays, _allowable, _km_acceptable
 from .pairs import ENUMERATION_CAP, SIGNS, CollapsingPair, TimePermutation, enumerate_mus
 from .trees import echelon_labeling, tamed_labeling, tree_from_pair
 
@@ -249,11 +249,6 @@ def to_echelon(pair: CollapsingPair) -> tuple[CollapsingPair, tuple[int, ...]]:
     return reduce_to_labeling(seed, echelon_labeling(tree_from_pair(seed)))
 
 
-def echelon_pair(pair: CollapsingPair) -> CollapsingPair:
-    """Upper-echelon form read straight off the echelon relabeling."""
-    return _act(pair.unsigned(), echelon_labeling(tree_from_pair(pair)), conjugate=True)
-
-
 def _reference_arrays(mu, sgn, groups) -> tuple[tuple, tuple, tuple]:
     """The reference arrays of a tamed pair's wild class and the witness image, unguarded.
 
@@ -296,7 +291,6 @@ __all__ = [
     "tamed_pairs",
     "to_tamed",
     "to_echelon",
-    "echelon_pair",
     "to_reference",
     "reduce_to_labeling",
 ]

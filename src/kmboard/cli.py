@@ -113,7 +113,7 @@ def cmd_classify(args) -> int:
     _in_range("--cap", args.cap, 1, ENUMERATION_CAP)
     if args.moves == "km":
         pairs = enumerate_pairs(args.k, signed=False, cap=args.cap)
-        key_of, rep_of = (lambda p: skeleton_key(p.mu)), canonical.echelon_pair
+        key_of, rep_of = (lambda p: skeleton_key(p.mu)), (lambda p: canonical.to_echelon(p)[0])
     elif args.moves == "signed-km":
         pairs = enumerate_pairs(args.k, signed=True, cap=args.cap)
         key_of, rep_of = (lambda p: skeleton_key(p.mu, p.sgn)), (lambda p: canonical.to_tamed(p)[0])

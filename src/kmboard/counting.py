@@ -220,8 +220,9 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     met by two (every bit, -1, once a tamed map's preorder is no
     permutation of the sign indices).  ``tds`` holds the td hook counts
     of the maps that hold a tamed pair.  The second dict maps each
-    reference pair to its extension count; the int counts the tamed
-    pairs.  :func:`_walk` carries each map's profile and shape, and
+    reference pair, keyed by its own ``(mu, sgn)`` arrays, to its
+    extension count; the int counts the tamed pairs.  :func:`_walk`
+    carries each map's profile and shape, and
     :meth:`_MapProfile.sign_sets` gives its tamed and reference arrays
     as bitmasks over ``sign_arrays``, read in list order.  Only a map
     with a tamed pair reads its preorder (:func:`_sign_order`), and
@@ -233,11 +234,10 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     and grows no shape.
     """
     table: dict[str, list] = {}
-    masses: dict[str, int] = {}
+    masses: dict[tuple, int] = {}
     n_tamed = 0
     signs = _sign_table(sign_arrays)
     selectors = _swap_selectors(len(sign_arrays[0])) if census else {}
-    sign_texts = [",".join(sgn) for sgn in sign_arrays]
     swaps_of: dict[tuple, list] = {}
     for mu, profile, shape, spans in _walk(mus, census):
         if census:
@@ -262,7 +262,6 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
                 entry[2] |= entry[1] & classes
                 entry[1] |= classes
             entry[3].add(_hook_count(_attached_parents(mu, mu)))
-            mu_text = f"mu={','.join(map(str, mu))} sgn="
         if not references:
             continue
         splits = []
@@ -271,7 +270,7 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
             splits.append((split, whole, _hook_count(whole)))
         if census:  # in sign-array order
             for n, mass in sorted([(n, mass) for split, _, mass in splits for n in _bits(split)]):
-                masses[mu_text + sign_texts[n]] = mass
+                masses[mu, sign_arrays[n]] = mass
         if wild is not None:
             wild.map_references(mu, profile, signs, splits)
     return table, masses, n_tamed

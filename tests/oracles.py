@@ -837,8 +837,7 @@ def signed_class_table_census(k, signed=True) -> CensusReport:
             if tamed(profile, sgn):
                 entry[1] += 1
                 if blocks_ordered(profile, sgn):
-                    ref_key = f"mu={','.join(map(str, mu))} sgn={','.join(sgn)}"
-                    masses[ref_key] = _hook_count(_attached_parents(mu, zip(mu, sgn)))
+                    masses[mu, sgn] = _hook_count(_attached_parents(mu, zip(mu, sgn)))
 
     total = sum(size for size, _, _ in table.values())
     if total != expected_total:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from kmboard.canonical import (
-    echelon_pair,
     is_reference,
     is_tamed,
     reduce_to_labeling,
@@ -172,14 +171,14 @@ def test_echelon_unique_per_class_exhaustive():
         for members in by_skeleton.values():
             echelons = [q for q in members if is_upper_echelon(q)]
             assert len(echelons) == 1
-            assert echelon_pair(members[0]) == echelons[0]
+            assert to_echelon(members[0])[0] == echelons[0]
 
 
 def test_to_echelon_witness_and_fixed_point():
     for p in enumerate_pairs(4, signed=False):
         ech, move_seq = to_echelon(p)
         assert is_upper_echelon(ech)
-        assert ech == echelon_pair(p)
+        assert ech == literal_echelon_pair(p)
         state = MoveState.start(p)
         for j in move_seq:
             state = apply_signed_km(state, j)
@@ -197,7 +196,7 @@ def test_canonical_forms_match_their_slot_path_oracles():
     for p in cases:
         if all(s == "+" for s in p.sgn) or p.k > 5:
             assert to_echelon(p) == literal_to_echelon(p)
-            assert echelon_pair(p) == literal_echelon_pair(p)
+            assert to_echelon(p)[0] == literal_echelon_pair(p)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -478,13 +478,11 @@ def test_census_extension_counter_agrees_with_domain_module():
 
     for k in range(1, 5):
         masses = census(k).reference_masses
-        n = 0
-        for p in enumerate_pairs(k, signed=True):
-            if is_reference(p):
-                n += 1
-                key = f"mu={','.join(map(str, p.mu))} sgn={','.join(p.sgn)}"
-                assert masses[key] == count_linear_extensions(tc_domain(p))
-        assert len(masses) == n
+        references = [p for p in enumerate_pairs(k, signed=True) if is_reference(p)]
+        for p in references:
+            assert masses[p.mu, p.sgn] == count_linear_extensions(tc_domain(p))
+        # keyed by each reference's own arrays, in enumeration order
+        assert list(masses) == [(p.mu, p.sgn) for p in references]
 
 
 def test_signed_class_size_equals_relabeling_count():

@@ -151,7 +151,8 @@ def test_labels_outside_the_order_are_rejected():
 
 
 def test_count_matches_brute_force_on_every_small_domain():
-    for poset in _every_domain(4):
+    # the 4,386 domains at k <= 4 are 25 distinct posets: check each once
+    for poset in dict.fromkeys(_every_domain(4)):
         orders = brute_force_extensions(poset)
         assert count_linear_extensions(poset) == len(orders)
         assert linear_extensions(poset) == orders
