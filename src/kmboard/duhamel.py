@@ -13,23 +13,27 @@ or ``U_{-b}``), and composition merges matching endpoints, so absent
 slots never survive to a finished kernel.  Conjugating a propagator
 flips its orientation: ``conj(U_{a,b} e) = U_{b,a} conj(e)``.
 
-Two independent routes compute the same kernel: :func:`expand` builds it
-on the tree, :func:`expand_oracle` replays the operator product
-coordinate by coordinate.  The replay applies the free flow lazily: a
-coordinate is brought forward only when a collapse reads it, by one
-propagator that telescopes every step since its last change, so a pair
-costs O(k) propagators; ``tests/oracles.stepwise_expand_oracle``, which
-wraps every live coordinate at each step, is its slow route.  Both
-routes leave the profile fixed at the final time.  Each node computes
-its serialization ``key`` once and keeps it (equal keys <=> equal
-expressions), so sorting the factors of nested products in
-:func:`normalize` serializes no subtree twice.
+Three routes compute the same kernel.  Two walk the tree in one pass
+down its labels: :func:`expand_display` keeps each product in child-slot
+order for the text rendering, and :func:`expand` builds the normal form
+directly, conjugations at the atoms and products sorted.  The third,
+:func:`expand_oracle`, replays the operator product coordinate by
+coordinate.  ``verify`` and the benchmark compare :func:`expand` with
+the normalized oracle; the tests also compare it with the normalized
+display pass.  The replay applies the free flow lazily: a coordinate is
+brought forward only when a collapse reads it, by one propagator that
+telescopes every step since its last change, so a pair costs O(k)
+propagators; ``tests/oracles.stepwise_expand_oracle``, which wraps every
+live coordinate at each step, is its slow route.  All routes leave the
+profile fixed at the final time.  Each node computes its serialization
+``key`` once and keeps it (equal keys <=> equal expressions), so sorting
+the factors of nested products serializes no subtree twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Optional, Union
 
 from .pairs import CollapsingPair
@@ -63,9 +67,18 @@ class Atom:
         return self.name
 
 
+# Conj, Evolve and Prod are built in every expansion's inner loop.  Their
+# __init__ writes the instance dict directly, where the frozen dataclass one
+# calls object.__setattr__ per field; assignment still raises
+# FrozenInstanceError, and repr, == and hash stay the generated ones.
+
+
 @dataclass(frozen=True)
 class Conj:
     body: "SymExpr"
+
+    def __init__(self, body):
+        self.__dict__["body"] = body
 
     @_cached_key
     def key(self) -> str:
@@ -78,6 +91,12 @@ class Evolve:
     b: Optional[int]  # negative-phase time label
     body: "SymExpr"
 
+    def __init__(self, a, b, body):
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
+        d["body"] = body
+
     @_cached_key
     def key(self) -> str:
         a = "_" if self.a is None else self.a
@@ -89,12 +108,17 @@ class Evolve:
 class Prod:
     factors: tuple
 
+    def __init__(self, factors):
+        self.__dict__["factors"] = factors
+
     @_cached_key
     def key(self) -> str:
         return "p(" + ",".join(f.key for f in self.factors) + ")"
 
 
 SymExpr = Union[Atom, Conj, Evolve, Prod]
+
+_KEY = attrgetter("key")  # products sort their factors by it
 
 
 def conj(e: SymExpr) -> SymExpr:
@@ -150,24 +174,43 @@ def _normal(e: SymExpr, flip: bool) -> SymExpr:
 
     The parity rides down: ``conj(U_{a,b} e) = U_{b,a} conj(e)`` and
     conjugation distributes over products, so it lands on the atoms.
+    A subtree that is already normal comes back as the same object, so
+    normalizing a normal form builds no node.
     """
     if isinstance(e, Atom):
         return Conj(e) if flip else e
     if isinstance(e, Conj):
+        if not flip and isinstance(e.body, Atom):
+            return e
         return _normal(e.body, not flip)
     if isinstance(e, Evolve):
-        a, b = (e.b, e.a) if flip else (e.a, e.b)
-        return _merge_evolve(a, b, _normal(e.body, flip))
+        body = _normal(e.body, flip)
+        if flip:
+            return _merge_evolve(e.b, e.a, body)
+        a, b = e.a, e.b
+        if (
+            body is e.body
+            and a != b
+            and not (isinstance(body, Evolve) and (body.a == b or body.b == a))
+        ):
+            return e
+        return _merge_evolve(a, b, body)
     factors = []
+    same = not flip
     for f in e.factors:
         nf = _normal(f, flip)
         if isinstance(nf, Prod):
             factors.extend(nf.factors)
+            same = False
         else:
             factors.append(nf)
+            same = same and nf is f
     if len(factors) == 1:
         return factors[0]
-    return Prod(tuple(sorted(factors, key=attrgetter("key"))))
+    factors.sort(key=_KEY)
+    if same and all(map(is_, factors, e.factors)):
+        return e
+    return Prod(tuple(factors))
 
 
 # -- Duhamel tree ------------------------------------------------------------
@@ -435,10 +478,50 @@ def expand_display(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
     return left, right
 
 
+#: Per coupling sign: whether each of its five slots takes ``U_{t,_}``
+#: (True) or ``U_{_,t}`` (False), t the coupling's time label, then the
+#: same for the propagator over its product.  These are the display
+#: pass's rewrites with every conjugation driven to the atoms: a "-"
+#: coupling's kernel is an outer conjugate, which flips its own
+#: propagator and each slot's.
+_ORIENT = {
+    "+": ((True, True, False, True, False), False),
+    "-": ((False, True, False, True, False), True),
+}
+
+
 def expand(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
-    """Normalized kernel pair (x_1 factor, x_1' factor) of the expansion."""
-    left, right = expand_display(pair)
-    return normalize(left), normalize(right)
+    """Normalized kernel pair (x_1 factor, x_1' factor) of the expansion.
+
+    Equals ``normalize`` of :func:`expand_display`, but builds the
+    normal form in the same one pass over the labels 2k, 2k-2, ..., 2:
+    with the parity driven down, every child is read unconjugated, so
+    each slot is one endpoint merge of the child's normal kernel, and
+    the coupling's product is its five slots sorted by ``key``.  A slot
+    never merges to a product (only a leaf's propagator can cancel, at
+    coupling k), so no product needs flattening.  Builds no display
+    form and normalizes nothing afterwards; no step recurses on depth.
+    """
+    root, kids, _ = _slot_pass(pair.mu, pair.sgn)
+    final = 2 * pair.k + 1
+    phi = Atom()
+    leaves = (Evolve(None, final, phi), Evolve(final, None, Conj(phi)))  # by ~code & 1: +, -
+    kernel = [None] * (pair.k + 1)  # kernel[j]: coupling j's, once its pass is done
+
+    def of(code):
+        return kernel[code >> 1] if code > 0 else leaves[~code & 1]
+
+    for j in range(pair.k, 0, -1):
+        t = 2 * j + 1
+        forward, own = _ORIENT[pair.sgn[j - 1]]
+        factors = [
+            _merge_evolve(t, None, of(code)) if fwd else _merge_evolve(None, t, of(code))
+            for code, fwd in zip(kids[j - 1], forward)
+        ]
+        factors.sort(key=_KEY)
+        body = Prod(tuple(factors))
+        kernel[j] = Evolve(t, None, body) if own else Evolve(None, t, body)
+    return _merge_evolve(1, None, of(root[0])), _merge_evolve(None, 1, of(root[1]))
 
 
 # -- expansion: operator-evolution oracle ------------------------------------

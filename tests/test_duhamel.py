@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmboard import duhamel
+from kmboard import duhamel, verify
 from kmboard.canonical import is_reference, tamed_pairs
 from kmboard.domains import tc_domain, TimePoset
 from kmboard.duhamel import (
@@ -247,6 +249,46 @@ def test_expand_equals_oracle_small_and_random():
         assert expand(p) == tuple(map(normalize, expand_oracle(p)))
 
 
+def _assert_expand_equals_the_normalized_display_pass():
+    # expand builds the normal form itself; the display pass plus normalize is its check
+    rng = random.Random(31)
+    small = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]
+    for p in small + [random_pair(rng.randint(1, 12), rng) for _ in range(200)]:
+        got, want = expand(p), tuple(map(normalize, expand_display(p)))
+        assert got == want and repr(got) == repr(want), p
+
+
+def test_expand_equals_the_normalized_display_pass():
+    _assert_expand_equals_the_normalized_display_pass()
+
+
+def test_a_flipped_slot_orientation_fails_verify_and_the_display_cross_check(monkeypatch):
+    # slot 1 of a "-" coupling takes U_{t,_}; give it U_{_,t}
+    slots, own = duhamel._ORIENT["-"]
+    monkeypatch.setitem(duhamel._ORIENT, "-", ((slots[0], not slots[1], *slots[2:]), own))
+    assert verify.run_checks(["duhamel"], 3, 0, 1) == (
+        ["k=1: expansion != oracle for mu=1 sgn=- FAIL"],
+        {"duhamel": False},
+    )
+    with pytest.raises(AssertionError):
+        _assert_expand_equals_the_normalized_display_pass()
+
+
+def test_expand_builds_a_middle_chain_five_hundred_deep():
+    # normalizing the display form recurses on depth and overflows here; the
+    # keys grow with the square of the depth, so the suite goes no deeper
+    k = 500
+    left, right = expand(validate_pair(k, (1,) + tuple(range(2, 2 * k - 1, 2)), "+" * k))
+    assert right == Evolve(2 * k + 1, 1, Conj(Atom()))
+    e = left
+    for j in range(1, k + 1):  # coupling j's product, reached from its parent at t_{2j-1}
+        assert (type(e), e.a, e.b, type(e.body)) == (Evolve, 2 * j - 1, 2 * j + 1, Prod)
+        assert len(e.body.factors) == 5
+        inner = [f for f in e.body.factors if isinstance(getattr(f, "body", None), Prod)]
+        assert len(inner) == (j < k)
+        e = inner[0] if inner else None
+
+
 def test_expand_oracle_equals_the_stepwise_replay():
     # node == compares classes and fields, so equal nodes print equal: the
     # snapshots' repr, by far the dearest check, runs on the exhaustive pairs
@@ -287,6 +329,38 @@ def test_normalize_basic_laws():
     # conjugation flips the propagator orientation; |phi|^2 is self-conjugate
     lhs = normalize(Conj(Evolve(3, 5, Prod((phi, Conj(phi))))))
     assert lhs == normalize(Evolve(5, 3, Prod((phi, Conj(phi)))))
+
+
+_PHI = Atom()
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        Conj(_PHI),
+        Evolve(3, 15, _PHI),
+        Evolve(None, 7, Conj(_PHI)),
+        Prod((Conj(_PHI), Evolve(3, 15, _PHI), _PHI)),
+    ],
+    ids=["conj", "evolve", "evolve-open", "prod"],
+)
+def test_nodes_stay_frozen_dataclasses_and_normal_nodes_normalize_to_themselves(node):
+    fields = dataclasses.fields(node)
+    values = {f.name: getattr(node, f.name) for f in fields}
+    assert vars(node) == values  # no key yet, nothing besides the fields
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, f.name, values[f.name])
+    cls = type(node)
+    assert repr(node) == f"{cls.__qualname__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in values.items()
+    ) + ")"
+    twin = cls(**values)
+    assert twin == node and twin is not node
+    assert hash(node) == hash(twin) == hash(tuple(values.values()))
+    assert node != cls(**{**values, fields[-1].name: Conj(Conj(_PHI))})
+    assert normalize(node) is node
+    assert normalize(Evolve(3, 3, _PHI)) == _PHI
 
 
 def _random_expr(rng, depth):
