@@ -33,7 +33,7 @@ the factors of nested products serializes no subtree twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Optional, Union
 
 from .pairs import CollapsingPair
@@ -127,8 +127,15 @@ def conj(e: SymExpr) -> SymExpr:
     return Conj(e)
 
 
-def _merge_evolve(a: Optional[int], b: Optional[int], body: SymExpr) -> SymExpr:
-    """Endpoint merging only; never moves conjugations."""
+def _merge_evolve(
+    a: Optional[int], b: Optional[int], body: SymExpr, built: Optional[Evolve] = None
+) -> SymExpr:
+    """Endpoint merging only; never moves conjugations.
+
+    ``built``, if given, is ``Evolve(a, b, body)`` itself, handed back
+    when nothing merges or collapses.
+    """
+    inner = body
     while isinstance(body, Evolve) and (body.a == b or body.b == a):
         if body.a == b:
             b = body.b
@@ -137,6 +144,8 @@ def _merge_evolve(a: Optional[int], b: Optional[int], body: SymExpr) -> SymExpr:
         body = body.body
     if a == b:
         return body
+    if built is not None and body is inner:
+        return built
     return Evolve(a, b, body)
 
 
@@ -174,42 +183,28 @@ def _normal(e: SymExpr, flip: bool) -> SymExpr:
 
     The parity rides down: ``conj(U_{a,b} e) = U_{b,a} conj(e)`` and
     conjugation distributes over products, so it lands on the atoms.
-    A subtree that is already normal comes back as the same object, so
-    normalizing a normal form builds no node.
+    An unflipped propagator whose body comes back unchanged and that
+    merges with nothing is returned as the same object.
     """
     if isinstance(e, Atom):
         return Conj(e) if flip else e
     if isinstance(e, Conj):
-        if not flip and isinstance(e.body, Atom):
-            return e
         return _normal(e.body, not flip)
     if isinstance(e, Evolve):
         body = _normal(e.body, flip)
         if flip:
             return _merge_evolve(e.b, e.a, body)
-        a, b = e.a, e.b
-        if (
-            body is e.body
-            and a != b
-            and not (isinstance(body, Evolve) and (body.a == b or body.b == a))
-        ):
-            return e
-        return _merge_evolve(a, b, body)
+        return _merge_evolve(e.a, e.b, body, e if body is e.body else None)
     factors = []
-    same = not flip
     for f in e.factors:
         nf = _normal(f, flip)
         if isinstance(nf, Prod):
             factors.extend(nf.factors)
-            same = False
         else:
             factors.append(nf)
-            same = same and nf is f
     if len(factors) == 1:
         return factors[0]
     factors.sort(key=_KEY)
-    if same and all(map(is_, factors, e.factors)):
-        return e
     return Prod(tuple(factors))
 
 

@@ -266,6 +266,8 @@ def test_a_flipped_slot_orientation_fails_verify_and_the_display_cross_check(mon
     # slot 1 of a "-" coupling takes U_{t,_}; give it U_{_,t}
     slots, own = duhamel._ORIENT["-"]
     monkeypatch.setitem(duhamel._ORIENT, "-", ((slots[0], not slots[1], *slots[2:]), own))
+    p = validate_pair(1, (1,), "-")
+    assert expand(p) != tuple(map(normalize, expand_oracle(p)))
     assert verify.run_checks(["duhamel"], 3, 0, 1) == (
         ["k=1: expansion != oracle for mu=1 sgn=- FAIL"],
         {"duhamel": False},
@@ -344,7 +346,7 @@ _PHI = Atom()
     ],
     ids=["conj", "evolve", "evolve-open", "prod"],
 )
-def test_nodes_stay_frozen_dataclasses_and_normal_nodes_normalize_to_themselves(node):
+def test_nodes_stay_frozen_dataclasses_and_normal_nodes_normalize_to_equal_nodes(node):
     fields = dataclasses.fields(node)
     values = {f.name: getattr(node, f.name) for f in fields}
     assert vars(node) == values  # no key yet, nothing besides the fields
@@ -359,8 +361,14 @@ def test_nodes_stay_frozen_dataclasses_and_normal_nodes_normalize_to_themselves(
     assert twin == node and twin is not node
     assert hash(node) == hash(twin) == hash(tuple(values.values()))
     assert node != cls(**{**values, fields[-1].name: Conj(Conj(_PHI))})
-    assert normalize(node) is node
-    assert normalize(Evolve(3, 3, _PHI)) == _PHI
+    assert normalize(node) == node
+
+
+def test_normalize_hands_back_a_propagator_that_merges_nothing():
+    # unflipped and over a body that comes back unchanged: the same object
+    inner = Evolve(7, 9, _PHI)
+    for e in (inner, Evolve(3, 5, inner), Evolve(None, 5, inner)):
+        assert normalize(e) is e
 
 
 def _random_expr(rng, depth):
