@@ -25,9 +25,10 @@ brought forward only when a collapse reads it, by one propagator that
 telescopes every step since its last change, so a pair costs O(k)
 propagators; ``tests/oracles.stepwise_expand_oracle``, which wraps every
 live coordinate at each step, is its slow route.  All routes leave the
-profile fixed at the final time.  Each node computes its serialization
-``key`` once and keeps it (equal keys <=> equal expressions), so sorting
-the factors of nested products serializes no subtree twice.
+profile fixed at the final time.  Each node keeps its serialization
+``key`` (equal keys <=> equal expressions), so sorting the factors of
+nested products serializes no subtree twice.  :func:`expand` and
+:func:`normalize` write it as they build; other nodes, on first read.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class _cached_key:
     """``functools.cached_property`` without the lock that Python 3.11
     takes on each first read: the key is stored in the instance dict
     under the same name, so later reads never reach this descriptor.
-    Nodes are immutable, so two threads racing on one node compute the
-    same string."""
+    :func:`expand` and :func:`normalize` store it there as they build,
+    by the same formula.  Nodes are immutable, so two threads racing on
+    one node compute the same string."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -62,27 +64,14 @@ class _cached_key:
 class Atom:
     name: str = "phi"
 
-    @_cached_key
-    def key(self) -> str:
-        return self.name
-
-
-# Conj, Evolve and Prod are built in every expansion's inner loop.  Their
-# __init__ writes the instance dict directly, where the frozen dataclass one
-# calls object.__setattr__ per field; assignment still raises
-# FrozenInstanceError, and repr, == and hash stay the generated ones.
+    key = _cached_key(attrgetter("name"))
 
 
 @dataclass(frozen=True)
 class Conj:
     body: "SymExpr"
 
-    def __init__(self, body):
-        self.__dict__["body"] = body
-
-    @_cached_key
-    def key(self) -> str:
-        return f"c({self.body.key})"
+    key = _cached_key(lambda node: _conj_key(node.body.key))
 
 
 @dataclass(frozen=True)
@@ -91,29 +80,14 @@ class Evolve:
     b: Optional[int]  # negative-phase time label
     body: "SymExpr"
 
-    def __init__(self, a, b, body):
-        d = self.__dict__
-        d["a"] = a
-        d["b"] = b
-        d["body"] = body
-
-    @_cached_key
-    def key(self) -> str:
-        a = "_" if self.a is None else self.a
-        b = "_" if self.b is None else self.b
-        return f"e[{a},{b}]({self.body.key})"
+    key = _cached_key(lambda node: _evolve_key(node.a, node.b, node.body.key))
 
 
 @dataclass(frozen=True)
 class Prod:
     factors: tuple
 
-    def __init__(self, factors):
-        self.__dict__["factors"] = factors
-
-    @_cached_key
-    def key(self) -> str:
-        return "p(" + ",".join(f.key for f in self.factors) + ")"
+    key = _cached_key(lambda node: _prod_key(f.key for f in node.factors))
 
 
 SymExpr = Union[Atom, Conj, Evolve, Prod]
@@ -121,10 +95,54 @@ SymExpr = Union[Atom, Conj, Evolve, Prod]
 _KEY = attrgetter("key")  # products sort their factors by it
 
 
+def _conj_key(body_key: str) -> str:
+    return f"c({body_key})"
+
+
+def _evolve_key(a: Optional[int], b: Optional[int], body_key: str) -> str:
+    return f"e[{'_' if a is None else str(a)},{'_' if b is None else str(b)}]({body_key})"
+
+
+def _prod_key(factor_keys) -> str:
+    return f"p({','.join(factor_keys)})"
+
+
+# Every Conj, Evolve and Prod this module builds comes from these constructors,
+# which write the instance dict directly (the frozen dataclass __init__ calls
+# object.__setattr__ per field).  No node class has subclasses, so the kernels
+# dispatch on exact type.
+_new = object.__new__
+
+
+def _new_conj(body, key=None):
+    node = _new(Conj)
+    node.__dict__["body"] = body
+    if key is not None:
+        node.__dict__["key"] = key
+    return node
+
+
+def _new_evolve(a, b, body):
+    node = _new(Evolve)
+    d = node.__dict__
+    d["a"] = a
+    d["b"] = b
+    d["body"] = body
+    return node
+
+
+def _new_prod(factors, key=None):
+    node = _new(Prod)
+    node.__dict__["factors"] = factors
+    if key is not None:
+        node.__dict__["key"] = key
+    return node
+
+
 def conj(e: SymExpr) -> SymExpr:
-    if isinstance(e, Conj):
-        return e.body
-    return Conj(e)
+    if type(e) is Conj:
+        return e.__dict__["body"]
+    return _new_conj(e)
 
 
 def _merge_evolve(
@@ -133,20 +151,26 @@ def _merge_evolve(
     """Endpoint merging only; never moves conjugations.
 
     ``built``, if given, is ``Evolve(a, b, body)`` itself, handed back
-    when nothing merges or collapses.
+    when nothing merges or collapses.  The propagator is keyed when the
+    body that ends up under it is.
     """
     inner = body
-    while isinstance(body, Evolve) and (body.a == b or body.b == a):
-        if body.a == b:
-            b = body.b
+    while type(body) is Evolve:
+        d = body.__dict__
+        if d["a"] == b:
+            b = d["b"]
+        elif d["b"] == a:
+            a = d["a"]
         else:
-            a = body.a
-        body = body.body
+            break
+        body = d["body"]
     if a == b:
         return body
-    if built is not None and body is inner:
-        return built
-    return Evolve(a, b, body)
+    node = built if built is not None and body is inner else _new_evolve(a, b, body)
+    key = body.__dict__.get("key")
+    if key is not None:
+        node.__dict__["key"] = _evolve_key(a, b, key)
+    return node
 
 
 def evolve(a: Optional[int], b: Optional[int], e: SymExpr) -> SymExpr:
@@ -156,21 +180,21 @@ def evolve(a: Optional[int], b: Optional[int], e: SymExpr) -> SymExpr:
     slots included); a conjugated body flips the orientation outward so
     the merge still happens underneath.
     """
-    if isinstance(e, Conj):
-        return conj(evolve(b, a, e.body))
+    if type(e) is Conj:
+        return conj(evolve(b, a, e.__dict__["body"]))
     return _merge_evolve(a, b, e)
 
 
 def prod(factors) -> SymExpr:
     flat: list[SymExpr] = []
     for f in factors:
-        if isinstance(f, Prod):
-            flat.extend(f.factors)
+        if type(f) is Prod:
+            flat.extend(f.__dict__["factors"])
         else:
             flat.append(f)
     if len(flat) == 1:
         return flat[0]
-    return Prod(tuple(flat))
+    return _new_prod(tuple(flat))
 
 
 def normalize(e: SymExpr) -> SymExpr:
@@ -179,33 +203,36 @@ def normalize(e: SymExpr) -> SymExpr:
 
 
 def _normal(e: SymExpr, flip: bool) -> SymExpr:
-    """Normal form of ``e``, or of ``conj(e)`` when ``flip`` is set.
+    """Normal form of ``e``, or of ``conj(e)`` when ``flip`` is set, keyed.
 
     The parity rides down: ``conj(U_{a,b} e) = U_{b,a} conj(e)`` and
     conjugation distributes over products, so it lands on the atoms.
     An unflipped propagator whose body comes back unchanged and that
     merges with nothing is returned as the same object.
     """
-    if isinstance(e, Atom):
-        return Conj(e) if flip else e
-    if isinstance(e, Conj):
-        return _normal(e.body, not flip)
-    if isinstance(e, Evolve):
-        body = _normal(e.body, flip)
+    t = type(e)
+    if t is Evolve:
+        d = e.__dict__
+        body = _normal(d["body"], flip)
         if flip:
-            return _merge_evolve(e.b, e.a, body)
-        return _merge_evolve(e.a, e.b, body, e if body is e.body else None)
+            return _merge_evolve(d["b"], d["a"], body)
+        return _merge_evolve(d["a"], d["b"], body, e if body is d["body"] else None)
+    if t is Atom:
+        key = e.key
+        return _new_conj(e, _conj_key(key)) if flip else e
+    if t is Conj:
+        return _normal(e.__dict__["body"], not flip)
     factors = []
-    for f in e.factors:
+    for f in e.__dict__["factors"]:
         nf = _normal(f, flip)
-        if isinstance(nf, Prod):
-            factors.extend(nf.factors)
+        if type(nf) is Prod:
+            factors.extend(nf.__dict__["factors"])
         else:
             factors.append(nf)
     if len(factors) == 1:
         return factors[0]
     factors.sort(key=_KEY)
-    return Prod(tuple(factors))
+    return _new_prod(tuple(factors), _prod_key(map(_KEY, factors)))
 
 
 # -- Duhamel tree ------------------------------------------------------------
@@ -500,7 +527,8 @@ def expand(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
     root, kids, _ = _slot_pass(pair.mu, pair.sgn)
     final = 2 * pair.k + 1
     phi = Atom()
-    leaves = (Evolve(None, final, phi), Evolve(final, None, Conj(phi)))  # by ~code & 1: +, -
+    cphi = _new_conj(phi, _conj_key(phi.key))  # reading phi's key keeps it: both leaves are keyed
+    leaves = (_merge_evolve(None, final, phi), _merge_evolve(final, None, cphi))  # by ~code & 1
     kernel = [None] * (pair.k + 1)  # kernel[j]: coupling j's, once its pass is done
 
     def of(code):
@@ -514,8 +542,8 @@ def expand(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
             for code, fwd in zip(kids[j - 1], forward)
         ]
         factors.sort(key=_KEY)
-        body = Prod(tuple(factors))
-        kernel[j] = Evolve(t, None, body) if own else Evolve(None, t, body)
+        body = _new_prod(tuple(factors), _prod_key(map(_KEY, factors)))
+        kernel[j] = _merge_evolve(t, None, body) if own else _merge_evolve(None, t, body)
     return _merge_evolve(1, None, of(root[0])), _merge_evolve(None, 1, of(root[1]))
 
 
