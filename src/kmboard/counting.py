@@ -8,10 +8,10 @@ that reads a signed skeleton off a sign array is a permutation of the
 sign indices, so each map of a shape meets each of the shape's 2^k
 signed classes exactly once: a signed class holds as many pairs as its
 shape has maps, and no pair needs a look of its own.  One profile per
-map gives its tamed and reference sign arrays as two bitmasks; the
-tamed mask, its index bits permuted into preorder, is one bit per
-signed class, folded into an int per shape with a second int for the
-classes met twice, and with the set of its tamed maps' td hook counts.
+map gives its tamed and reference sign arrays as two bitmasks, and,
+on the sign columns read in preorder, its tamed mask by signed class:
+per shape, an int of the classes met, a count of tamed pairs and the
+set of its tamed maps' td hook counts.
 T_R is built once per split of a map's references over its left
 branches, for the census and verify's fold.  Every counting claim is
 cross-checked against that table: class totals against the Catalan
@@ -37,7 +37,7 @@ from operator import itemgetter
 
 from .canonical import _bits, _MapProfile, _sign_table
 from .domains import _attached_parents, _hook_count
-from .errors import CapExceeded, CensusViolation
+from .errors import CapExceeded, CensusViolation, LengthMismatch
 from .pairs import double_factorial_odd, enumerate_mus
 from .trees import _grown, _sign_order
 
@@ -111,48 +111,19 @@ def _splits(references, plus, multi) -> list[int]:
     return sorted(splits, key=lambda s: s & -s)
 
 
-def _swap_selectors(k) -> dict:
-    """Per pair of sign-index bits q < r, the positions of a 2^k-bit mask
-    with bit q set and bit r clear: the low side of the delta swap that
-    exchanges the two index bits."""
-    return {
-        (q, r): sum(1 << x for x in range(1 << k) if x >> q & 1 and not x >> r & 1)
-        for r in range(k)
-        for q in range(r)
-    }
-
-
-def _class_swaps(order, selectors) -> list[tuple[int, int]] | None:
-    """The delta swaps that carry a mask over sign arrays to one over classes.
-
-    Array n has - at sign index i when bit k-1-i of n is set, as in
-    ``product("+-", repeat=k)``; class bit c is the array whose signs,
-    read in ``order``, are array c's.  So class index bit q reads array
-    index bit ``want[q]``, and swapping index bits q and r of a mask
-    permutes its bits by that transposition: at most k-1 swaps, each a
-    (shift, selector) pair.  None if ``order`` is not a permutation of
-    the sign indices.
-    """
+def _class_columns(order, plus) -> list[int] | None:
+    """The + column of each sign index over a shape's classes, or None if
+    ``order`` is not a permutation of the sign indices.  Class c holds the
+    pairs whose signs, read in ``order``, are sign array c: index
+    ``order[q]`` reads ``plus[q]``, so :meth:`_MapProfile.sign_sets` on
+    these columns numbers a map's tamed mask by class."""
     k = len(order)
     if sorted(order) != list(range(k)):
         return None
-    want = [k - 1 - order[k - 1 - q] for q in range(k)]
-    have, where, swaps = list(range(k)), list(range(k)), []
-    for q in range(k):
-        if have[q] != want[q]:
-            r = where[want[q]]  # > q: bits below q already read their own
-            swaps.append(((1 << r) - (1 << q), selectors[q, r]))
-            have[q], have[r] = have[r], have[q]
-            where[have[q]], where[have[r]] = q, r
-    return swaps
-
-
-def _class_bits(mask, swaps) -> int:
-    """``mask`` over sign arrays as a mask over classes, by :func:`_class_swaps`."""
-    for shift, low in swaps:
-        t = (mask ^ mask >> shift) & low
-        mask ^= t | t << shift
-    return mask
+    columns = [0] * k
+    for q, i in enumerate(order):
+        columns[i] = plus[q]
+    return columns
 
 
 def _fold_slice(k, i, n, fn, *args):
@@ -213,21 +184,20 @@ def _walk(mus, shapes=True):
 def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
-    The table maps each shape to ``[maps, acc, twice, tds]``.  ``acc``
-    and ``twice`` have one bit per signed class of the shape, numbered
-    as ``sign_arrays`` (class c holds the pairs whose signs in preorder
-    are ``sign_arrays[c]``): the classes met by a tamed pair, and those
-    met by two (every bit, -1, once a tamed map's preorder is no
-    permutation of the sign indices).  ``tds`` holds the td hook counts
-    of the maps that hold a tamed pair.  The second dict maps each
-    reference pair, keyed by its own ``(mu, sgn)`` arrays, to its
-    extension count; the int counts the tamed pairs.  :func:`_walk`
+    The table maps each shape to ``[maps, acc, tamed, tds]``: ``acc``
+    has one bit per signed class met by a tamed pair, numbered as
+    ``sign_arrays`` (class c holds the pairs whose signs in preorder are
+    ``sign_arrays[c]``), ``tamed`` counts the tamed pairs and ``tds``
+    holds the td hook counts of the maps that hold one.  The second dict
+    maps each reference pair, keyed by its own ``(mu, sgn)`` arrays, to
+    its extension count; the int counts the tamed pairs.  :func:`_walk`
     carries each map's profile and shape, and
     :meth:`_MapProfile.sign_sets` gives its tamed and reference arrays
     as bitmasks over ``sign_arrays``, read in list order.  Only a map
     with a tamed pair reads its preorder (:func:`_sign_order`), and
-    :func:`_class_swaps` (memoised per preorder) permutes its tamed mask
-    into class bits.  T_R and its mass are built once per :func:`_splits`
+    ``sign_sets`` on its :func:`_class_columns` gives its class bits; a
+    map whose preorder gives none counts its tamed pairs but meets no
+    class, so its shape fails.  T_R and its mass are built once per :func:`_splits`
     part, from its lowest reference.  ``wild.map_references(mu, profile,
     table, splits)`` sees each map's (split mask, T_R, mass) list, ``table``
     being :func:`_sign_table`'s; ``census=False`` leaves both dicts empty
@@ -237,8 +207,6 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     masses: dict[tuple, int] = {}
     n_tamed = 0
     signs = _sign_table(sign_arrays)
-    selectors = _swap_selectors(len(sign_arrays[0])) if census else {}
-    swaps_of: dict[tuple, list] = {}
     for mu, profile, shape, spans in _walk(mus, census):
         if census:
             entry = table.get(shape)
@@ -248,19 +216,13 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
         tamed, references = profile.sign_sets(signs)
         if not tamed:
             continue
-        n_tamed += tamed.bit_count()
+        n = tamed.bit_count()
+        n_tamed += n
         if census:
-            order = _sign_order(spans)
-            preorder = tuple(order)
-            if preorder not in swaps_of:
-                swaps_of[preorder] = _class_swaps(order, selectors)
-            swaps = swaps_of[preorder]
-            if swaps is None:  # no class to read: fail the shape, whose re-walk names the map
-                entry[2] = -1
-            else:
-                classes = _class_bits(tamed, swaps)
-                entry[2] |= entry[1] & classes
-                entry[1] |= classes
+            columns = _class_columns(_sign_order(spans), signs[1])
+            if columns is not None:  # else no class to read: the shape's re-walk names the map
+                entry[1] |= profile.sign_sets((signs[0], columns))[0]
+            entry[2] += n
             entry[3].add(_hook_count(_attached_parents(mu, mu)))
         if not references:
             continue
@@ -277,14 +239,14 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
 
 
 def _merge_chunks(parts: list[tuple[dict, dict, int]]) -> tuple[dict, dict]:
-    """One table and mass dict from chunks in any order; a class met in two is met twice."""
+    """One table and mass dict from chunks in any order: counts add, class masks join."""
     table, masses, _ = parts[0]
     for part_table, part_masses, _ in parts[1:]:
-        for shape, (maps, acc, twice, tds) in part_table.items():
+        for shape, (maps, acc, tamed, tds) in part_table.items():
             entry = table.setdefault(shape, [0, 0, 0, set()])
             entry[0] += maps
-            entry[2] |= twice | entry[1] & acc
             entry[1] |= acc
+            entry[2] += tamed
             entry[3] |= tds
         masses.update(part_masses)
     return table, masses
@@ -293,12 +255,14 @@ def _merge_chunks(parts: list[tuple[dict, dict, int]]) -> tuple[dict, dict]:
 def _name_witness(k, table, sign_arrays) -> None:
     """Raise :class:`CensusViolation` if a shape fails the class clause (one
     tamed pair per class) or, if none does, the size clause (each tamed
-    map's td hook count is the shape's map count).  A second walk in
+    map's td hook count is the shape's map count).  By pigeonhole a
+    shape holds one tamed pair per class when its tamed pairs meet every
+    class and number as many as the classes.  A second walk in
     enumeration order names the witness, whatever chunks the fold made:
     the first failing shape by its first map, then its first class (in
     the order the fold met them) or its first tamed map that fails."""
     full = (1 << len(sign_arrays)) - 1
-    by_class = {shape for shape, (_, acc, twice, _) in table.items() if acc != full or twice}
+    by_class = {s for s, (_, acc, n, _) in table.items() if acc != full or n != len(sign_arrays)}
     failing = by_class or {shape for shape, (maps, *_, tds) in table.items() if tds != {maps}}
     if not failing:
         return
@@ -310,7 +274,7 @@ def _name_witness(k, table, sign_arrays) -> None:
         if this != shape:
             continue
         order = _sign_order(spans)
-        if by_class and sorted(order) != list(range(k)):
+        if by_class and _class_columns(order, signs[1]) is None:
             raise CensusViolation(
                 f"preorder of mu={mu} reads sign indices {order}, not each of 0..{k - 1} once"
             )
@@ -347,8 +311,11 @@ def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> Census
     a walk over every map that the caller has made (``kmboard.verify``
     makes one per order), and only the claims are checked here.  Raises
     :class:`CensusViolation` naming a witness if any claim fails; the
-    witness does not depend on how the maps were split.
+    witness does not depend on how the maps were split.  A k below 1
+    raises :class:`LengthMismatch` before any work.
     """
+    if k < 1:
+        raise LengthMismatch(f"k must be >= 1, got {k}")
     if k > CENSUS_CAP:
         raise CapExceeded(f"census k={k} exceeds cap {CENSUS_CAP}")
     start = time.monotonic()

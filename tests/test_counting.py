@@ -5,7 +5,7 @@ import pytest
 
 from kmboard.counting import CENSUS_CAP, catalan_ternary, census
 from kmboard.domains import count_linear_extensions, td_domain
-from kmboard.errors import CapExceeded, CensusViolation
+from kmboard.errors import CapExceeded, CensusViolation, LengthMismatch
 from kmboard.pairs import double_factorial_odd, enumerate_mus, enumerate_pairs
 from kmboard.canonical import is_tamed
 
@@ -87,6 +87,23 @@ def test_unsigned_census_checks_tamed_uniqueness(monkeypatch):
 def test_census_cap():
     with pytest.raises(CapExceeded):
         census(CENSUS_CAP + 1)
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("k", [0, -3])
+def test_census_rejects_an_order_below_one_before_any_work(monkeypatch, k, signed):
+    # the same error and message as enumerate_mus, raised before any map is folded
+    from kmboard import counting
+
+    def no_fold(*args):
+        raise AssertionError("census folded maps for k < 1")
+
+    monkeypatch.setattr(counting, "_fold_maps", no_fold)
+    with pytest.raises(LengthMismatch) as expected:
+        next(enumerate_mus(k))
+    with pytest.raises(LengthMismatch) as got:
+        census(k, signed)
+    assert str(got.value) == str(expected.value) == f"k must be >= 1, got {k}"
 
 
 def test_census_threads_match_sequential():
@@ -308,33 +325,37 @@ def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monke
 
 
 def test_class_mask_is_the_tamed_mask_read_in_preorder():
-    # class bit c is the tamed member whose signs in preorder are sign_arrays[c]
+    # class bit c is the tamed member whose signs in preorder are sign_arrays[c].
+    # Each map's tamed arrays, read in its preorder, are those same arrays again
+    # (every map with k <= 6), so only the columns themselves show the numbering
     from operator import itemgetter
 
-    from kmboard.counting import (
-        _bits,
-        _class_bits,
-        _class_swaps,
-        _MapProfile,
-        _sign_table,
-        _swap_selectors,
-    )
+    from kmboard.counting import _bits, _class_columns, _MapProfile, _sign_table
     from kmboard.trees import _preorder
 
     for k in range(1, 6):
-        selectors = _swap_selectors(k)
         for sign_arrays in (list(itertools.product("+-", repeat=k)), [("+",) * k]):
-            table = _sign_table(sign_arrays)
+            full, plus = _sign_table(sign_arrays)
             for mu in enumerate_mus(k):
                 order = _preorder(mu)[1]
+                columns = _class_columns(order, plus)
+                members = [dict(zip(order, sgn)) for sgn in sign_arrays]  # index -> sign
+                assert columns == [
+                    sum(1 << c for c, member in enumerate(members) if member[i] == "+")
+                    for i in range(k)
+                ], (mu, sign_arrays[0])
                 read = itemgetter(*order)
                 in_preorder = read if k > 1 else lambda sgn: (read(sgn),)  # a bare sign at k = 1
-                tamed = _MapProfile(mu).sign_sets(table)[0]
-                classes = _class_bits(tamed, _class_swaps(order, selectors))
+                profile = _MapProfile(mu)
+                tamed = profile.sign_sets((full, plus))[0]
+                classes = profile.sign_sets((full, columns))[0]
                 expected = {sign_arrays.index(in_preorder(sign_arrays[n])) for n in _bits(tamed)}
                 assert set(_bits(classes)) == expected, (mu, sign_arrays[0])
     assert itemgetter(*_preorder((1,))[1])(("-",)) == "-"
-    assert _class_bits(0b11, _class_swaps([0], _swap_selectors(1))) == 0b11
+    assert _class_columns([0], [0b01]) == [0b01]
+    # a preorder that repeats a sign index reads no class
+    assert _class_columns([0, 0], [0b0011, 0b0101]) is None
+    assert _class_columns([1, 1, 0], _sign_table(list(itertools.product("+-", repeat=3)))[1]) is None
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
