@@ -260,7 +260,9 @@ def _name_witness(k, table, sign_arrays) -> None:
     class and number as many as the classes.  A second walk in
     enumeration order names the witness, whatever chunks the fold made:
     the first failing shape by its first map, then its first class (in
-    the order the fold met them) or its first tamed map that fails."""
+    the order the fold met them) or its first tamed map that fails.  If
+    the re-walk finds the flagged clause holding, the fold and the
+    re-walk disagree, and the message says so."""
     full = (1 << len(sign_arrays)) - 1
     by_class = {s for s, (_, acc, n, _) in table.items() if acc != full or n != len(sign_arrays)}
     failing = by_class or {shape for shape, (maps, *_, tds) in table.items() if tds != {maps}}
@@ -287,14 +289,18 @@ def _name_witness(k, table, sign_arrays) -> None:
         elif tamed and (td := _hook_count(_attached_parents(mu, mu))) != maps:
             text = f"class of mu={mu} sgn={''.join(tamed_signs[0])} holds {maps} pairs"
             raise CensusViolation(f"{text} != td hook count {td}")
-    signs_in_preorder = itemgetter(*first_order)
-    for sgn in sign_arrays:
-        n = counts[signs_in_preorder(sgn)]
-        if n != 1:
-            raise CensusViolation(f"class of mu={first} sgn={''.join(sgn)} holds {n} tamed pairs")
+    if by_class:
+        signs_in_preorder = itemgetter(*first_order)
+        for sgn in sign_arrays:
+            n = counts[signs_in_preorder(sgn)]
+            if n != 1:
+                raise CensusViolation(
+                    f"class of mu={first} sgn={''.join(sgn)} holds {n} tamed pairs"
+                )
+    clause = "class" if by_class else "size"
     raise CensusViolation(
-        f"shape of mu={first} has {len(counts)} signed classes with a tamed pair, "
-        f"not {len(sign_arrays)}"
+        f"the fold flags the {clause} clause at the shape of mu={first}, "
+        "but the re-walk finds that clause holding"
     )
 
 

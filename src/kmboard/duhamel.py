@@ -13,22 +13,25 @@ or ``U_{-b}``), and composition merges matching endpoints, so absent
 slots never survive to a finished kernel.  Conjugating a propagator
 flips its orientation: ``conj(U_{a,b} e) = U_{b,a} conj(e)``.
 
-Three routes compute the same kernel.  Two walk the tree in one pass
-down its labels: :func:`expand_display` keeps each product in child-slot
-order for the text rendering, and :func:`expand` builds the normal form
-directly, conjugations at the atoms and products sorted.  The third,
-:func:`expand_oracle`, replays the operator product coordinate by
-coordinate.  ``verify`` and the benchmark compare :func:`expand` with
-the normalized oracle; the tests also compare it with the normalized
-display pass.  The replay applies the free flow lazily: a coordinate is
-brought forward only when a collapse reads it, by one propagator that
-telescopes every step since its last change, so a pair costs O(k)
-propagators; ``tests/oracles.stepwise_expand_oracle``, which wraps every
-live coordinate at each step, is its slow route.  All routes leave the
-profile fixed at the final time.  Each node keeps its serialization
-``key`` (equal keys <=> equal expressions), so sorting the factors of
-nested products serializes no subtree twice.  :func:`expand` and
-:func:`normalize` write it as they build; other nodes, on first read.
+Two routes here compute the same kernel.  :func:`expand` walks the
+tree's slots in one pass down its labels and builds the normal form
+directly, conjugations at the atoms and products sorted.
+:func:`expand_oracle` replays the operator product coordinate by
+coordinate, each product in slot order, and :func:`expand_text`
+renders its form.  ``verify`` and the benchmark compare :func:`expand`
+with the normalized oracle.  The tree's display route,
+``tests/oracles.expand_display``, equals the oracle as raw expressions
+on every signed pair with k <= 5 and on random pairs up to k = 60;
+that is checked, not proved.  The replay applies the free flow lazily:
+a coordinate is brought forward only when a collapse reads it, by one
+propagator that telescopes every step since its last change, so a pair
+costs O(k) propagators; ``tests/oracles.stepwise_expand_oracle``,
+which wraps every live coordinate at each step, is its slow route.
+All routes leave the profile fixed at the final time.  Each node keeps
+its serialization ``key`` (equal keys <=> equal expressions), so
+sorting the factors of nested products serializes no subtree twice.
+:func:`expand` and :func:`normalize` write it as they build; other
+nodes, on first read.
 """
 
 from __future__ import annotations
@@ -456,56 +459,14 @@ def estimate_schedule(dtree: DTree) -> EstimateSchedule:
 # -- expansion: one pass down the labels ------------------------------------
 
 
-def expand_display(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
-    """Kernel pair with product factors kept in child-slot order.
-
-    Same rewrites as :func:`normalize` except product sorting, so the
-    text rendering lines up with the worked expansions.  Every slot
-    holds a larger label than its coupling, so one pass over the labels
-    2k, 2k-2, ..., 2 builds each node's kernel after its children's,
-    at any depth.  A leaf's kernel depends only on its sign: the two
-    are built once and shared by every leaf slot.
-    """
-    dtree = build_dtree(pair)
-    leaf = evolve(None, 2 * pair.k + 1, Atom())
-    leaf_of = {"+": leaf, "-": conj(leaf)}
-    kernel = {}
-
-    def of(child):
-        return leaf_of[child.sign] if isinstance(child, FLeaf) else kernel[child]
-
-    for x in range(2 * pair.k, 0, -2):
-        t = x + 1
-        c = [of(child) for child in dtree.kids[x]]
-        if dtree.sign[(x - 2) // 2] == "+":
-            factors = [
-                evolve(t, None, c[0]),
-                evolve(t, None, c[1]),
-                conj(evolve(t, None, conj(c[2]))),
-                evolve(t, None, c[3]),
-                conj(evolve(t, None, conj(c[4]))),
-            ]
-            kernel[x] = evolve(None, t, prod(factors))
-        else:
-            factors = [
-                evolve(t, None, conj(c[0])),
-                conj(evolve(t, None, c[1])),
-                evolve(t, None, conj(c[2])),
-                conj(evolve(t, None, c[3])),
-                evolve(t, None, conj(c[4])),
-            ]
-            kernel[x] = conj(evolve(None, t, prod(factors)))
-    left = evolve(1, None, of(dtree.root[0]))
-    right = conj(evolve(1, None, conj(of(dtree.root[1]))))
-    return left, right
-
-
 #: Per coupling sign: whether each of its five slots takes ``U_{t,_}``
 #: (True) or ``U_{_,t}`` (False), t the coupling's time label, then the
-#: same for the propagator over its product.  These are the display
-#: pass's rewrites with every conjugation driven to the atoms: a "-"
-#: coupling's kernel is an outer conjugate, which flips its own
-#: propagator and each slot's.
+#: same for the propagator over its product.  A "+" coupling's kernel is
+#: ``U_{_,t}`` over its slots ``U_{t,_} c`` at 0, 1 and 3 and
+#: ``conj(U_{t,_} conj(c)) = U_{_,t} c`` at 2 and 4.  A "-" coupling's is
+#: ``conj(U_{_,t} ...)`` over ``U_{t,_} conj(c)`` at 0, 2 and 4 and
+#: ``conj(U_{t,_} c)`` at 1 and 3; driving that outer conjugate to the
+#: atoms flips its own propagator and each slot's.
 _ORIENT = {
     "+": ((True, True, False, True, False), False),
     "-": ((False, True, False, True, False), True),
@@ -515,14 +476,14 @@ _ORIENT = {
 def expand(pair: CollapsingPair) -> tuple[SymExpr, SymExpr]:
     """Normalized kernel pair (x_1 factor, x_1' factor) of the expansion.
 
-    Equals ``normalize`` of :func:`expand_display`, but builds the
-    normal form in the same one pass over the labels 2k, 2k-2, ..., 2:
+    Equals ``normalize`` of :func:`expand_oracle`, but builds the
+    normal form in one pass over the labels 2k, 2k-2, ..., 2:
     with the parity driven down, every child is read unconjugated, so
     each slot is one endpoint merge of the child's normal kernel, and
     the coupling's product is its five slots sorted by ``key``.  A slot
     never merges to a product (only a leaf's propagator can cancel, at
-    coupling k), so no product needs flattening.  Builds no display
-    form and normalizes nothing afterwards; no step recurses on depth.
+    coupling k), so no product needs flattening.  Builds no tree and
+    normalizes nothing afterwards; no step recurses on depth.
     """
     root, kids, _ = _slot_pass(pair.mu, pair.sgn)
     final = 2 * pair.k + 1
@@ -643,8 +604,8 @@ def render_expr(e: SymExpr) -> str:
 
 
 def expand_text(pair: CollapsingPair) -> str:
-    """The two rendered factors, x_1 side then x_1' side."""
-    left, right = expand_display(pair)
+    """The two rendered factors of the oracle's form, x_1 side then x_1' side."""
+    left, right = expand_oracle(pair)
     return f"{render_expr(left)}\n{render_expr(right)}\n"
 
 

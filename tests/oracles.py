@@ -2,7 +2,8 @@
 the Hypothesis strategy for pairs that the property tests draw from, and the
 reference API that left ``kmboard`` because only the tests call it: KM moves
 and classes, allowable permutations, extension and relabeling listings,
-validated parent maps, time substitution in kernels, and tree read-back."""
+validated parent maps, time substitution in kernels, the expansion's display
+pass down the Duhamel tree, and tree read-back."""
 
 import itertools
 from collections import Counter, deque
@@ -1259,7 +1260,8 @@ def literal_echelon_pair(pair):
     return pair_from_tree(literal_echelon_labeling(shape, pair.k))
 
 
-# -- Duhamel kernels: normal form in two passes, substitution by relabeling, stepwise oracle
+# -- Duhamel kernels: normal form in two passes, substitution by relabeling, stepwise oracle,
+# -- the display pass down the tree
 
 
 def literal_expr_key(e):
@@ -1352,3 +1354,49 @@ def stepwise_expand_oracle(pair, trace=False):
             snapshots.append((j, dict(coords)))
     result = coords[1]
     return (result, snapshots) if trace else result
+
+
+def expand_display(pair):
+    """Kernel pair with product factors kept in child-slot order, read
+    down the Duhamel tree: the tree's route to ``duhamel.expand_oracle``'s
+    raw form, which ``duhamel.expand_text`` renders.
+
+    Same rewrites as :func:`normalize` except product sorting, so the
+    text rendering lines up with the worked expansions.  Every slot
+    holds a larger label than its coupling, so one pass over the labels
+    2k, 2k-2, ..., 2 builds each node's kernel after its children's,
+    at any depth.  A leaf's kernel depends only on its sign: the two
+    are built once and shared by every leaf slot.
+    """
+    dtree = build_dtree(pair)
+    leaf = evolve(None, 2 * pair.k + 1, Atom())
+    leaf_of = {"+": leaf, "-": conj(leaf)}
+    kernel = {}
+
+    def of(child):
+        return leaf_of[child.sign] if isinstance(child, FLeaf) else kernel[child]
+
+    for x in range(2 * pair.k, 0, -2):
+        t = x + 1
+        c = [of(child) for child in dtree.kids[x]]
+        if dtree.sign[(x - 2) // 2] == "+":
+            factors = [
+                evolve(t, None, c[0]),
+                evolve(t, None, c[1]),
+                conj(evolve(t, None, conj(c[2]))),
+                evolve(t, None, c[3]),
+                conj(evolve(t, None, conj(c[4]))),
+            ]
+            kernel[x] = evolve(None, t, prod(factors))
+        else:
+            factors = [
+                evolve(t, None, conj(c[0])),
+                conj(evolve(t, None, c[1])),
+                evolve(t, None, conj(c[2])),
+                conj(evolve(t, None, c[3])),
+                evolve(t, None, conj(c[4])),
+            ]
+            kernel[x] = conj(evolve(None, t, prod(factors)))
+    left = evolve(1, None, of(dtree.root[0]))
+    right = conj(evolve(1, None, conj(of(dtree.root[1]))))
+    return left, right

@@ -170,8 +170,9 @@ def test_expand_integrated_json(capsys):
     assert payload["bounds"]["6"] == [15, 1]
 
 
-def test_expand_integrated_builds_the_duhamel_tree_once(capsys, monkeypatch):
-    # the bounds read the slot pass's parents; only the rendered expansion builds a tree
+def test_expand_builds_no_duhamel_tree(capsys, monkeypatch):
+    # the bounds read the slot pass's parents and the text renders the oracle's form,
+    # so neither the text nor the integrated form builds a tree
     from kmboard import duhamel
 
     built = []
@@ -183,8 +184,9 @@ def test_expand_integrated_builds_the_duhamel_tree_once(capsys, monkeypatch):
 
     monkeypatch.setattr(duhamel, "build_dtree", counted)
     pair = ("--mu", "1,1,1,2,3,6,6", "--sgn", "+,+,-,-,+,+,-")
+    assert run(capsys, "expand", *pair)[0] == 0
     assert run(capsys, "expand", *pair, "--integrated")[0] == 0
-    assert len(built) == 1
+    assert built == []
 
 
 def test_schedule_json(capsys):

@@ -327,30 +327,39 @@ def test_census_names_the_first_member_of_a_class_that_lost_its_tamed_pair(monke
 def test_class_mask_is_the_tamed_mask_read_in_preorder():
     # class bit c is the tamed member whose signs in preorder are sign_arrays[c].
     # Each map's tamed arrays, read in its preorder, are those same arrays again
-    # (every map with k <= 6), so only the columns themselves show the numbering
+    # for every map with k <= 6, so there only the columns show the numbering;
+    # the k = 7 map is one where the class mask and the raw tamed mask differ
     from operator import itemgetter
 
     from kmboard.counting import _bits, _class_columns, _MapProfile, _sign_table
     from kmboard.trees import _preorder
 
-    for k in range(1, 6):
-        for sign_arrays in (list(itertools.product("+-", repeat=k)), [("+",) * k]):
-            full, plus = _sign_table(sign_arrays)
-            for mu in enumerate_mus(k):
-                order = _preorder(mu)[1]
-                columns = _class_columns(order, plus)
-                members = [dict(zip(order, sgn)) for sgn in sign_arrays]  # index -> sign
-                assert columns == [
-                    sum(1 << c for c, member in enumerate(members) if member[i] == "+")
-                    for i in range(k)
-                ], (mu, sign_arrays[0])
-                read = itemgetter(*order)
-                in_preorder = read if k > 1 else lambda sgn: (read(sgn),)  # a bare sign at k = 1
-                profile = _MapProfile(mu)
-                tamed = profile.sign_sets((full, plus))[0]
-                classes = profile.sign_sets((full, columns))[0]
-                expected = {sign_arrays.index(in_preorder(sign_arrays[n])) for n in _bits(tamed)}
-                assert set(_bits(classes)) == expected, (mu, sign_arrays[0])
+    deep = (1, 1, 2, 4, 4, 8, 10)
+    cases = [
+        (k, sign_arrays, mu)
+        for k in range(1, 6)
+        for sign_arrays in (list(itertools.product("+-", repeat=k)), [("+",) * k])
+        for mu in enumerate_mus(k)
+    ]
+    cases.append((7, list(itertools.product("+-", repeat=7)), deep))
+    for k, sign_arrays, mu in cases:
+        full, plus = _sign_table(sign_arrays)
+        order = _preorder(mu)[1]
+        columns = _class_columns(order, plus)
+        members = [dict(zip(order, sgn)) for sgn in sign_arrays]  # index -> sign
+        assert columns == [
+            sum(1 << c for c, member in enumerate(members) if member[i] == "+")
+            for i in range(k)
+        ], (mu, sign_arrays[0])
+        read = itemgetter(*order)
+        in_preorder = read if k > 1 else lambda sgn: (read(sgn),)  # a bare sign at k = 1
+        profile = _MapProfile(mu)
+        tamed = profile.sign_sets((full, plus))[0]
+        classes = profile.sign_sets((full, columns))[0]
+        expected = {sign_arrays.index(in_preorder(sign_arrays[n])) for n in _bits(tamed)}
+        assert set(_bits(classes)) == expected, (mu, sign_arrays[0])
+        if mu == deep:
+            assert tamed.bit_count() == 72 and classes != tamed
     assert itemgetter(*_preorder((1,))[1])(("-",)) == "-"
     assert _class_columns([0], [0b01]) == [0b01]
     # a preorder that repeats a sign index reads no class
@@ -434,6 +443,30 @@ def test_census_checks_class_sizes_against_td(monkeypatch):
     size_message = r"class of mu=\(.*\) sgn=[+-]{3} holds \d+ pairs != td hook count \d+"
     with pytest.raises(CensusViolation, match=size_message):
         census(3)
+
+
+def test_the_witness_says_when_the_re_walk_finds_the_flagged_clause_holding():
+    # a real merged table, altered at the shape of (1, 1, 2) so the fold flags a
+    # clause that the re-walk over the true maps then finds holding
+    from kmboard.counting import _census_chunk, _fold_maps, _merge_chunks, _name_witness
+    from kmboard.trees import skeleton_key
+
+    sign_arrays = list(itertools.product("+-", repeat=3))
+    table = _merge_chunks(_fold_maps(3, 1, _census_chunk, sign_arrays))[0]
+    shape = skeleton_key((1, 1, 2))
+    maps, acc, tamed, tds = table[shape]
+    assert (maps, acc, tamed, tds) == (2, 255, 8, {2})
+    altered = [
+        ("class", [maps, acc & ~(1 << 3), tamed, tds]),
+        ("size", [maps, acc, tamed, tds | {3}]),
+    ]
+    for clause, entry in altered:
+        with pytest.raises(CensusViolation) as got:
+            _name_witness(3, {**table, shape: entry}, sign_arrays)
+        assert str(got.value) == (
+            f"the fold flags the {clause} clause at the shape of mu=(1, 1, 2), "
+            "but the re-walk finds that clause holding"
+        )
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

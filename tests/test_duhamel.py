@@ -17,7 +17,6 @@ from kmboard.duhamel import (
     build_dtree,
     estimate_schedule,
     expand,
-    expand_display,
     expand_oracle,
     expand_text,
     integrated_expand,
@@ -36,6 +35,7 @@ from oracles import (
     allowable_permutations,
     apply_signed_km,
     as_flow,
+    expand_display,
     km_admissible_indices,
     literal_expr_key,
     literal_substitute_times,
@@ -250,12 +250,15 @@ def test_expand_equals_oracle_small_and_random():
 
 
 def _assert_expand_equals_the_normalized_display_pass():
-    # expand builds the normal form itself; the display pass plus normalize is its check
+    # expand builds the normal form itself; the display pass plus normalize is its check.
+    # The display pass is also the oracle's raw form, which expand_text renders
     rng = random.Random(31)
     small = [p for k in range(1, 5) for p in enumerate_pairs(k, signed=True)]
     for p in small + [random_pair(rng.randint(1, 12), rng) for _ in range(200)]:
-        got, want = expand(p), tuple(map(normalize, expand_display(p)))
+        display = expand_display(p)
+        got, want = expand(p), tuple(map(normalize, display))
         assert got == want and repr(got) == repr(want), p
+        assert display == expand_oracle(p), p
 
 
 def test_expand_equals_the_normalized_display_pass():

@@ -22,7 +22,7 @@ MOVED = {
         "EXTENSION_CAP",
         "TotalOrder",
     ),
-    duhamel: ("substitute_times", "as_flow", "_substitute", "unclogged_count"),
+    duhamel: ("substitute_times", "as_flow", "_substitute", "unclogged_count", "expand_display"),
     trees: ("pair_from_tree",),
     pairs.TimePermutation: ("transposition", "is_identity"),
     domains.TimePoset: ("from_parents",),
