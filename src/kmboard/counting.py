@@ -27,10 +27,14 @@ over the all-plus sign array alone.  All integers are exact.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import time
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain, islice, product
 from operator import itemgetter
@@ -83,7 +87,8 @@ class CensusReport:
     wild_classes: int
     class_size_histogram: dict
     mass_total: int
-    reference_masses: dict = field(default_factory=dict)
+    #: read-only, in enumeration order, the same at any thread count
+    reference_masses: Mapping = field(default_factory=dict)
     elapsed: float = 0.0
 
     def to_json(self) -> dict:
@@ -100,6 +105,63 @@ class CensusReport:
             },
             "mass_total": self.mass_total,
         }
+
+
+def _reference_code(mu, n) -> int:
+    """``mu``'s entries in 5 bits each, then sign array n in k bits: 60 bits at k = 10."""
+    code = 0
+    for v in mu:
+        code = code << 5 | v
+    return code << len(mu) | n
+
+
+class _ReferenceMasses(Mapping):
+    """``(mu, sgn) -> mass`` read off two arrays: rising :func:`_reference_code` s,
+    signs numbered as in ``sign_arrays``, and their masses."""
+
+    def __init__(self, sign_arrays, codes, masses):
+        self._signs, self._codes, self._masses = sign_arrays, codes, masses
+        self._k = len(sign_arrays[0])
+
+    def _key(self, code):
+        k = self._k
+        mu = tuple([code >> s & 31 for s in range(6 * k - 5, k - 1, -5)])
+        return mu, self._signs[code & ~(-1 << k)]
+
+    def __getitem__(self, key):
+        try:
+            mu, sgn = key
+            code = _reference_code(mu, self._signs.index(sgn))
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        i = bisect_left(self._codes, code)
+        # a map of another order or past 5 bits may share a code, not decode to it
+        if i == len(self._codes) or self._codes[i] != code or self._key(code) != key:
+            raise KeyError(key)
+        return self._masses[i]
+
+    def __iter__(self):
+        return map(self._key, self._codes)
+
+    def __len__(self):
+        return len(self._codes)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self._k}, references={len(self)})"
+
+    class _Values(ValuesView):
+        def __iter__(self):
+            return iter(self._mapping._masses)
+
+    class _Items(ItemsView):
+        def __iter__(self):
+            return zip(self._mapping, self._mapping._masses)
+
+    def values(self):
+        return self._Values(self)
+
+    def items(self):
+        return self._Items(self)
 
 
 def _splits(references, plus, multi) -> list[int]:
@@ -181,17 +243,18 @@ def _walk(mus, shapes=True):
         yield (mu, profile.extended(mu[n]), *grow(shape, spans, prefix, mu[n]))
 
 
-def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict, int]:
+def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, tuple, int]:
     """Fold a run of maps into one table entry per unsigned shape.
 
-    The table maps each shape to ``[maps, acc, tamed, tds]``: ``acc``
-    has one bit per signed class met by a tamed pair, numbered as
+    The table maps each shape to ``[maps, acc, tamed, tds, first]``:
+    ``acc`` has one bit per signed class met by a tamed pair, numbered as
     ``sign_arrays`` (class c holds the pairs whose signs in preorder are
-    ``sign_arrays[c]``), ``tamed`` counts the tamed pairs and ``tds``
-    holds the td hook counts of the maps that hold one.  The second dict
-    maps each reference pair, keyed by its own ``(mu, sgn)`` arrays, to
-    its extension count; the int counts the tamed pairs.  :func:`_walk`
-    carries each map's profile and shape, and
+    ``sign_arrays[c]``), ``tamed`` counts the tamed pairs, ``tds`` holds
+    the td hook counts of the maps that hold one and ``first`` is its
+    first map.  ``codes`` and ``masses``, two ``array("Q")`` s, hold each
+    reference pair's rising :func:`_reference_code` and its extension
+    count; the int counts the tamed pairs.  :func:`_walk` carries each
+    map's profile and shape, and
     :meth:`_MapProfile.sign_sets` gives its tamed and reference arrays
     as bitmasks over ``sign_arrays``, read in list order.  Only a map
     with a tamed pair reads its preorder (:func:`_sign_order`), and
@@ -200,18 +263,18 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
     class, so its shape fails.  T_R and its mass are built once per :func:`_splits`
     part, from its lowest reference.  ``wild.map_references(mu, profile,
     table, splits)`` sees each map's (split mask, T_R, mass) list, ``table``
-    being :func:`_sign_table`'s; ``census=False`` leaves both dicts empty
-    and grows no shape.
+    being :func:`_sign_table`'s; ``census=False`` leaves the table and the
+    arrays empty and grows no shape.
     """
     table: dict[str, list] = {}
-    masses: dict[tuple, int] = {}
+    codes, masses = array("Q"), array("Q")
     n_tamed = 0
     signs = _sign_table(sign_arrays)
     for mu, profile, shape, spans in _walk(mus, census):
         if census:
             entry = table.get(shape)
             if entry is None:
-                entry = table[shape] = [0, 0, 0, set()]
+                entry = table[shape] = [0, 0, 0, set(), mu]
             entry[0] += 1
         tamed, references = profile.sign_sets(signs)
         if not tamed:
@@ -230,26 +293,35 @@ def _census_chunk(mus, sign_arrays, wild=None, census=True) -> tuple[dict, dict,
         for split in _splits(references, signs[1], profile.multi):
             whole = _attached_parents(mu, zip(mu, sign_arrays[(split & -split).bit_length() - 1]))
             splits.append((split, whole, _hook_count(whole)))
-        if census:  # in sign-array order
+        if census:  # in sign-array order, so the codes rise
+            base = _reference_code(mu, 0)
             for n, mass in sorted([(n, mass) for split, _, mass in splits for n in _bits(split)]):
-                masses[mu, sign_arrays[n]] = mass
+                codes.append(base | n)
+                masses.append(mass)
         if wild is not None:
             wild.map_references(mu, profile, signs, splits)
-    return table, masses, n_tamed
+    return table, (codes, masses), n_tamed
 
 
-def _merge_chunks(parts: list[tuple[dict, dict, int]]) -> tuple[dict, dict]:
-    """One table and mass dict from chunks in any order: counts add, class masks join."""
-    table, masses, _ = parts[0]
-    for part_table, part_masses, _ in parts[1:]:
-        for shape, (maps, acc, tamed, tds) in part_table.items():
-            entry = table.setdefault(shape, [0, 0, 0, set()])
+def _merge_chunks(parts: list[tuple[dict, tuple, int]]) -> tuple[dict, tuple]:
+    """One table and ``(codes, masses)`` from chunks in any order: counts add, class
+    masks join, shapes go by first map and arrays merge by code, in enumeration order."""
+    table, (codes, masses), _ = parts[0]
+    for part_table, _, _ in parts[1:]:
+        for shape, (maps, acc, tamed, tds, first) in part_table.items():
+            entry = table.setdefault(shape, [0, 0, 0, set(), first])
             entry[0] += maps
             entry[1] |= acc
             entry[2] += tamed
             entry[3] |= tds
-        masses.update(part_masses)
-    return table, masses
+            entry[4] = min(entry[4], first)
+    if len(parts) > 1:
+        table = dict(sorted(table.items(), key=lambda item: item[1][4]))
+        codes, masses = array("Q"), array("Q")
+        for code, mass in heapq.merge(*(zip(*references) for _, references, _ in parts)):
+            codes.append(code)
+            masses.append(mass)
+    return table, (codes, masses)
 
 
 def _name_witness(k, table, sign_arrays) -> None:
@@ -264,8 +336,8 @@ def _name_witness(k, table, sign_arrays) -> None:
     the re-walk finds the flagged clause holding, the fold and the
     re-walk disagree, and the message says so."""
     full = (1 << len(sign_arrays)) - 1
-    by_class = {s for s, (_, acc, n, _) in table.items() if acc != full or n != len(sign_arrays)}
-    failing = by_class or {shape for shape, (maps, *_, tds) in table.items() if tds != {maps}}
+    by_class = {s for s, (_, acc, n, _, _) in table.items() if acc != full or n != len(sign_arrays)}
+    failing = by_class or {shape for shape, (maps, _, _, tds, _) in table.items() if tds != {maps}}
     if not failing:
         return
     first, shape, counts = None, None, Counter()
@@ -315,7 +387,8 @@ def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> Census
     :func:`_fold_maps` splits the maps over at most ``threads`` worker
     processes.  ``chunks`` hands over the :func:`_census_chunk` folds of
     a walk over every map that the caller has made (``kmboard.verify``
-    makes one per order), and only the claims are checked here.  Raises
+    makes one per order), and only the claims are checked here.  Their
+    ``(codes, masses)`` merge by code into ``reference_masses``.  Raises
     :class:`CensusViolation` naming a witness if any claim fails; the
     witness does not depend on how the maps were split.  A k below 1
     raises :class:`LengthMismatch` before any work.
@@ -333,7 +406,7 @@ def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> Census
 
     if chunks is None:
         chunks = _fold_maps(k, threads, _census_chunk, sign_arrays)
-    table, masses = _merge_chunks(chunks)
+    table, (codes, masses) = _merge_chunks(chunks)
 
     total = sum(entry[0] for entry in table.values()) * n_signs
     if total != expected_total:
@@ -341,16 +414,16 @@ def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> Census
     if len(table) != cat:
         raise CensusViolation(f"unsigned class count {len(table)} != {cat}")
     _name_witness(k, table, sign_arrays)
-    mass_total = sum(masses.values())
+    mass_total = sum(masses)
     if mass_total != expected_total:
         raise CensusViolation(
-            f"extension mass {mass_total} over {len(masses)} reference pairs "
+            f"extension mass {mass_total} over {len(codes)} reference pairs "
             f"!= {expected_total}"
         )
     references = wild_class_count(k) if signed else cat
-    if len(masses) != references:
+    if len(codes) != references:
         raise CensusViolation(
-            f"{len(masses)} reference pairs != {references}, the closed-form wild class count"
+            f"{len(codes)} reference pairs != {references}, the closed-form wild class count"
         )
     signed_classes = cat * n_signs
     return CensusReport(
@@ -360,11 +433,11 @@ def census(k: int, signed: bool = True, threads: int = 1, chunks=None) -> Census
         unsigned_classes=len(table),
         signed_classes=signed_classes,
         tamed_count=signed_classes,  # exactly one per class, checked above
-        wild_classes=len(masses),
+        wild_classes=len(codes),
         class_size_histogram={
             maps: n * n_signs for maps, n in Counter(e[0] for e in table.values()).items()
         },
         mass_total=mass_total,
-        reference_masses=masses,
+        reference_masses=_ReferenceMasses(sign_arrays, codes, masses),
         elapsed=time.monotonic() - start,
     )

@@ -111,6 +111,72 @@ def test_census_threads_match_sequential():
         threaded, sequential = census(5, signed, threads=2), census(5, signed)
         assert threaded.to_json() == sequential.to_json()
         assert threaded.reference_masses == sequential.reference_masses
+        # in enumeration order, whatever the workers' shares
+        for name in ("class_size_histogram", "reference_masses"):
+            got, expected = getattr(threaded, name), getattr(sequential, name)
+            assert list(got.items()) == list(expected.items())
+    # three workers' chunks, where a shape's first map can sit in a later
+    # chunk than its first map in the first chunk, merge entry for entry
+    from kmboard.counting import _census_chunk, _fold_slice, _merge_chunks
+
+    sign_arrays = list(itertools.product("+-", repeat=5))
+    three = [_fold_slice(5, i, 3, _census_chunk, sign_arrays) for i in range(3)]
+    (table, arrays), (one_table, one_arrays) = (
+        _merge_chunks(chunks) for chunks in (three, [_census_chunk(enumerate_mus(5), sign_arrays)])
+    )
+    assert list(table.items()) == list(one_table.items()) and arrays == one_arrays
+
+
+def test_reference_masses_read_only_mapping_contract(monkeypatch):
+    import re
+    from array import array
+
+    from kmboard import counting
+    from kmboard.canonical import is_reference
+    from kmboard.pairs import ENUMERATION_CAP
+
+    report = census(4)
+    masses = report.reference_masses
+    expected = [(key, masses[key]) for key in masses]
+    for key, mass in expected:
+        assert key in masses and masses.get(key) == mass
+    reference = next(p for p in enumerate_pairs(4) if is_reference(p))
+    mu, sgn = reference.mu, reference.sgn
+    n = int("".join("01"[s == "-"] for s in sgn), 2)
+    # an entry past its 5 bits carries into the one before: the same code
+    overflowed = (mu[0] - 1, mu[1] + 32, *mu[2:])
+    assert counting._reference_code(overflowed, n) == counting._reference_code(mu, n)
+    other_order = next(p for p in enumerate_pairs(3) if is_reference(p))
+    non_reference = next(p for p in enumerate_pairs(4) if is_tamed(p) and not is_reference(p))
+    for key in [
+        (non_reference.mu, non_reference.sgn),
+        (other_order.mu, other_order.sgn),
+        (mu, sgn[:-1]),
+        (mu[:-1], sgn),
+        (overflowed, sgn),
+        mu,
+        None,
+    ]:
+        with pytest.raises(KeyError):
+            masses[key]
+        assert key not in masses
+        assert masses.get(key) is None and masses.get(key, -1) == -1
+
+    # the widest code: the last map of the largest order, all signs minus
+    k = ENUMERATION_CAP
+    last, minus = tuple(range(1, 2 * k, 2)), ("-",) * k
+    signs = list(itertools.product("+-", repeat=k))
+    code = counting._reference_code(last, len(signs) - 1)
+    widest = counting._ReferenceMasses(signs, array("Q", [code]), array("Q", [1]))
+    assert list(widest) == [(last, minus)] and widest[last, minus] == 1
+
+    def no_lookup(self, key):
+        raise AssertionError("a walk over the arrays looked a key up")
+
+    monkeypatch.setattr(counting._ReferenceMasses, "__getitem__", no_lookup)
+    assert sum(masses.values()) == report.mass_total
+    assert list(masses.items()) == expected
+    assert re.search(r"0x[0-9a-fA-F]+", repr(masses) + repr(report)) is None
 
 
 @pytest.mark.parametrize("cpus, workers", [(64, [3]), (2, [2]), (None, [])])
@@ -454,11 +520,11 @@ def test_the_witness_says_when_the_re_walk_finds_the_flagged_clause_holding():
     sign_arrays = list(itertools.product("+-", repeat=3))
     table = _merge_chunks(_fold_maps(3, 1, _census_chunk, sign_arrays))[0]
     shape = skeleton_key((1, 1, 2))
-    maps, acc, tamed, tds = table[shape]
-    assert (maps, acc, tamed, tds) == (2, 255, 8, {2})
+    maps, acc, tamed, tds, first = table[shape]
+    assert (maps, acc, tamed, tds, first) == (2, 255, 8, {2}, (1, 1, 2))
     altered = [
-        ("class", [maps, acc & ~(1 << 3), tamed, tds]),
-        ("size", [maps, acc, tamed, tds | {3}]),
+        ("class", [maps, acc & ~(1 << 3), tamed, tds, first]),
+        ("size", [maps, acc, tamed, tds | {3}, first]),
     ]
     for clause, entry in altered:
         with pytest.raises(CensusViolation) as got:
